@@ -12,6 +12,12 @@ one backward (adjoint) sweep per trajectory, so a full gradient costs one
 forward plus one backward pass regardless of the number of operator
 entries.  The optimiser is a limited-memory quasi-Newton method with an
 Armijo backtracking line search.
+
+One rollout kernel serves calibration and evaluation alike: the operators
+are folded with the step size once per operator set, and trajectories of
+equal length are stepped together as the columns of one state stack.  A
+forward sweep keeps its states and sampled temperatures, so the accepted
+line-search candidate needs only its backward sweep.
 """
 
 import logging
@@ -20,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from morcal.deim import DeimOperators, arrhenius_jacobian, reduced_arrhenius
+from morcal.deim import MIN_TEMPERATURE, DeimOperators, reduced_arrhenius
 from morcal.errors import ConfigError, DataError, NumericError
-from morcal.opinf import RomOperators, sym_kron, sym_kron_jacobian
+from morcal.opinf import RomOperators, sym_kron
 from morcal.textio import fmt_float
 
 __all__ = [
@@ -41,8 +47,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Diagnostic counters: number of forward rollouts and backward (adjoint)
-# sweeps performed since the last reset.  Useful for asserting the
+# Diagnostic counters: number of trajectories rolled forward and swept
+# backward (adjoint) since the last reset.  Useful for asserting the
 # one-forward-one-backward cost of a gradient evaluation.
 _SWEEPS = {"forward": 0, "backward": 0}
 
@@ -66,6 +72,7 @@ class CalibrationProblem:
     deim: DeimOperators | None = field(default=None, repr=False)
     include_quadratic: bool = True
     include_input: bool = True
+    batches: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -82,6 +89,7 @@ class CalibrationProblem:
                 raise DataError("each trajectory must be (r, k+1) with k >= 1")
             if ctrl.shape != (traj.shape[1], 2):
                 raise DataError("controls must provide one (R, v_I_dot) row per state")
+        self.batches = _batches(self.reduced_trajectories, self.controls)
 
     @property
     def r(self) -> int:
@@ -126,6 +134,7 @@ class ConvergenceReport:
     objective_history: list
     gradient_norms: list
     step_lengths: list
+    evaluations: int  # objective evaluations, start point and rejected candidates included
 
     @property
     def iterations(self) -> int:
@@ -154,13 +163,117 @@ def theta(ops: RomOperators, deim_ops: DeimOperators | None, s: np.ndarray, u) -
     return rhs
 
 
-def _theta_jacobian(ops, deim_ops, s, u):
-    jac = ops.a.copy()
-    if ops.h is not None:
-        jac += ops.h @ sym_kron_jacobian(s)
+@dataclass
+class _Folded:
+    """One operator set with the step size folded in.
+
+    An explicit Euler step of a state stack S (one column per trajectory) is
+
+        T = p2f S + shift,   E = exp(exponent / T),
+        S <- ad S + hd sym_kron(S) + bd v_I_dot + p1d (E * R).
+    """
+
+    ad: np.ndarray  # I + dt a
+    hd: np.ndarray | None  # dt h
+    bd: np.ndarray | None  # (r, 1) dt b[:, 0]
+    # The sampled source; all None without sampling operators.
+    p1d: np.ndarray | None = None  # dt prefactor p1
+    p2f: np.ndarray | None = None  # unscale_scale p2
+    shift: np.ndarray | None = None  # (s, 1) unscale_shift
+    exponent: float = 0.0
+
+
+def _fold(ops: RomOperators, deim_ops: DeimOperators | None, dt: float) -> _Folded:
+    source = {}
     if deim_ops is not None:
-        jac += arrhenius_jacobian(deim_ops, s, u[0])
-    return jac
+        source = dict(
+            p1d=(dt * deim_ops.arrhenius_prefactor) * deim_ops.p1,
+            p2f=deim_ops.unscale_scale[:, None] * deim_ops.p2,
+            shift=deim_ops.unscale_shift[:, None],
+            exponent=deim_ops.arrhenius_exponent,
+        )
+    return _Folded(
+        ad=np.eye(ops.r) + dt * ops.a,
+        hd=None if ops.h is None else dt * ops.h,
+        bd=None if ops.b is None else dt * ops.b[:, :1],
+        **source,
+    )
+
+
+@dataclass
+class _Batch:
+    """Equal-length trajectories stacked column-wise, step index first."""
+
+    data: np.ndarray  # (k + 1, r, L) reduced training states
+    heat: np.ndarray  # (k, L) heat load R driving each step
+    inputs: np.ndarray  # (k, L) v_I_dot driving each step
+
+
+def _batches(trajectories, controls) -> list:
+    """Group trajectories by length; one batch per distinct length, first-seen order."""
+    groups: dict = {}
+    for traj, ctrl in zip(trajectories, controls):
+        traj = np.asarray(traj, dtype=float)
+        groups.setdefault(traj.shape[1], []).append((traj, np.asarray(ctrl, dtype=float)))
+    out = []
+    for members in groups.values():
+        k = members[0][0].shape[1] - 1
+        out.append(
+            _Batch(
+                data=np.ascontiguousarray(np.stack([t.T for t, _ in members], axis=2)),
+                heat=np.stack([c[:k, 0] for _, c in members], axis=1),
+                inputs=np.stack([c[:k, 1] for _, c in members], axis=1),
+            )
+        )
+    return out
+
+
+@dataclass
+class _Sweep:
+    """A forward sweep of one batch, kept for its backward sweep."""
+
+    states: np.ndarray  # (k + 1, r, L)
+    temperatures: np.ndarray | None  # (k, s, L) sampled temperatures of states 0..k-1
+    sources: np.ndarray | None  # (k, s, L) exp(exponent / temperatures)
+
+
+def _forward(f: _Folded, s0: np.ndarray, heat: np.ndarray, inputs: np.ndarray) -> _Sweep:
+    """Explicit Euler rollout of the state stack s0 (r, L) over len(heat) steps.
+
+    Every step checks the sampled temperatures against MIN_TEMPERATURE and
+    the new states for finiteness; either failure raises a NumericError
+    naming the step.
+    """
+    k, width = heat.shape
+    states = np.empty((k + 1, s0.shape[0], width))
+    states[0] = s0
+    temperatures = sources = None
+    if f.p1d is not None:
+        temperatures = np.empty((k, f.p2f.shape[0], width))
+        sources = np.empty_like(temperatures)
+    for j in range(k):
+        s, nxt = states[j], states[j + 1]
+        np.matmul(f.ad, s, out=nxt)
+        if f.hd is not None:
+            nxt += f.hd @ sym_kron(s)
+        if f.bd is not None:
+            nxt += f.bd * inputs[j]
+        if f.p1d is not None:
+            t = np.matmul(f.p2f, s, out=temperatures[j])
+            t += f.shift
+            if not t.min() > MIN_TEMPERATURE:
+                raise NumericError(
+                    f"sampled temperature dropped to {float(t.min()):.3g} K at rollout step "
+                    f"{j + 1} (limit {MIN_TEMPERATURE:g} K); the reduced trajectory left "
+                    "the trusted range"
+                )
+            e = np.divide(f.exponent, t, out=sources[j])
+            np.exp(e, out=e)
+            nxt += f.p1d @ (e * heat[j])
+        if not math.isfinite(float(nxt.sum())):
+            raise NumericError(f"non-finite reduced state at rollout step {j + 1}")
+    _SWEEPS["forward"] += width
+    return _Sweep(states=states, temperatures=temperatures, sources=sources)
 
 
 def forward_rollout(
@@ -174,7 +287,8 @@ def forward_rollout(
     """Explicit Euler rollout over k steps; returns all k+1 states (r, k+1).
 
     Controls are sampled left-continuously: row j drives the step from
-    state j to state j+1.  A non-finite state aborts with the step index.
+    state j to state j+1.  A non-finite state, or a sampled temperature at
+    or below MIN_TEMPERATURE, aborts with a NumericError naming the step.
     """
     s0 = np.asarray(s0, dtype=float)
     controls = np.asarray(controls, dtype=float)
@@ -184,31 +298,31 @@ def forward_rollout(
         raise DataError("controls must have at least k rows of (R, v_I_dot)")
     if dt <= 0.0:
         raise ConfigError("dt must be positive")
-    _SWEEPS["forward"] += 1
-    out = np.empty((s0.shape[0], k + 1))
-    out[:, 0] = s0
-    s = s0
-    for j in range(k):
-        s = s + dt * theta(ops, deim_ops, s, controls[j])
-        if not math.isfinite(float(s.sum())):
-            raise NumericError(f"non-finite reduced state at rollout step {j + 1}")
-        out[:, j + 1] = s
-    return out
+    sweep = _forward(_fold(ops, deim_ops, dt), s0[:, None], controls[:k, :1], controls[:k, 1:])
+    return sweep.states[:, :, 0].T.copy()
+
+
+class _Evaluation:
+    """Objective of one operator set, with the forward sweeps it came from."""
+
+    def __init__(self, ops: RomOperators, problem: "CalibrationProblem"):
+        self.ops = ops
+        self.folded = _fold(ops, problem.deim, problem.dt)
+        self.sweeps = [
+            _forward(self.folded, batch.data[0], batch.heat, batch.inputs)
+            for batch in problem.batches
+        ]
+        self.residuals = [sw.states - b.data for sw, b in zip(self.sweeps, problem.batches)]
+        self.value = sum(float(np.sum(res ** 2)) for res in self.residuals)
 
 
 def objective(ops: RomOperators, problem: CalibrationProblem) -> float:
     """Total squared trajectory mismatch; infinite when a rollout fails."""
-    total = 0.0
-    for data, ctrl in zip(problem.reduced_trajectories, problem.controls):
-        data = np.asarray(data, dtype=float)
-        k = data.shape[1] - 1
-        try:
-            rolled = forward_rollout(ops, problem.deim, data[:, 0], ctrl, problem.dt, k)
-        except NumericError as exc:
-            logger.warning("rollout failed during objective evaluation: %s", exc)
-            return math.inf
-        total += float(np.sum((rolled - data) ** 2))
-    return total
+    try:
+        return _Evaluation(ops, problem).value
+    except NumericError as exc:
+        logger.warning("rollout failed during objective evaluation: %s", exc)
+        return math.inf
 
 
 def _zero_like_gradient(ops: RomOperators, problem: CalibrationProblem) -> RomOperators:
@@ -220,42 +334,70 @@ def _zero_like_gradient(ops: RomOperators, problem: CalibrationProblem) -> RomOp
     )
 
 
-def _objective_and_gradient(ops: RomOperators, problem: CalibrationProblem):
-    """One forward rollout and one adjoint sweep per trajectory.
+def _sym_kron_selectors(r: int):
+    """sym_kron's index pairs (i_e, j_e) and 0/1 matrices (r, q) moving entry e to row i_e, j_e."""
+    rows, cols = np.triu_indices(r)
+    first = np.zeros((r, rows.size))
+    second = np.zeros((r, rows.size))
+    first[rows, np.arange(rows.size)] = 1.0
+    second[cols, np.arange(rows.size)] = 1.0
+    return rows, cols, first, second
+
+
+def _gradient(ev: _Evaluation, problem: CalibrationProblem) -> RomOperators:
+    """One backward (adjoint) sweep per batch over the stored forward sweeps.
 
     The adjoint recursion runs backwards from the final step:
 
         mu_k = 2 (s~_k - s_k)
         mu_j = 2 (s~_j - s_j) + (I + dt J_theta(s~_j, u_j))^T mu_{j+1}
 
-    and the gradient accumulates dt * mu_{j+1} against the parameter
-    derivatives of theta evaluated at (s~_j, u_j).
+    where (I + dt J)^T mu = ad^T mu + p2f^T (w_j * (p1d^T mu)) + the
+    quadratic term, with w_j = R_j E_j (-exponent / T_j^2) built for all
+    steps at once.  The mu_{j+1} are stored, so each gradient block is one
+    contraction against the states: grad a = dt sum_j mu_{j+1} s~_j^T, and
+    likewise for h (against sym_kron(s~_j)) and b (against v_I_dot_j).
     """
-    grad = _zero_like_gradient(ops, problem)
-    total = 0.0
-    dt = problem.dt
-    for data, ctrl in zip(problem.reduced_trajectories, problem.controls):
-        data = np.asarray(data, dtype=float)
-        ctrl = np.asarray(ctrl, dtype=float)
-        k = data.shape[1] - 1
-        rolled = forward_rollout(ops, problem.deim, data[:, 0], ctrl, dt, k)
-        diff = rolled - data
-        total += float(np.sum(diff ** 2))
+    f, dt = ev.folded, problem.dt
+    grad = _zero_like_gradient(ev.ops, problem)
+    if f.hd is not None:
+        rows, cols, first, second = _sym_kron_selectors(ev.ops.r)
+    for sweep, res, batch in zip(ev.sweeps, ev.residuals, problem.batches):
+        states = sweep.states
+        k = states.shape[0] - 1
+        twice = 2.0 * res
+        weights = None
+        if f.p1d is not None:
+            weights = sweep.sources * (-f.exponent / sweep.temperatures ** 2)
+            weights *= batch.heat[:, None, :]
+        mus = np.empty((k,) + states.shape[1:])
+        mus[k - 1] = twice[k]
+        mu = mus[k - 1]
+        for j in range(k - 1, 0, -1):
+            nxt = np.matmul(f.ad.T, mu, out=mus[j - 1])
+            nxt += twice[j]
+            if weights is not None:
+                nxt += f.p2f.T @ (weights[j] * (f.p1d.T @ mu))
+            if f.hd is not None:
+                v = f.hd.T @ mu
+                s = states[j]
+                nxt += first @ (v * s[cols]) + second @ (v * s[rows])
+            mu = nxt
+        _SWEEPS["backward"] += states.shape[2]
 
-        mu = 2.0 * diff[:, k]
-        for j in range(k - 1, -1, -1):
-            state = rolled[:, j]
-            grad.a += dt * np.outer(mu, state)
-            if grad.h is not None:
-                grad.h += dt * np.outer(mu, sym_kron(state))
-            if grad.b is not None:
-                grad.b[:, 0] += dt * ctrl[j, 1] * mu
-            if j > 0:
-                # mu_j = 2 e_j + (I + dt J)^T mu_{j+1}, J evaluated at (s~_j, u_j)
-                jac = _theta_jacobian(ops, problem.deim, state, ctrl[j])
-                mu = 2.0 * diff[:, j] + mu + dt * (jac.T @ mu)
-        _SWEEPS["backward"] += 1
-    return total, grad
+        grad.a += dt * np.tensordot(mus, states[:k], axes=([0, 2], [0, 2]))
+        if grad.h is not None:
+            kron = sym_kron(states[:k].transpose(1, 0, 2))
+            grad.h += dt * np.tensordot(mus, kron, axes=([0, 2], [1, 2]))
+        if grad.b is not None:
+            grad.b[:, 0] += dt * np.tensordot(mus, batch.inputs, axes=([0, 2], [0, 1]))
+    return grad
+
+
+def _objective_and_gradient(ops: RomOperators, problem: CalibrationProblem):
+    """One forward and one backward sweep per trajectory."""
+    ev = _Evaluation(ops, problem)
+    return ev.value, _gradient(ev, problem)
 
 
 def adjoint_gradient(ops: RomOperators, problem: CalibrationProblem) -> RomOperators:
@@ -314,29 +456,35 @@ def calibrate(
     """
     opt = optimizer if optimizer is not None else OptimizerConfig()
     template = initial.copy()
+    evaluations = 0
 
-    def value(vec):
-        return objective(_unpack(vec, template, problem), problem)
+    def evaluate(vec):
+        """The evaluated candidate, or None when its rollout fails."""
+        nonlocal evaluations
+        evaluations += 1
+        try:
+            return _Evaluation(_unpack(vec, template, problem), problem)
+        except NumericError as exc:
+            logger.warning("rollout failed during objective evaluation: %s", exc)
+            return None
 
-    def value_and_grad(vec):
-        ops = _unpack(vec, template, problem)
-        f, grad = _objective_and_gradient(ops, problem)
-        gvec = _pack(grad, problem)
+    def gradient(ev):
+        gvec = _pack(_gradient(ev, problem), problem)
         if opt.enforce_symmetric_a:
             gvec = _symmetrize(gvec, template)
-        return f, gvec
+        return gvec
 
     x = _pack(initial, problem)
     if opt.enforce_symmetric_a:
         x = _symmetrize(x, template)
 
-    f0 = value(x)
-    if not math.isfinite(f0):
+    current = evaluate(x)
+    if current is None or not math.isfinite(current.value):
         raise NumericError(
             "initial operators already diverge on the training horizon; "
             "use a more strongly regularised starting point"
         )
-    f, g = value_and_grad(x)
+    f, g = current.value, gradient(current)
     gnorm0 = float(np.linalg.norm(g))
     history_s: list = []
     history_y: list = []
@@ -363,22 +511,22 @@ def calibrate(
             step = opt.initial_step
             if not history_s:
                 step = opt.initial_step / max(1.0, gnorm)
-            accepted = False
+            accepted = None
             for _bt in range(opt.line_search_max_backtracks):
                 candidate = x + step * direction
                 if opt.enforce_symmetric_a:
                     candidate = _symmetrize(candidate, template)
-                f_new = value(candidate)
-                if f_new <= f + opt.armijo_constant * step * descent:
-                    accepted = True
+                trial = evaluate(candidate)
+                if trial is not None and trial.value <= f + opt.armijo_constant * step * descent:
+                    accepted = trial
                     break
                 step *= opt.line_search_shrink
-            if not accepted:
+            if accepted is None:
                 status = "line_search_failure"
                 logger.info("line search stalled at objective %.6e", f)
                 break
 
-            f_new, g_new = value_and_grad(candidate)
+            f_new, g_new = accepted.value, gradient(accepted)
             s_vec = candidate - x
             y_vec = g_new - g
             curvature = float(s_vec @ y_vec)
@@ -403,6 +551,7 @@ def calibrate(
         objective_history=objective_history,
         gradient_norms=gradient_norms,
         step_lengths=step_lengths,
+        evaluations=evaluations,
     )
     return _unpack(x, template, problem), report
 

@@ -180,7 +180,8 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
     if os.path.exists(cal_path):
         models["calibrated"] = rom_mod.load_rom(cal_path)
 
-    reference = models.get("calibrated", models["opinf"])
+    reference_name = "calibrated" if "calibrated" in models else "opinf"
+    reference = models[reference_name]
     if reference.basis is None:
         raise DataError("stored model lacks basis and scaling; cannot evaluate")
 
@@ -206,12 +207,9 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
                 row += [fmt_float(reports[n].step_errors[j]) for n in names]
                 fh.write(",".join(row) + "\n")
 
-        scaled_states = reference.basis.scaling.scale_array(trajectory.states)
-        projected = reference.basis.basis.T @ scaled_states
-        rolled = rom_mod.simulate_rom(
-            reference, projected[:, 0], trajectory.controls, projected.shape[1] - 1
+        rom_stats = rom_mod.field_statistics(
+            reference, reports[reference_name].rollout, solid_mask=cfg.fom.solid_mask
         )
-        rom_stats = rom_mod.field_statistics(reference, rolled, solid_mask=cfg.fom.solid_mask)
         fom_stats = _fom_field_statistics(trajectory, cfg.fom.solid_mask)
         stats_path = os.path.join(cfg.output_dir, f"stats_{case}.csv")
         with open(stats_path, "w") as fh:
@@ -331,7 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("generate", help="run the full-order model and write snapshots")
-    sub.add_parser("train", help="fit basis, sampling operators, and reduced operators")
+    train = sub.add_parser("train", help="fit basis, sampling operators, and reduced operators")
+    # SUPPRESS keeps the subcommand from resetting a flag given before it.
+    train.add_argument(
+        "--skip-calibration",
+        action="store_true",
+        default=argparse.SUPPRESS,
+        help="stop after operator inference",
+    )
     sub.add_parser("evaluate", help="compare stored models against snapshot data")
     export = sub.add_parser("export-rom", help="write a compact operator file")
     export.add_argument("source", nargs="?", default=None, help="model file to export")
@@ -362,6 +367,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except NumericError as exc:
         print(f"error (numeric): {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except np.linalg.LinAlgError as exc:
+        print(f"error (numeric): linear algebra failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MorcalError as exc:
         print(f"error: {exc}", file=sys.stderr)

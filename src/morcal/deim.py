@@ -270,35 +270,35 @@ def save_deim_operators(ops: DeimOperators, path) -> None:
 
 
 def load_deim_operators(path) -> DeimOperators:
-    rd = TextReader(path)
-    s = parse_int(rd.expect_kv("s"), rd, "s")
-    r = parse_int(rd.expect_kv("r"), rd, "r")
-    idx_text = rd.expect_kv("indices")
-    indices = (
-        np.array([int(tok) for tok in idx_text.split(",")], dtype=int)
-        if idx_text.strip()
-        else np.zeros(0, dtype=int)
-    )
-    prefactor = parse_float(rd.expect_kv("arrhenius_prefactor"), rd, "arrhenius_prefactor")
-    exponent = parse_float(rd.expect_kv("arrhenius_exponent"), rd, "arrhenius_exponent")
-    unscale_scale = np.array([float(t) for t in rd.expect_kv("unscale_scale").split()])
-    unscale_shift = np.array([float(t) for t in rd.expect_kv("unscale_shift").split()])
-    if rd.next_line("'p1' marker").strip() != "p1":
-        raise rd.error("expected 'p1' section")
-    p1 = np.empty((r, s))
-    for i in range(r):
-        p1[i, :] = rd.read_floats(s, f"p1 row {i}")
-    if rd.next_line("'p2' marker").strip() != "p2":
-        raise rd.error("expected 'p2' section")
-    p2 = np.empty((s, r))
-    for i in range(s):
-        p2[i, :] = rd.read_floats(r, f"p2 row {i}")
-    return DeimOperators(
-        indices=indices,
-        p1=p1,
-        p2=p2,
-        arrhenius_prefactor=prefactor,
-        arrhenius_exponent=exponent,
-        unscale_scale=unscale_scale,
-        unscale_shift=unscale_shift,
-    )
+    with TextReader(path) as rd:
+        s = parse_int(rd.expect_kv("s"), rd, "s")
+        r = parse_int(rd.expect_kv("r"), rd, "r")
+        idx_text = rd.expect_kv("indices")
+        indices = (
+            np.array([int(tok) for tok in idx_text.split(",")], dtype=int)
+            if idx_text.strip()
+            else np.zeros(0, dtype=int)
+        )
+        prefactor = parse_float(rd.expect_kv("arrhenius_prefactor"), rd, "arrhenius_prefactor")
+        exponent = parse_float(rd.expect_kv("arrhenius_exponent"), rd, "arrhenius_exponent")
+        unscale_scale = np.array([float(t) for t in rd.expect_kv("unscale_scale").split()])
+        unscale_shift = np.array([float(t) for t in rd.expect_kv("unscale_shift").split()])
+        if rd.next_line("'p1' marker").strip() != "p1":
+            raise rd.error("expected 'p1' section")
+        p1 = np.empty((r, s))
+        for i in range(r):
+            p1[i, :] = rd.read_floats(s, f"p1 row {i}")
+        if rd.next_line("'p2' marker").strip() != "p2":
+            raise rd.error("expected 'p2' section")
+        p2 = np.empty((s, r))
+        for i in range(s):
+            p2[i, :] = rd.read_floats(r, f"p2 row {i}")
+        return DeimOperators(
+            indices=indices,
+            p1=p1,
+            p2=p2,
+            arrhenius_prefactor=prefactor,
+            arrhenius_exponent=exponent,
+            unscale_scale=unscale_scale,
+            unscale_shift=unscale_shift,
+        )

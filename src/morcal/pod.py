@@ -133,15 +133,15 @@ def save_basis(basis: PodBasis, path) -> None:
 
 
 def load_basis(path) -> PodBasis:
-    rd = TextReader(path)
-    header = rd.next_line("header").split()
-    if len(header) != 2 or not header[0].startswith("n=") or not header[1].startswith("r="):
-        raise rd.error("expected header 'n=<int> r=<int>'")
-    n = parse_int(header[0][2:], rd, "n")
-    r = parse_int(header[1][2:], rd, "r")
-    basis = np.empty((n, r))
-    for j in range(r):
-        basis[:, j] = rd.read_floats(n, f"mode {j}")
-    line = rd.peek()
-    sigma = rd.read_floats(len(line.split()), "singular values") if line else np.zeros(0)
-    return PodBasis(basis=basis, singular_values=sigma)
+    with TextReader(path) as rd:
+        header = rd.next_line("header").split()
+        if len(header) != 2 or not header[0].startswith("n=") or not header[1].startswith("r="):
+            raise rd.error("expected header 'n=<int> r=<int>'")
+        n = parse_int(header[0][2:], rd, "n")
+        r = parse_int(header[1][2:], rd, "r")
+        basis = np.empty((n, r))
+        for j in range(r):
+            basis[:, j] = rd.read_floats(n, f"mode {j}")
+        line = rd.peek()
+        sigma = rd.read_floats(len(line.split()), "singular values") if line else np.zeros(0)
+        return PodBasis(basis=basis, singular_values=sigma)

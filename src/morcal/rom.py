@@ -68,6 +68,7 @@ class ErrorReport:
     switch_off: np.ndarray  # (k+1,) bool, True inside the excluded window
     mean_error: float  # mean over steps outside the switch-off window
     mean_error_all: float  # mean over every step
+    rollout: np.ndarray  # (r, k+1) the reduced rollout the errors were measured on
 
     def __post_init__(self):
         if not (self.times.shape == self.step_errors.shape == self.switch_off.shape):
@@ -133,6 +134,7 @@ def rom_vs_projected_error(model: RomModel, trajectory) -> ErrorReport:
         switch_off=flags,
         mean_error=mean_outside,
         mean_error_all=float(np.mean(errors)),
+        rollout=rolled,
     )
 
 
@@ -238,90 +240,90 @@ def save_rom(model: RomModel, path, include_basis: bool = True) -> None:
 
 def load_rom(path) -> RomModel:
     """Read a model written by save_rom (or a compatible fixture file)."""
-    rd = TextReader(path)
-    if rd.next_line("'[meta]' header").strip() != "[meta]":
-        raise rd.error("expected '[meta]' section")
-    version = parse_int(rd.expect_kv("version"), rd, "version")
-    if version != ROM_FORMAT_VERSION:
-        raise DataError(
-            f"{path}: unsupported format version {version} (expected {ROM_FORMAT_VERSION})"
+    with TextReader(path) as rd:
+        if rd.next_line("'[meta]' header").strip() != "[meta]":
+            raise rd.error("expected '[meta]' section")
+        version = parse_int(rd.expect_kv("version"), rd, "version")
+        if version != ROM_FORMAT_VERSION:
+            raise DataError(
+                f"{path}: unsupported format version {version} (expected {ROM_FORMAT_VERSION})"
+            )
+        r = parse_int(rd.expect_kv("r"), rd, "r")
+        s = parse_int(rd.expect_kv("s"), rd, "s")
+        p = parse_int(rd.expect_kv("p"), rd, "p")
+        dt = parse_float(rd.expect_kv("dt"), rd, "dt")
+
+        a = _read_matrix(rd, "A")
+        h = _read_matrix(rd, "H")
+        b = _read_matrix(rd, "B")
+        p1 = _read_matrix(rd, "P1")
+        p2 = _read_matrix(rd, "P2")
+        if a is None or a.shape != (r, r):
+            raise DataError(f"{path}: linear operator must be {r} x {r}")
+        if h is not None and h.shape[1] != quadratic_size(r):
+            raise DataError(f"{path}: quadratic operator has the wrong column count")
+        if b is not None and b.shape[1] != p:
+            raise DataError(f"{path}: input operator has the wrong column count")
+        operators = RomOperators(a=a, h=h, b=b)
+
+        if rd.next_line("'[deim]' header").strip() != "[deim]":
+            raise rd.error("expected '[deim]' section")
+        prefactor = parse_float(rd.expect_kv("arrhenius_prefactor"), rd, "arrhenius_prefactor")
+        exponent = parse_float(rd.expect_kv("arrhenius_exponent"), rd, "arrhenius_exponent")
+        idx_text = rd.expect_kv("indices").strip()
+        indices = (
+            np.array([int(t) for t in idx_text.split(",")], dtype=int)
+            if idx_text
+            else np.zeros(0, dtype=int)
         )
-    r = parse_int(rd.expect_kv("r"), rd, "r")
-    s = parse_int(rd.expect_kv("s"), rd, "s")
-    p = parse_int(rd.expect_kv("p"), rd, "p")
-    dt = parse_float(rd.expect_kv("dt"), rd, "dt")
+        us_text = rd.expect_kv("unscale_scale").strip()
+        uh_text = rd.expect_kv("unscale_shift").strip()
 
-    a = _read_matrix(rd, "A")
-    h = _read_matrix(rd, "H")
-    b = _read_matrix(rd, "B")
-    p1 = _read_matrix(rd, "P1")
-    p2 = _read_matrix(rd, "P2")
-    if a is None or a.shape != (r, r):
-        raise DataError(f"{path}: linear operator must be {r} x {r}")
-    if h is not None and h.shape[1] != quadratic_size(r):
-        raise DataError(f"{path}: quadratic operator has the wrong column count")
-    if b is not None and b.shape[1] != p:
-        raise DataError(f"{path}: input operator has the wrong column count")
-    operators = RomOperators(a=a, h=h, b=b)
+        deim_ops = None
+        if p1 is not None or p2 is not None:
+            if p1 is None or p2 is None:
+                raise DataError(f"{path}: P1 and P2 must both be present")
+            if p1.shape != (r, s) or p2.shape != (s, r):
+                raise DataError(f"{path}: P1/P2 shapes disagree with the meta section")
+            unscale_scale = (
+                np.array([float(t) for t in us_text.split()]) if us_text else np.ones(s)
+            )
+            unscale_shift = (
+                np.array([float(t) for t in uh_text.split()]) if uh_text else np.zeros(s)
+            )
+            deim_ops = DeimOperators(
+                indices=indices,
+                p1=p1,
+                p2=p2,
+                arrhenius_prefactor=prefactor,
+                arrhenius_exponent=exponent,
+                unscale_scale=unscale_scale,
+                unscale_shift=unscale_shift,
+            )
 
-    if rd.next_line("'[deim]' header").strip() != "[deim]":
-        raise rd.error("expected '[deim]' section")
-    prefactor = parse_float(rd.expect_kv("arrhenius_prefactor"), rd, "arrhenius_prefactor")
-    exponent = parse_float(rd.expect_kv("arrhenius_exponent"), rd, "arrhenius_exponent")
-    idx_text = rd.expect_kv("indices").strip()
-    indices = (
-        np.array([int(t) for t in idx_text.split(",")], dtype=int)
-        if idx_text
-        else np.zeros(0, dtype=int)
-    )
-    us_text = rd.expect_kv("unscale_scale").strip()
-    uh_text = rd.expect_kv("unscale_shift").strip()
+        basis = None
+        if not rd.at_end() and rd.peek().strip() == "[scaling]":
+            rd.next_line("'[scaling]' header")
+            fields_text = rd.expect_kv("fields")
+            fields = []
+            for part in fields_text.split(","):
+                bits = part.split(":")
+                if len(bits) != 3:
+                    raise rd.error(f"bad field descriptor: {part!r}")
+                fields.append((bits[0], int(bits[1]), int(bits[2])))
+            shift = np.array([float(t) for t in rd.expect_kv("shift").split()])
+            scale = np.array([float(t) for t in rd.expect_kv("scale").split()])
+            scaling = ScalingSpec(fields=fields, shift=shift, scale=scale)
+            basis_matrix = _read_matrix(rd, "basis")
+            if basis_matrix is None or basis_matrix.shape[1] != r:
+                raise DataError(f"{path}: basis section must hold an n x {r} matrix")
+            if rd.next_line("'[singular_values]' header").strip() != "[singular_values]":
+                raise rd.error("expected '[singular_values]' section")
+            sv_line = rd.next_line("singular values")
+            singular_values = np.array([float(t) for t in sv_line.split()])
+            basis = PodBasis(basis=basis_matrix, singular_values=singular_values, scaling=scaling)
 
-    deim_ops = None
-    if p1 is not None or p2 is not None:
-        if p1 is None or p2 is None:
-            raise DataError(f"{path}: P1 and P2 must both be present")
-        if p1.shape != (r, s) or p2.shape != (s, r):
-            raise DataError(f"{path}: P1/P2 shapes disagree with the meta section")
-        unscale_scale = (
-            np.array([float(t) for t in us_text.split()]) if us_text else np.ones(s)
-        )
-        unscale_shift = (
-            np.array([float(t) for t in uh_text.split()]) if uh_text else np.zeros(s)
-        )
-        deim_ops = DeimOperators(
-            indices=indices,
-            p1=p1,
-            p2=p2,
-            arrhenius_prefactor=prefactor,
-            arrhenius_exponent=exponent,
-            unscale_scale=unscale_scale,
-            unscale_shift=unscale_shift,
-        )
-
-    basis = None
-    if not rd.at_end() and rd.peek().strip() == "[scaling]":
-        rd.next_line("'[scaling]' header")
-        fields_text = rd.expect_kv("fields")
-        fields = []
-        for part in fields_text.split(","):
-            bits = part.split(":")
-            if len(bits) != 3:
-                raise rd.error(f"bad field descriptor: {part!r}")
-            fields.append((bits[0], int(bits[1]), int(bits[2])))
-        shift = np.array([float(t) for t in rd.expect_kv("shift").split()])
-        scale = np.array([float(t) for t in rd.expect_kv("scale").split()])
-        scaling = ScalingSpec(fields=fields, shift=shift, scale=scale)
-        basis_matrix = _read_matrix(rd, "basis")
-        if basis_matrix is None or basis_matrix.shape[1] != r:
-            raise DataError(f"{path}: basis section must hold an n x {r} matrix")
-        if rd.next_line("'[singular_values]' header").strip() != "[singular_values]":
-            raise rd.error("expected '[singular_values]' section")
-        sv_line = rd.next_line("singular values")
-        singular_values = np.array([float(t) for t in sv_line.split()])
-        basis = PodBasis(basis=basis_matrix, singular_values=singular_values, scaling=scaling)
-
-    return RomModel(operators=operators, deim=deim_ops, basis=basis, dt=dt)
+        return RomModel(operators=operators, deim=deim_ops, basis=basis, dt=dt)
 
 
 def load_reference_fixture() -> RomModel:

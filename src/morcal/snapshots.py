@@ -363,55 +363,55 @@ def save_snapshots(snapshots: SnapshotSet, path) -> None:
 
 def load_snapshots(path) -> SnapshotSet:
     """Read a snapshot file written by save_snapshots."""
-    rd = TextReader(path)
-    n = parse_int(rd.expect_kv("n"), rd, "n")
-    m = parse_int(rd.expect_kv("m"), rd, "m")
-    l = parse_int(rd.expect_kv("l"), rd, "l")
-    off_text = rd.expect_kv("offsets")
-    try:
-        offsets = np.array([int(tok) for tok in off_text.split(",")], dtype=int)
-    except ValueError:
-        raise rd.error(f"bad offsets list: {off_text!r}") from None
-    dt = parse_float(rd.expect_kv("dt"), rd, "dt")
-    fields_text = rd.expect_kv("fields")
-    fields = []
-    for part in fields_text.split(","):
-        bits = part.split(":")
-        if len(bits) != 3:
-            raise rd.error(f"bad field descriptor: {part!r}")
-        fields.append((bits[0], int(bits[1]), int(bits[2])))
-    has_der = parse_int(rd.expect_kv("has_derivatives"), rd, "has_derivatives")
-    if has_der not in (0, 1):
-        raise rd.error("has_derivatives must be 0 or 1")
-    if offsets.size != l + 1:
-        raise rd.error("offsets length must be l+1")
-    if dt <= 0.0:
-        raise rd.error("dt must be positive")
+    with TextReader(path) as rd:
+        n = parse_int(rd.expect_kv("n"), rd, "n")
+        m = parse_int(rd.expect_kv("m"), rd, "m")
+        l = parse_int(rd.expect_kv("l"), rd, "l")
+        off_text = rd.expect_kv("offsets")
+        try:
+            offsets = np.array([int(tok) for tok in off_text.split(",")], dtype=int)
+        except ValueError:
+            raise rd.error(f"bad offsets list: {off_text!r}") from None
+        dt = parse_float(rd.expect_kv("dt"), rd, "dt")
+        fields_text = rd.expect_kv("fields")
+        fields = []
+        for part in fields_text.split(","):
+            bits = part.split(":")
+            if len(bits) != 3:
+                raise rd.error(f"bad field descriptor: {part!r}")
+            fields.append((bits[0], int(bits[1]), int(bits[2])))
+        has_der = parse_int(rd.expect_kv("has_derivatives"), rd, "has_derivatives")
+        if has_der not in (0, 1):
+            raise rd.error("has_derivatives must be 0 or 1")
+        if offsets.size != l + 1:
+            raise rd.error("offsets length must be l+1")
+        if dt <= 0.0:
+            raise rd.error("dt must be positive")
 
-    if rd.next_line("'data' marker").strip() != "data":
-        raise rd.error("expected 'data' section")
-    data = np.empty((n, m))
-    for j in range(m):
-        data[:, j] = rd.read_floats(n, f"data row {j}")
-    derivatives = None
-    if has_der:
-        if rd.next_line("'derivatives' marker").strip() != "derivatives":
-            raise rd.error("expected 'derivatives' section")
-        derivatives = np.empty((n, m))
+        if rd.next_line("'data' marker").strip() != "data":
+            raise rd.error("expected 'data' section")
+        data = np.empty((n, m))
         for j in range(m):
-            derivatives[:, j] = rd.read_floats(n, f"derivative row {j}")
-    if rd.next_line("'controls' marker").strip() != "controls":
-        raise rd.error("expected 'controls' section")
-    controls = np.empty((m, 2))
-    for j in range(m):
-        controls[j, :] = rd.read_floats(2, f"control row {j}")
+            data[:, j] = rd.read_floats(n, f"data row {j}")
+        derivatives = None
+        if has_der:
+            if rd.next_line("'derivatives' marker").strip() != "derivatives":
+                raise rd.error("expected 'derivatives' section")
+            derivatives = np.empty((n, m))
+            for j in range(m):
+                derivatives[:, j] = rd.read_floats(n, f"derivative row {j}")
+        if rd.next_line("'controls' marker").strip() != "controls":
+            raise rd.error("expected 'controls' section")
+        controls = np.empty((m, 2))
+        for j in range(m):
+            controls[j, :] = rd.read_floats(2, f"control row {j}")
 
-    times = [np.arange(int(c)) * dt for c in np.diff(offsets)]
-    return SnapshotSet(
-        data=data,
-        trajectory_offsets=offsets,
-        times=times,
-        controls=controls,
-        fields=fields,
-        derivatives=derivatives,
-    )
+        times = [np.arange(int(c)) * dt for c in np.diff(offsets)]
+        return SnapshotSet(
+            data=data,
+            trajectory_offsets=offsets,
+            times=times,
+            controls=controls,
+            fields=fields,
+            derivatives=derivatives,
+        )

@@ -5,6 +5,8 @@ double precision so that a save/load round trip is bit exact and re-running
 a command on unchanged inputs produces byte-identical files.
 """
 
+import math
+
 import numpy as np
 
 from morcal.errors import DataError
@@ -21,30 +23,51 @@ def fmt_row(values) -> str:
 
 
 class TextReader:
-    """Sequential line reader that reports the line number on errors."""
+    """Sequential line reader that reports the line number on errors.
+
+    Lines are read from the open file on demand, so a reader never holds
+    more than one line of the file.  The file is closed once its last line
+    has been read, and at the end of a ``with`` block.
+    """
 
     def __init__(self, path):
         self.path = str(path)
-        with open(path, "r") as fh:
-            self._lines = fh.read().splitlines()
+        self._fh = open(path, "r")
+        self._lines = iter(self._fh)
         self._pos = 0
+        self._advance()
+
+    def __enter__(self) -> "TextReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def _advance(self) -> None:
+        """Read the line after position ``_pos`` into ``_next`` (None at the end)."""
+        line = next(self._lines, None)
+        if line is None:
+            self.close()
+        self._next = None if line is None else line.rstrip("\n")
 
     def error(self, msg) -> "DataError":
         return DataError(f"{self.path}, line {self._pos}: {msg}")
 
     def at_end(self) -> bool:
-        return self._pos >= len(self._lines)
+        return self._next is None
 
     def peek(self) -> str | None:
-        if self.at_end():
-            return None
-        return self._lines[self._pos]
+        return self._next
 
     def next_line(self, what="line") -> str:
-        if self.at_end():
+        if self._next is None:
             raise DataError(f"{self.path}: unexpected end of file while reading {what}")
-        line = self._lines[self._pos]
+        line = self._next
         self._pos += 1
+        self._advance()
         return line
 
     def expect_kv(self, key) -> str:
@@ -54,21 +77,27 @@ class TextReader:
         return line[len(key) + 1 :]
 
     def read_floats(self, count, what="row") -> np.ndarray:
+        """One line of exactly ``count`` finite numbers."""
         line = self.next_line(what)
         try:
-            values = np.array([float(tok) for tok in line.split()], dtype=float)
+            values = np.fromiter(map(float, line.split()), dtype=float)
         except ValueError as exc:
             raise self.error(f"bad number in {what}: {exc}") from None
         if values.size != count:
             raise self.error(f"expected {count} values in {what}, found {values.size}")
+        if not np.all(np.isfinite(values)):
+            raise self.error(f"non-finite number in {what}")
         return values
 
 
 def parse_float(text, reader: TextReader, what):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise reader.error(f"bad float for {what}: {text!r}") from None
+    if not math.isfinite(value):
+        raise reader.error(f"non-finite float for {what}: {text!r}")
+    return value
 
 
 def parse_int(text, reader: TextReader, what):

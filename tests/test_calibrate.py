@@ -16,9 +16,9 @@ from morcal.calibrate import (
     sweep_counters,
     theta,
 )
-from morcal.deim import DeimOperators
+from morcal.deim import DeimOperators, arrhenius_jacobian
 from morcal.errors import ConfigError, DataError, NumericError
-from morcal.opinf import RomOperators, quadratic_size, sym_kron
+from morcal.opinf import RomOperators, quadratic_size, sym_kron, sym_kron_jacobian
 
 # Hand-stepped mismatch for a = 0.5, dt = 0.1, s0 = 1, targets (1, 1.2, 1.1):
 # states 1.05 and 1.1025, squared errors 0.0225 and 0.00000625.
@@ -197,6 +197,88 @@ def test_gradient_doubles_with_duplicated_trajectory(rng):
     )
     doubled = _flatten(adjoint_gradient(ops, doubled_problem))
     assert np.allclose(doubled, 2.0 * single, rtol=1e-12)
+
+
+def _reference_objective_and_gradient(ops, problem):
+    """Per-trajectory rollout and adjoint built from theta and its jacobian."""
+    dt, deim = problem.dt, problem.deim
+    total = 0.0
+    grad_a, grad_h, grad_b = np.zeros_like(ops.a), np.zeros_like(ops.h), np.zeros_like(ops.b)
+    rollouts = []
+    for data, ctrl in zip(problem.reduced_trajectories, problem.controls):
+        k = data.shape[1] - 1
+        states = [data[:, 0]]
+        for j in range(k):
+            states.append(states[-1] + dt * theta(ops, deim, states[-1], ctrl[j]))
+        rolled = np.column_stack(states)
+        rollouts.append(rolled)
+        diff = rolled - data
+        total += float(np.sum(diff ** 2))
+        mu = 2.0 * diff[:, k]
+        for j in range(k - 1, -1, -1):
+            s = rolled[:, j]
+            grad_a += dt * np.outer(mu, s)
+            grad_h += dt * np.outer(mu, sym_kron(s))
+            grad_b[:, 0] += dt * ctrl[j, 1] * mu
+            if j > 0:
+                jac = ops.a + ops.h @ sym_kron_jacobian(s) + arrhenius_jacobian(deim, s, ctrl[j, 0])
+                mu = 2.0 * diff[:, j] + mu + dt * (jac.T @ mu)
+    return total, RomOperators(a=grad_a, h=grad_h, b=grad_b), rollouts
+
+
+def test_batched_kernel_matches_per_trajectory_reference_on_ragged_lengths(rng):
+    r = 4
+    trajectories, controls = [], []
+    for k in (40, 25, 40, 12, 25):
+        trajectories.append(0.2 * rng.standard_normal((r, k + 1)))
+        controls.append(np.column_stack([rng.uniform(0.5, 1.5, k + 1), rng.standard_normal(k + 1)]))
+    problem = CalibrationProblem(
+        reduced_trajectories=trajectories, controls=controls, dt=0.05, deim=_deim_ops(rng, r)
+    )
+    assert [batch.data.shape for batch in problem.batches] == [(41, r, 2), (26, r, 2), (13, r, 1)]
+    ops = _random_ops(rng, r=r)
+    want_f, want_grad, want_rollouts = _reference_objective_and_gradient(ops, problem)
+
+    assert math.isclose(objective(ops, problem), want_f, rel_tol=1e-12)
+    grad = adjoint_gradient(ops, problem)
+    for name in ("a", "h", "b"):
+        got, want = getattr(grad, name), getattr(want_grad, name)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+    for data, ctrl, want in zip(problem.reduced_trajectories, problem.controls, want_rollouts):
+        k = data.shape[1] - 1
+        got = forward_rollout(ops, problem.deim, data[:, 0], ctrl, problem.dt, k)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_rollout_guards_name_the_failing_step():
+    # Temperatures 8, 4, 2, 1: state 3 fails the range check in step 4.
+    deim = DeimOperators(
+        indices=np.arange(1),
+        p1=np.zeros((1, 1)),
+        p2=np.ones((1, 1)),
+        arrhenius_prefactor=1.0,
+        arrhenius_exponent=1.0,
+        unscale_scale=np.ones(1),
+        unscale_shift=np.zeros(1),
+    )
+    with pytest.raises(NumericError, match="temperature .* at rollout step 4 "):
+        forward_rollout(_linear_ops([[-1.0]]), deim, np.array([8.0]), np.ones((6, 2)), 0.5, 6)
+    # States 1e250, 1e300, inf: the third step leaves the finite range.
+    with pytest.raises(NumericError, match="non-finite reduced state at rollout step 3$"):
+        forward_rollout(_linear_ops([[1e50]]), None, np.array([1e200]), np.zeros((5, 2)), 1.0, 5)
+
+
+def test_calibrate_sweeps_forward_once_per_evaluation_and_backward_once_per_iterate(rng):
+    problem = _random_problem(rng, l=3)
+    ops = _random_ops(rng)
+    reset_sweep_counters()
+    _, report = calibrate(ops, problem, OptimizerConfig(max_iterations=6))
+    assert report.iterations == 6 and report.evaluations >= report.iterations + 1
+    assert sweep_counters() == {
+        "forward": 3 * report.evaluations,
+        "backward": 3 * (report.iterations + 1),
+    }
 
 
 def test_gradient_costs_one_forward_one_backward_per_trajectory(rng):

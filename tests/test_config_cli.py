@@ -154,6 +154,42 @@ def test_cli_skip_calibration(tmp_path):
     assert not os.path.exists(os.path.join(out, "rom_calibrated.txt"))
 
 
+def test_cli_skip_calibration_after_the_subcommand(tmp_path):
+    """The form the README documents: the flag follows 'train'."""
+    cfg = _write_tiny(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["--config", cfg, "--out", out, "generate"]) == 0
+    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
+    assert os.path.exists(os.path.join(out, "rom_opinf.txt"))
+    assert not os.path.exists(os.path.join(out, "rom_calibrated.txt"))
+
+
+def test_cli_non_finite_snapshot_value_is_a_data_error(tmp_path, capsys):
+    cfg = _write_tiny(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["--config", cfg, "--out", out, "generate"]) == 0
+    path = tmp_path / "out" / "snapshots" / "snapshots_R0.5.txt"
+    lines = path.read_text().splitlines()
+    row = lines.index("data") + 3
+    lines[row] = "nan " + lines[row].split(" ", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", out, "train"]) == 3
+    err = capsys.readouterr().err
+    assert "error (data)" in err and "non-finite" in err and f"line {row + 1}" in err
+
+
+def test_cli_maps_linear_algebra_failures_to_numeric_exit(monkeypatch, capsys):
+    import morcal.cli
+
+    def fail():
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(morcal.cli, "cmd_fixture_check", fail)
+    assert main(["fixture-check"]) == 4
+    assert "error (numeric)" in capsys.readouterr().err
+
+
 def test_cli_fixture_check(capsys):
     assert main(["fixture-check"]) == 0
     out = capsys.readouterr().out
