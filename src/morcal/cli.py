@@ -45,11 +45,12 @@ def _all_loads(cfg: PipelineConfig):
 
 
 def cmd_generate(cfg: PipelineConfig) -> int:
-    """Run the full-order model once per heat load and write snapshot files."""
+    """Run the full-order model for all heat loads at once and write snapshot files."""
     _ensure_outdir(cfg)
-    for load in _all_loads(cfg):
-        signal = cfg.control_signal(load)
-        trajectory = fom_integrate(cfg.fom, signal, cfg.save_every)
+    loads = _all_loads(cfg)
+    signals = [cfg.control_signal(load) for load in loads]
+    trajectories = fom_integrate(cfg.fom, signals, cfg.save_every)
+    for load, trajectory in zip(loads, trajectories):
         snapshots = snap_mod.assemble_snapshots([trajectory])
         path = cfg.snapshot_path(load)
         snap_mod.save_snapshots(snapshots, path)
@@ -156,19 +157,6 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
     return EXIT_OK
 
 
-def _fom_field_statistics(trajectory, solid_mask) -> dict:
-    out = {}
-    for i, (name, start, end) in enumerate(trajectory.fields):
-        block = trajectory.states[start:end, :]
-        if i == 1:
-            mask = np.asarray(solid_mask, dtype=float) > 0.0
-            block = block[mask, :]
-        out[name] = np.column_stack(
-            [np.min(block, axis=0), np.mean(block, axis=0), np.max(block, axis=0)]
-        )
-    return out
-
-
 def cmd_evaluate(cfg: PipelineConfig) -> int:
     """Roll out the trained models against every case and write error CSVs."""
     _ensure_outdir(cfg)
@@ -210,7 +198,9 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
         rom_stats = rom_mod.field_statistics(
             reference, reports[reference_name].rollout, solid_mask=cfg.fom.solid_mask
         )
-        fom_stats = _fom_field_statistics(trajectory, cfg.fom.solid_mask)
+        fom_stats = rom_mod.state_statistics(
+            trajectory.states, trajectory.fields, solid_mask=cfg.fom.solid_mask
+        )
         stats_path = os.path.join(cfg.output_dir, f"stats_{case}.csv")
         with open(stats_path, "w") as fh:
             field_names = [name for name, _, _ in trajectory.fields]

@@ -16,7 +16,7 @@ from morcal.errors import ConfigError, DataError, NumericError
 from morcal.fom import FomConfig, arrhenius_source
 from morcal.pod import PodBasis
 from morcal.snapshots import SnapshotSet
-from morcal.textio import TextReader, fmt_float, fmt_row, parse_float, parse_int
+from morcal.textio import TextReader, fmt_float, fmt_row, parse_float, parse_int, parse_list
 
 __all__ = [
     "DeimOperators",
@@ -273,16 +273,12 @@ def load_deim_operators(path) -> DeimOperators:
     with TextReader(path) as rd:
         s = parse_int(rd.expect_kv("s"), rd, "s")
         r = parse_int(rd.expect_kv("r"), rd, "r")
-        idx_text = rd.expect_kv("indices")
-        indices = (
-            np.array([int(tok) for tok in idx_text.split(",")], dtype=int)
-            if idx_text.strip()
-            else np.zeros(0, dtype=int)
-        )
+        indices = np.array(parse_list(rd.expect_kv("indices"), rd, "indices", parse_int, ","),
+                           dtype=int)
         prefactor = parse_float(rd.expect_kv("arrhenius_prefactor"), rd, "arrhenius_prefactor")
         exponent = parse_float(rd.expect_kv("arrhenius_exponent"), rd, "arrhenius_exponent")
-        unscale_scale = np.array([float(t) for t in rd.expect_kv("unscale_scale").split()])
-        unscale_shift = np.array([float(t) for t in rd.expect_kv("unscale_shift").split()])
+        unscale_scale = np.array(parse_list(rd.expect_kv("unscale_scale"), rd, "unscale_scale"))
+        unscale_shift = np.array(parse_list(rd.expect_kv("unscale_shift"), rd, "unscale_shift"))
         if rd.next_line("'p1' marker").strip() != "p1":
             raise rd.error("expected 'p1' section")
         p1 = np.empty((r, s))

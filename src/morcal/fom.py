@@ -178,69 +178,99 @@ def arrhenius_source(t_solid, heat_load, cfg: FomConfig):
 
 
 def fom_rhs(state, control, cfg: FomConfig):
-    """Right-hand side of the semi-discrete model.
+    """Right-hand side of the semi-discrete model, along the last axis.
 
     Parameters
     ----------
-    state : (2*grid_points,) array, [T_c; T_s] stacked.
-    control : pair (R, v_I_dot); the second entry is unused because the
-        coolant velocity is constant.
+    state : (2*grid_points,) array, [T_c; T_s] stacked, or an
+        (L, 2*grid_points) stack with one such state per row.
+    control : pair (R, v_I_dot) applied to every row, or for a stack an
+        (L, 2) block with one pair per row; the second entry is unused
+        because the coolant velocity is constant.
     cfg : FomConfig.
 
     Returns
     -------
-    (2*grid_points,) array of time derivatives in K/s.
+    Array of the state's shape holding the time derivatives in K/s.  Each
+    row is computed with the same floating-point operations as a single
+    state, so a stack gives the rows bit for bit.
     """
     state = np.asarray(state, dtype=float)
-    if state.shape != (cfg.n,):
-        raise DataError(f"state must have shape ({cfg.n},), got {state.shape}")
-    heat_load = float(np.asarray(control, dtype=float).ravel()[0])
+    if state.ndim not in (1, 2) or state.shape[-1] != cfg.n:
+        raise DataError(f"state must have shape ({cfg.n},) or (L, {cfg.n}), got {state.shape}")
+    control = np.asarray(control, dtype=float)
+    if control.ndim <= 1:
+        heat_load = float(control.ravel()[0])
+    elif state.ndim == 2 and control.shape == (state.shape[0], 2):
+        heat_load = control[:, 0:1]
+    else:
+        raise DataError(f"control must be a pair or one pair per state row, got {control.shape}")
 
     npts = cfg.grid_points
     dx = cfg.dx
-    tc = state[:npts]
-    ts = state[npts:]
+    tc = state[..., :npts]
+    ts = state[..., npts:]
     mask = cfg.solid_mask
+    solid = mask > 0.0
 
     kappa_c = cfg.conductivity_coolant / cfg.rho_cp_coolant  # [m^2/s]
     kappa_s = cfg.conductivity_solid / cfg.rho_cp_solid
     q = cfg.exchange_coefficient
 
+    # Coolant and solid derivatives are written in place into one output.
+    out = np.zeros(state.shape)
+    dtc = out[..., :npts]
+    dts = out[..., npts:]
+    # Exchange flux between the phases, only where solid exists.
+    flux = q * mask * (ts - tc)
+
     # Coolant: upwind advection (velocity >= 0, inlet at index 0).
-    dtc = np.zeros(npts)
     if cfg.coolant_velocity > 0.0:
-        dtc[1:] -= cfg.coolant_velocity * (tc[1:] - tc[:-1]) / dx
+        dtc[..., 1:] -= cfg.coolant_velocity * (tc[..., 1:] - tc[..., :-1]) / dx
     # Central diffusion, zero-gradient ghost at the outlet.
-    dtc[1:-1] += kappa_c * (tc[2:] - 2.0 * tc[1:-1] + tc[:-2]) / dx ** 2
-    dtc[-1] += kappa_c * (tc[-2] - tc[-1]) / dx ** 2
-    # Exchange with the solid, only where solid exists.
-    dtc += q * mask * (ts - tc) / cfg.rho_cp_coolant
+    dtc[..., 1:-1] += kappa_c * (tc[..., 2:] - 2.0 * tc[..., 1:-1] + tc[..., :-2]) / dx ** 2
+    dtc[..., -1] += kappa_c * (tc[..., -2] - tc[..., -1]) / dx ** 2
+    dtc += flux / cfg.rho_cp_coolant
     # Inlet is held at the inflow temperature: pinned node.
-    dtc[0] = 0.0
+    dtc[..., 0] = 0.0
 
     # Solid: diffusion with zero-gradient ends, exchange, heat source.
-    dts = np.zeros(npts)
-    dts[1:-1] += kappa_s * (ts[2:] - 2.0 * ts[1:-1] + ts[:-2]) / dx ** 2
-    dts[0] += kappa_s * (ts[1] - ts[0]) / dx ** 2
-    dts[-1] += kappa_s * (ts[-2] - ts[-1]) / dx ** 2
-    dts -= q * mask * (ts - tc) / cfg.rho_cp_solid
+    dts[..., 1:-1] += kappa_s * (ts[..., 2:] - 2.0 * ts[..., 1:-1] + ts[..., :-2]) / dx ** 2
+    dts[..., 0] += kappa_s * (ts[..., 1] - ts[..., 0]) / dx ** 2
+    dts[..., -1] += kappa_s * (ts[..., -2] - ts[..., -1]) / dx ** 2
+    dts -= flux / cfg.rho_cp_solid
 
-    solid_t = ts[mask > 0.0]
-    if solid_t.size and np.any(solid_t <= 0.0):
+    solid_t = ts[..., solid]
+    if np.any(solid_t <= 0.0):
         raise NumericError("non-positive solid temperature inside the reaction zone")
-    dts[mask > 0.0] += arrhenius_source(solid_t, heat_load, cfg) / cfg.rho_cp_solid
+    dts[..., solid] += arrhenius_source(solid_t, heat_load, cfg) / cfg.rho_cp_solid
 
-    return np.concatenate([dtc, dts])
+    return out
 
 
-def fom_integrate(cfg: FomConfig, signal: ControlSignal, save_every: int = 1) -> FomTrajectory:
+def _load_error(message, step, cfg, bad_rows, heat):
+    """NumericError naming the step, its time and the failing loads."""
+    loads = ", ".join(f"{i} (R={heat[i]:g})" for i in np.flatnonzero(bad_rows))
+    return NumericError(f"{message} at step {step} (t={step * cfg.dt:g} s) in heat load(s) {loads}")
+
+
+def fom_integrate(cfg: FomConfig, signal, save_every: int = 1):
     """Integrate the model with explicit Euler and return saved snapshots.
 
-    Saves every ``save_every``-th step starting at t=0, together with the
-    exact right-hand side at the saved state and the control values at the
-    saved times.  Refuses to run when dt exceeds the advection/diffusion
-    stability bound.
+    ``signal`` is one ControlSignal, giving one FomTrajectory, or a sequence
+    of them, giving one FomTrajectory per signal.  All signals step together
+    as one (L, n) stack, one row per heat load; a single signal is the L = 1
+    case.  Saves every ``save_every``-th step starting at t=0, together with
+    the exact right-hand side at the saved state and the control values at
+    the saved times.  Refuses to run when dt exceeds the advection/diffusion
+    stability bound; a non-positive solid temperature or a non-finite state
+    aborts the whole stack with a NumericError naming the step and the
+    failing heat loads.
     """
+    single = isinstance(signal, ControlSignal)
+    signals = [signal] if single else list(signal)
+    if not signals or not all(isinstance(sig, ControlSignal) for sig in signals):
+        raise ConfigError("fom_integrate needs a ControlSignal or a non-empty sequence of them")
     cfg.validate()
     if save_every < 1:
         raise ConfigError("save_every must be a positive integer")
@@ -256,33 +286,45 @@ def fom_integrate(cfg: FomConfig, signal: ControlSignal, save_every: int = 1) ->
         raise ConfigError("t_end must cover at least one step")
 
     step_times = np.arange(n_steps + 1) * cfg.dt
-    heat = np.asarray(signal.heat_load(step_times), dtype=float)
+    n_loads = len(signals)
+    # (step, load, control) block: row j is the control of every load at step j.
+    controls = np.zeros((n_steps + 1, n_loads, 2))
+    for i, sig in enumerate(signals):
+        controls[:, i, 0] = sig.heat_load(step_times)
     saved = np.arange(0, n_steps + 1, save_every)
     k = saved.size
 
-    states = np.empty((cfg.n, k))
-    derivs = np.empty((cfg.n, k))
-    controls = np.zeros((k, 2))
-    controls[:, 0] = heat[saved]
+    states = np.empty((n_loads, cfg.n, k))
+    derivs = np.empty((n_loads, cfg.n, k))
 
-    state = np.full(cfg.n, cfg.initial_temperature, dtype=float)
-    state[0] = cfg.inflow_temperature  # pinned inlet node
+    state = np.full((n_loads, cfg.n), cfg.initial_temperature, dtype=float)
+    state[:, 0] = cfg.inflow_temperature  # pinned inlet node
     col = 0
     for j in range(n_steps + 1):
-        rhs = fom_rhs(state, (heat[j], 0.0), cfg)
+        try:
+            rhs = fom_rhs(state, controls[j], cfg)
+        except NumericError as exc:
+            solid_t = state[:, cfg.grid_points:][:, cfg.solid_mask > 0.0]
+            bad = np.any(solid_t <= 0.0, axis=1)
+            raise _load_error(str(exc), j, cfg, bad, controls[j, :, 0]) from None
         if col < k and saved[col] == j:
-            states[:, col] = state
-            derivs[:, col] = rhs
+            states[:, :, col] = state
+            derivs[:, :, col] = rhs
             col += 1
         if j < n_steps:
             state = state + cfg.dt * rhs
             if not np.all(np.isfinite(state)):
-                raise NumericError(f"non-finite state at step {j + 1} (t={(j + 1) * cfg.dt:g} s)")
+                bad = ~np.all(np.isfinite(state), axis=1)
+                raise _load_error("non-finite state", j + 1, cfg, bad, controls[j, :, 0])
 
-    return FomTrajectory(
-        times=step_times[saved],
-        states=states,
-        derivatives=derivs,
-        controls=controls,
-        fields=cfg.fields(),
-    )
+    trajectories = [
+        FomTrajectory(
+            times=step_times[saved],
+            states=states[i],
+            derivatives=derivs[i],
+            controls=controls[saved, i, :],
+            fields=cfg.fields(),
+        )
+        for i in range(n_loads)
+    ]
+    return trajectories[0] if single else trajectories

@@ -16,13 +16,22 @@ from morcal.errors import DataError
 from morcal.opinf import RomOperators, quadratic_size
 from morcal.pod import PodBasis
 from morcal.snapshots import ScalingSpec
-from morcal.textio import TextReader, fmt_float, fmt_row, parse_float, parse_int
+from morcal.textio import (
+    TextReader,
+    fmt_float,
+    fmt_row,
+    parse_fields,
+    parse_float,
+    parse_int,
+    parse_list,
+)
 
 __all__ = [
     "RomModel",
     "ErrorReport",
     "simulate_rom",
     "rom_vs_projected_error",
+    "state_statistics",
     "field_statistics",
     "switch_off_window",
     "save_rom",
@@ -138,20 +147,17 @@ def rom_vs_projected_error(model: RomModel, trajectory) -> ErrorReport:
     )
 
 
-def field_statistics(model: RomModel, reduced_trajectory: np.ndarray, solid_mask=None) -> dict:
-    """Per-step (min, mean, max) of each physical field of a lifted rollout.
+def state_statistics(states: np.ndarray, fields, solid_mask=None) -> dict:
+    """Per-column (min, mean, max) of each field block of physical states.
 
+    ``states`` is (n, k+1) and ``fields`` its (name, start, end) blocks.
     Returns a dict mapping field name to a (k+1, 3) array.  When a solid
     mask is given, the statistics of the second (solid) field are restricted
     to the masked cells.
     """
-    if model.basis is None or model.basis.scaling is None:
-        raise DataError("field statistics need a model with basis and scaling")
-    reduced = np.asarray(reduced_trajectory, dtype=float)
-    lifted = model.basis.scaling.unscale_array(model.basis.basis @ reduced)
     out = {}
-    for i, (name, start, end) in enumerate(model.basis.scaling.fields):
-        block = lifted[start:end, :]
+    for i, (name, start, end) in enumerate(fields):
+        block = states[start:end, :]
         if solid_mask is not None and i == 1:
             mask = np.asarray(solid_mask, dtype=float) > 0.0
             if mask.shape[0] != end - start:
@@ -161,6 +167,15 @@ def field_statistics(model: RomModel, reduced_trajectory: np.ndarray, solid_mask
             [np.min(block, axis=0), np.mean(block, axis=0), np.max(block, axis=0)]
         )
     return out
+
+
+def field_statistics(model: RomModel, reduced_trajectory: np.ndarray, solid_mask=None) -> dict:
+    """state_statistics of a reduced rollout lifted to the physical grid."""
+    if model.basis is None or model.basis.scaling is None:
+        raise DataError("field statistics need a model with basis and scaling")
+    reduced = np.asarray(reduced_trajectory, dtype=float)
+    lifted = model.basis.scaling.unscale_array(model.basis.basis @ reduced)
+    return state_statistics(lifted, model.basis.scaling.fields, solid_mask)
 
 
 def _write_matrix(fh, name, matrix, scale=1.0):
@@ -270,14 +285,10 @@ def load_rom(path) -> RomModel:
             raise rd.error("expected '[deim]' section")
         prefactor = parse_float(rd.expect_kv("arrhenius_prefactor"), rd, "arrhenius_prefactor")
         exponent = parse_float(rd.expect_kv("arrhenius_exponent"), rd, "arrhenius_exponent")
-        idx_text = rd.expect_kv("indices").strip()
-        indices = (
-            np.array([int(t) for t in idx_text.split(",")], dtype=int)
-            if idx_text
-            else np.zeros(0, dtype=int)
-        )
-        us_text = rd.expect_kv("unscale_scale").strip()
-        uh_text = rd.expect_kv("unscale_shift").strip()
+        indices = np.array(parse_list(rd.expect_kv("indices"), rd, "indices", parse_int, ","),
+                           dtype=int)
+        unscale_scale = parse_list(rd.expect_kv("unscale_scale"), rd, "unscale_scale")
+        unscale_shift = parse_list(rd.expect_kv("unscale_shift"), rd, "unscale_shift")
 
         deim_ops = None
         if p1 is not None or p2 is not None:
@@ -285,42 +296,31 @@ def load_rom(path) -> RomModel:
                 raise DataError(f"{path}: P1 and P2 must both be present")
             if p1.shape != (r, s) or p2.shape != (s, r):
                 raise DataError(f"{path}: P1/P2 shapes disagree with the meta section")
-            unscale_scale = (
-                np.array([float(t) for t in us_text.split()]) if us_text else np.ones(s)
-            )
-            unscale_shift = (
-                np.array([float(t) for t in uh_text.split()]) if uh_text else np.zeros(s)
-            )
             deim_ops = DeimOperators(
                 indices=indices,
                 p1=p1,
                 p2=p2,
                 arrhenius_prefactor=prefactor,
                 arrhenius_exponent=exponent,
-                unscale_scale=unscale_scale,
-                unscale_shift=unscale_shift,
+                unscale_scale=np.array(unscale_scale) if unscale_scale else np.ones(s),
+                unscale_shift=np.array(unscale_shift) if unscale_shift else np.zeros(s),
             )
 
         basis = None
         if not rd.at_end() and rd.peek().strip() == "[scaling]":
             rd.next_line("'[scaling]' header")
-            fields_text = rd.expect_kv("fields")
-            fields = []
-            for part in fields_text.split(","):
-                bits = part.split(":")
-                if len(bits) != 3:
-                    raise rd.error(f"bad field descriptor: {part!r}")
-                fields.append((bits[0], int(bits[1]), int(bits[2])))
-            shift = np.array([float(t) for t in rd.expect_kv("shift").split()])
-            scale = np.array([float(t) for t in rd.expect_kv("scale").split()])
+            fields = parse_fields(rd.expect_kv("fields"), rd)
+            shift = parse_list(rd.expect_kv("shift"), rd, "shift")
+            scale = parse_list(rd.expect_kv("scale"), rd, "scale")
             scaling = ScalingSpec(fields=fields, shift=shift, scale=scale)
             basis_matrix = _read_matrix(rd, "basis")
             if basis_matrix is None or basis_matrix.shape[1] != r:
                 raise DataError(f"{path}: basis section must hold an n x {r} matrix")
             if rd.next_line("'[singular_values]' header").strip() != "[singular_values]":
                 raise rd.error("expected '[singular_values]' section")
-            sv_line = rd.next_line("singular values")
-            singular_values = np.array([float(t) for t in sv_line.split()])
+            singular_values = np.array(
+                parse_list(rd.next_line("singular values"), rd, "singular values")
+            )
             basis = PodBasis(basis=basis_matrix, singular_values=singular_values, scaling=scaling)
 
         return RomModel(operators=operators, deim=deim_ops, basis=basis, dt=dt)

@@ -13,7 +13,15 @@ import numpy as np
 
 from morcal.errors import ConfigError, DataError
 from morcal.fom import FomTrajectory
-from morcal.textio import TextReader, fmt_float, fmt_row, parse_float, parse_int
+from morcal.textio import (
+    TextReader,
+    fmt_float,
+    fmt_row,
+    parse_fields,
+    parse_float,
+    parse_int,
+    parse_list,
+)
 
 __all__ = [
     "ScalingSpec",
@@ -367,19 +375,10 @@ def load_snapshots(path) -> SnapshotSet:
         n = parse_int(rd.expect_kv("n"), rd, "n")
         m = parse_int(rd.expect_kv("m"), rd, "m")
         l = parse_int(rd.expect_kv("l"), rd, "l")
-        off_text = rd.expect_kv("offsets")
-        try:
-            offsets = np.array([int(tok) for tok in off_text.split(",")], dtype=int)
-        except ValueError:
-            raise rd.error(f"bad offsets list: {off_text!r}") from None
+        offsets = np.array(parse_list(rd.expect_kv("offsets"), rd, "offsets", parse_int, ","),
+                           dtype=int)
         dt = parse_float(rd.expect_kv("dt"), rd, "dt")
-        fields_text = rd.expect_kv("fields")
-        fields = []
-        for part in fields_text.split(","):
-            bits = part.split(":")
-            if len(bits) != 3:
-                raise rd.error(f"bad field descriptor: {part!r}")
-            fields.append((bits[0], int(bits[1]), int(bits[2])))
+        fields = parse_fields(rd.expect_kv("fields"), rd)
         has_der = parse_int(rd.expect_kv("has_derivatives"), rd, "has_derivatives")
         if has_der not in (0, 1):
             raise rd.error("has_derivatives must be 0 or 1")

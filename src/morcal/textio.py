@@ -5,6 +5,7 @@ double precision so that a save/load round trip is bit exact and re-running
 a command on unchanged inputs produces byte-identical files.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -18,8 +19,16 @@ def fmt_float(x) -> str:
     return FLOAT_FMT % float(x)
 
 
+@functools.lru_cache(maxsize=64)
+def _row_format(count) -> str:
+    """The format string of one row of ``count`` values (rows have few lengths)."""
+    return " ".join([FLOAT_FMT] * count)
+
+
 def fmt_row(values) -> str:
-    return " ".join(FLOAT_FMT % v for v in np.asarray(values, dtype=float).ravel())
+    """Space-separated full-precision values, formatted with one %-operation."""
+    row = np.asarray(values, dtype=float).ravel().tolist()
+    return _row_format(len(row)) % tuple(row)
 
 
 class TextReader:
@@ -105,3 +114,26 @@ def parse_int(text, reader: TextReader, what):
         return int(text)
     except ValueError:
         raise reader.error(f"bad integer for {what}: {text!r}") from None
+
+
+def parse_list(text, reader: TextReader, what, parse=parse_float, sep=None) -> list:
+    """Values of a ``sep``-separated list; an empty text is an empty list.
+
+    Each token goes through ``parse`` (``parse_float`` or ``parse_int``), so
+    a malformed or non-finite token raises DataError naming the line.
+    """
+    if not text.strip():
+        return []
+    return [parse(tok, reader, what) for tok in text.split(sep)]
+
+
+def parse_fields(text, reader: TextReader) -> list:
+    """A ``name:start:end,...`` field list as (name, start, end) tuples."""
+    fields = []
+    for part in text.split(","):
+        bits = part.split(":")
+        if len(bits) != 3:
+            raise reader.error(f"bad field descriptor: {part!r}")
+        fields.append((bits[0], parse_int(bits[1], reader, "field start"),
+                       parse_int(bits[2], reader, "field end")))
+    return fields

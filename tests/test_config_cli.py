@@ -201,3 +201,56 @@ def test_cli_rejects_unstable_dt(tmp_path, capsys):
     path.write_text(TINY_SCENARIO.replace("dt = 0.5", "dt = 1e9"))
     assert main(["--config", str(path), "--out", str(tmp_path / "o"), "generate"]) == 4
     assert "error (numeric)" in capsys.readouterr().err
+
+
+def _edit_line(path, key, value):
+    lines = path.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith(key + "="))
+    lines[row] = f"{key}={value}"
+    path.write_text("\n".join(lines) + "\n")
+    return row
+
+
+def test_cli_malformed_fields_token_is_a_data_error(tmp_path, capsys):
+    cfg = _write_tiny(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["--config", cfg, "--out", out, "generate"]) == 0
+    path = tmp_path / "out" / "snapshots" / "snapshots_R0.5.txt"
+    row = _edit_line(path, "fields", "T_c:0:1x6,T_s:16:32")
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", out, "train"]) == 3
+    err = capsys.readouterr().err
+    assert "error (data)" in err and "'1x6'" in err and f"line {row + 1}" in err
+
+
+def test_cli_non_finite_rom_shift_is_a_data_error(tmp_path, capsys):
+    cfg = _write_tiny(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["--config", cfg, "--out", out, "generate"]) == 0
+    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
+    row = _edit_line(tmp_path / "out" / "rom_opinf.txt", "shift", "nan 500")
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", out, "evaluate"]) == 3
+    err = capsys.readouterr().err
+    assert "error (data)" in err and "non-finite" in err and f"line {row + 1}" in err
+
+
+def test_cli_generate_writes_nothing_when_one_load_fails(tmp_path, capsys):
+    # exp(1500 / T0) is just below overflow, so only the 1e12 load overflows.
+    scenario = (
+        TINY_SCENARIO.replace("rho_cp_solid = 2.0e6", "rho_cp_solid = 1.0")
+        .replace("arrhenius_prefactor = 3.0e4", "arrhenius_prefactor = 1.0")
+        .replace("validation_loads = 1.5", "validation_loads = 1e12")
+    )
+    scenario += (
+        "conductivity_solid = 1e-9\nexchange_coefficient = 0.0\n"
+        f"initial_temperature = {1500.0 / 690.0!r}\ninflow_temperature = {1500.0 / 690.0!r}\n"
+    )
+    path = tmp_path / "blowup.cfg"
+    path.write_text(scenario)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        assert main(["--config", str(path), "--out", str(out), "generate"]) == 4
+    err = capsys.readouterr().err
+    assert "error (numeric)" in err and "step 1 " in err and "heat load(s) 2 (R=1e+12)" in err
+    assert os.listdir(out / "snapshots") == []

@@ -223,3 +223,110 @@ def test_integrate_detects_blowup():
     signal = ControlSignal(heat_times=np.array([0.0]), heat_values=np.array([1.0]))
     with pytest.raises(NumericError):
         fom_integrate(cfg, signal)
+
+
+def _two_schedule_signals():
+    """Three different loads on two different heat schedules."""
+    return [
+        ControlSignal(heat_times=np.array([0.0, 100.0]), heat_values=np.array([1.0, 0.0])),
+        ControlSignal(heat_times=np.array([0.0, 100.0]), heat_values=np.array([0.5, 0.0])),
+        ControlSignal(heat_times=np.array([0.0, 60.0, 150.0]),
+                      heat_values=np.array([1.5, 0.3, 1.0])),
+    ]
+
+
+def test_batched_integrate_equals_one_load_at_a_time(small_cfg):
+    signals = _two_schedule_signals()
+    batched = fom_integrate(small_cfg, signals, save_every=7)
+    assert len(batched) == len(signals)
+    for got, signal in zip(batched, signals):
+        want = fom_integrate(small_cfg, signal, save_every=7)
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.derivatives, want.derivatives)
+        assert np.array_equal(got.controls, want.controls)
+        assert np.array_equal(got.times, want.times)
+        assert got.fields == want.fields
+
+
+def test_rhs_on_a_stack_equals_rhs_per_row(small_cfg, rng):
+    stack = 533.15 + 30.0 * rng.standard_normal((4, small_cfg.n))
+    controls = np.column_stack([[0.0, 0.5, 1.0, 2.5], np.zeros(4)])
+    got = fom_rhs(stack, controls, small_cfg)
+    assert got.shape == stack.shape
+    for i in range(stack.shape[0]):
+        assert np.array_equal(got[i], fom_rhs(stack[i], controls[i], small_cfg))
+    # a single pair applies to every row
+    shared = fom_rhs(stack, (1.3, 0.0), small_cfg)
+    for i in range(stack.shape[0]):
+        assert np.array_equal(shared[i], fom_rhs(stack[i], (1.3, 0.0), small_cfg))
+
+
+def test_rhs_rejects_wrongly_shaped_stacks(small_cfg):
+    n = small_cfg.n
+    with pytest.raises(DataError):
+        fom_rhs(np.full((3, n + 1), 533.15), np.zeros((3, 2)), small_cfg)
+    with pytest.raises(DataError):
+        fom_rhs(np.full((2, 3, n), 533.15), (1.0, 0.0), small_cfg)
+    with pytest.raises(DataError):
+        fom_rhs(np.full((3, n), 533.15), np.zeros((2, 2)), small_cfg)
+    with pytest.raises(DataError):
+        fom_rhs(np.full(n, 533.15), np.zeros((3, 2)), small_cfg)
+
+
+def test_integrate_rejects_an_empty_signal_list(small_cfg):
+    with pytest.raises(ConfigError):
+        fom_integrate(small_cfg, [])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_blowup_in_one_stacked_load_names_that_load_and_step():
+    # exp(1500 / T0) is just below overflow, so only the 1e10 load overflows.
+    t0 = 1500.0 / 690.0
+    cfg = FomConfig(
+        grid_points=10,
+        rho_cp_coolant=1.0,
+        rho_cp_solid=1.0,
+        conductivity_coolant=1e-9,
+        conductivity_solid=1e-9,
+        exchange_coefficient=0.0,
+        arrhenius_prefactor=1.0,
+        dt=1.0,
+        t_end=5.0,
+        initial_temperature=t0,
+        inflow_temperature=t0,
+        coolant_velocity=1e-6,
+    )
+    signals = [ControlSignal(heat_times=np.array([0.0]), heat_values=np.array([r]))
+               for r in (1.0, 1e10, 0.0)]
+    with pytest.raises(NumericError) as info:
+        fom_integrate(cfg, signals)
+    message = str(info.value)
+    assert "non-finite state at step 1 (t=1 s)" in message
+    assert message.endswith("heat load(s) 1 (R=1e+10)")
+
+
+def test_negative_temperature_in_one_stacked_load_names_that_load_and_step():
+    # An exchange rate far beyond the explicit bound makes the heated load's
+    # solid/coolant gap oscillate and grow until the solid goes negative; the
+    # unheated load stays uniform.
+    cfg = FomConfig(
+        grid_points=10,
+        rho_cp_coolant=1.0,
+        rho_cp_solid=1.0,
+        conductivity_coolant=1e-9,
+        conductivity_solid=1e-9,
+        exchange_coefficient=3.0,
+        arrhenius_prefactor=1e-3,
+        dt=1.0,
+        t_end=40.0,
+        initial_temperature=500.0,
+        inflow_temperature=500.0,
+        coolant_velocity=1e-6,
+    )
+    signals = [ControlSignal(heat_times=np.array([0.0]), heat_values=np.array([r]))
+               for r in (0.0, 1.0)]
+    with pytest.raises(NumericError) as info:
+        fom_integrate(cfg, signals)
+    message = str(info.value)
+    assert message.startswith("non-positive solid temperature")
+    assert message.endswith("at step 8 (t=8 s) in heat load(s) 1 (R=1)")
