@@ -24,11 +24,9 @@ from morcal.deim import (
     arrhenius_jacobian,
     build_deim_operators,
     deim_points,
-    load_deim_operators,
     nonlinearity_basis,
     nonlinearity_snapshots,
     reduced_arrhenius,
-    save_deim_operators,
 )
 from morcal.errors import ConfigError, DataError, MorcalError, NumericError
 from morcal.fom import (
@@ -127,7 +125,6 @@ __all__ = [
     "lift",
     "load_reference_fixture",
     "load_basis",
-    "load_deim_operators",
     "load_pipeline_config",
     "load_rom",
     "load_snapshots",
@@ -141,7 +138,6 @@ __all__ = [
     "reduced_arrhenius",
     "rom_vs_projected_error",
     "save_basis",
-    "save_deim_operators",
     "save_rom",
     "save_snapshots",
     "simulate_rom",

@@ -19,6 +19,7 @@ from morcal.config import PipelineConfig, load_pipeline_config
 from morcal.errors import ConfigError, DataError, MorcalError, NumericError
 from morcal.fom import fom_integrate
 from morcal.opinf import OpinfConfig, assemble_regression, solve_opinf
+from morcal.parallel import ordered_map
 from morcal.textio import fmt_float
 
 EXIT_OK = 0
@@ -44,17 +45,24 @@ def _all_loads(cfg: PipelineConfig):
     return list(cfg.train_loads) + list(cfg.validation_loads)
 
 
+def _write_snapshot_file(task) -> int:
+    """Worker task of ``generate``: write one load's snapshot file, return its size m."""
+    trajectory, path = task
+    snapshots = snap_mod.assemble_snapshots([trajectory])
+    snap_mod.save_snapshots(snapshots, path)
+    return snapshots.m
+
+
 def cmd_generate(cfg: PipelineConfig) -> int:
     """Run the full-order model for all heat loads at once and write snapshot files."""
     _ensure_outdir(cfg)
     loads = _all_loads(cfg)
     signals = [cfg.control_signal(load) for load in loads]
     trajectories = fom_integrate(cfg.fom, signals, cfg.save_every)
-    for load, trajectory in zip(loads, trajectories):
-        snapshots = snap_mod.assemble_snapshots([trajectory])
-        path = cfg.snapshot_path(load)
-        snap_mod.save_snapshots(snapshots, path)
-        print(f"generate: R={load:g} -> {path} ({snapshots.m} snapshots)")
+    paths = [cfg.snapshot_path(load) for load in loads]
+    counts = ordered_map(_write_snapshot_file, zip(trajectories, paths))
+    for m, load, path in zip(counts, loads, paths):
+        print(f"generate: R={load:g} -> {path} ({m} snapshots)")
     return EXIT_OK
 
 
@@ -157,6 +165,49 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
     return EXIT_OK
 
 
+def _evaluate_case(task):
+    """Worker task of ``evaluate``: roll every model out against one snapshot file.
+
+    Returns the text of the case's error and statistics CSVs and, per model
+    name, its mean errors (outside the switch-off window, over all steps).
+    """
+    models, reference_name, path, solid_mask = task
+    if not os.path.exists(path):
+        raise DataError(f"missing snapshot file {path}; run 'generate' first")
+    snapshots = snap_mod.load_snapshots(path)
+    trajectory = snap_mod.to_trajectories(snapshots)[0]
+    reports = {name: rom_mod.rom_vs_projected_error(model, trajectory)
+               for name, model in models.items()}
+
+    names = sorted(reports)
+    base = reports[names[0]]
+    errors = ["step,time,switch_off," + ",".join(f"rel_mse_{n}" for n in names)]
+    for j in range(base.times.size):
+        row = [str(j), fmt_float(base.times[j]), str(int(base.switch_off[j]))]
+        row += [fmt_float(reports[n].step_errors[j]) for n in names]
+        errors.append(",".join(row))
+
+    rom_stats = rom_mod.field_statistics(
+        models[reference_name], reports[reference_name].rollout, solid_mask=solid_mask
+    )
+    fom_stats = rom_mod.state_statistics(trajectory.states, trajectory.fields, solid_mask=solid_mask)
+    field_names = [name for name, _, _ in trajectory.fields]
+    header = ["step", "time"]
+    for name in field_names:
+        for kind in ("fom", "rom"):
+            header += [f"{kind}_{name}_{agg}" for agg in ("min", "mean", "max")]
+    stats = [",".join(header)]
+    for j in range(trajectory.times.size):
+        row = [str(j), fmt_float(trajectory.times[j])]
+        for name in field_names:
+            row += [fmt_float(v) for v in fom_stats[name][j, :]]
+            row += [fmt_float(v) for v in rom_stats[name][j, :]]
+        stats.append(",".join(row))
+
+    means = {name: (report.mean_error, report.mean_error_all) for name, report in reports.items()}
+    return "\n".join(errors) + "\n", "\n".join(stats) + "\n", means
+
+
 def cmd_evaluate(cfg: PipelineConfig) -> int:
     """Roll out the trained models against every case and write error CSVs."""
     _ensure_outdir(cfg)
@@ -175,53 +226,18 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
 
     summary_rows = []
     aggregates = {name: [] for name in models}
-    for load in _all_loads(cfg):
-        path = cfg.snapshot_path(load)
-        if not os.path.exists(path):
-            raise DataError(f"missing snapshot file {path}; run 'generate' first")
-        snapshots = snap_mod.load_snapshots(path)
-        trajectory = snap_mod.to_trajectories(snapshots)[0]
-        case = f"R{load:g}"
-
-        reports = {name: rom_mod.rom_vs_projected_error(model, trajectory)
-                   for name, model in models.items()}
-        err_path = os.path.join(cfg.output_dir, f"errors_{case}.csv")
-        with open(err_path, "w") as fh:
-            names = sorted(reports)
-            fh.write("step,time,switch_off," + ",".join(f"rel_mse_{n}" for n in names) + "\n")
-            base = reports[names[0]]
-            for j in range(base.times.size):
-                row = [str(j), fmt_float(base.times[j]), str(int(base.switch_off[j]))]
-                row += [fmt_float(reports[n].step_errors[j]) for n in names]
-                fh.write(",".join(row) + "\n")
-
-        rom_stats = rom_mod.field_statistics(
-            reference, reports[reference_name].rollout, solid_mask=cfg.fom.solid_mask
-        )
-        fom_stats = rom_mod.state_statistics(
-            trajectory.states, trajectory.fields, solid_mask=cfg.fom.solid_mask
-        )
-        stats_path = os.path.join(cfg.output_dir, f"stats_{case}.csv")
-        with open(stats_path, "w") as fh:
-            field_names = [name for name, _, _ in trajectory.fields]
-            header = ["step", "time"]
-            for name in field_names:
-                for kind in ("fom", "rom"):
-                    header += [f"{kind}_{name}_{agg}" for agg in ("min", "mean", "max")]
-            fh.write(",".join(header) + "\n")
-            for j in range(trajectory.times.size):
-                row = [str(j), fmt_float(trajectory.times[j])]
-                for name in field_names:
-                    row += [fmt_float(v) for v in fom_stats[name][j, :]]
-                    row += [fmt_float(v) for v in rom_stats[name][j, :]]
-                fh.write(",".join(row) + "\n")
-
-        for name, report in reports.items():
-            summary_rows.append((case, name, report.mean_error, report.mean_error_all))
-            aggregates[name].append((report.mean_error, report.mean_error_all))
-        shown = ", ".join(
-            f"{name} {reports[name].mean_error:.3e}" for name in sorted(reports)
-        )
+    cases = [(f"R{load:g}", cfg.snapshot_path(load)) for load in _all_loads(cfg)]
+    tasks = [(models, reference_name, path, cfg.fom.solid_mask) for _, path in cases]
+    results = ordered_map(_evaluate_case, tasks)
+    for (errors_csv, stats_csv, means), (case, _) in zip(results, cases):
+        with open(os.path.join(cfg.output_dir, f"errors_{case}.csv"), "w") as fh:
+            fh.write(errors_csv)
+        with open(os.path.join(cfg.output_dir, f"stats_{case}.csv"), "w") as fh:
+            fh.write(stats_csv)
+        for name, (excl, full) in means.items():
+            summary_rows.append((case, name, excl, full))
+            aggregates[name].append((excl, full))
+        shown = ", ".join(f"{name} {means[name][0]:.3e}" for name in sorted(means))
         print(f"evaluate: {case} mean rel mse (outside switch-off window): {shown}")
 
     summary_path = os.path.join(cfg.output_dir, "summary.csv")

@@ -16,7 +16,6 @@ from morcal.errors import ConfigError, DataError, NumericError
 from morcal.fom import FomConfig, arrhenius_source
 from morcal.pod import PodBasis
 from morcal.snapshots import SnapshotSet
-from morcal.textio import TextReader, fmt_float, fmt_row, parse_float, parse_int, parse_list
 
 __all__ = [
     "DeimOperators",
@@ -25,8 +24,6 @@ __all__ = [
     "deim_points",
     "build_deim_operators",
     "reduced_arrhenius",
-    "save_deim_operators",
-    "load_deim_operators",
 ]
 
 logger = logging.getLogger(__name__)
@@ -249,52 +246,3 @@ def arrhenius_jacobian(ops: DeimOperators, s_red: np.ndarray, heat_load: float) 
         * ops.unscale_scale
     )
     return ops.p1 @ (w[:, None] * ops.p2)
-
-
-def save_deim_operators(ops: DeimOperators, path) -> None:
-    """Write the sampling operators to a text file (no nonlinearity basis)."""
-    with open(path, "w") as fh:
-        fh.write(f"s={ops.s}\n")
-        fh.write(f"r={ops.r}\n")
-        fh.write("indices=" + ",".join(str(int(i)) for i in ops.indices) + "\n")
-        fh.write(f"arrhenius_prefactor={fmt_float(ops.arrhenius_prefactor)}\n")
-        fh.write(f"arrhenius_exponent={fmt_float(ops.arrhenius_exponent)}\n")
-        fh.write("unscale_scale=" + fmt_row(ops.unscale_scale) + "\n")
-        fh.write("unscale_shift=" + fmt_row(ops.unscale_shift) + "\n")
-        fh.write("p1\n")
-        for i in range(ops.r):
-            fh.write(fmt_row(ops.p1[i, :]) + "\n")
-        fh.write("p2\n")
-        for i in range(ops.s):
-            fh.write(fmt_row(ops.p2[i, :]) + "\n")
-
-
-def load_deim_operators(path) -> DeimOperators:
-    with TextReader(path) as rd:
-        s = parse_int(rd.expect_kv("s"), rd, "s")
-        r = parse_int(rd.expect_kv("r"), rd, "r")
-        indices = np.array(parse_list(rd.expect_kv("indices"), rd, "indices", parse_int, ","),
-                           dtype=int)
-        prefactor = parse_float(rd.expect_kv("arrhenius_prefactor"), rd, "arrhenius_prefactor")
-        exponent = parse_float(rd.expect_kv("arrhenius_exponent"), rd, "arrhenius_exponent")
-        unscale_scale = np.array(parse_list(rd.expect_kv("unscale_scale"), rd, "unscale_scale"))
-        unscale_shift = np.array(parse_list(rd.expect_kv("unscale_shift"), rd, "unscale_shift"))
-        if rd.next_line("'p1' marker").strip() != "p1":
-            raise rd.error("expected 'p1' section")
-        p1 = np.empty((r, s))
-        for i in range(r):
-            p1[i, :] = rd.read_floats(s, f"p1 row {i}")
-        if rd.next_line("'p2' marker").strip() != "p2":
-            raise rd.error("expected 'p2' section")
-        p2 = np.empty((s, r))
-        for i in range(s):
-            p2[i, :] = rd.read_floats(r, f"p2 row {i}")
-        return DeimOperators(
-            indices=indices,
-            p1=p1,
-            p2=p2,
-            arrhenius_prefactor=prefactor,
-            arrhenius_exponent=exponent,
-            unscale_scale=unscale_scale,
-            unscale_shift=unscale_shift,
-        )

@@ -174,6 +174,11 @@ def arrhenius_source(t_solid, heat_load, cfg: FomConfig):
     t_solid = np.asarray(t_solid, dtype=float)
     if np.any(t_solid <= 0.0):
         raise NumericError("arrhenius_source requires strictly positive temperatures")
+    return _arrhenius_source(t_solid, heat_load, cfg)
+
+
+def _arrhenius_source(t_solid, heat_load, cfg: FomConfig):
+    """arrhenius_source without its temperature check, for callers that made it."""
     return heat_load * cfg.arrhenius_prefactor * np.exp(cfg.arrhenius_exponent / t_solid)
 
 
@@ -243,7 +248,7 @@ def fom_rhs(state, control, cfg: FomConfig):
     solid_t = ts[..., solid]
     if np.any(solid_t <= 0.0):
         raise NumericError("non-positive solid temperature inside the reaction zone")
-    dts[..., solid] += arrhenius_source(solid_t, heat_load, cfg) / cfg.rho_cp_solid
+    dts[..., solid] += _arrhenius_source(solid_t, heat_load, cfg) / cfg.rho_cp_solid
 
     return out
 

@@ -139,9 +139,8 @@ def load_basis(path) -> PodBasis:
             raise rd.error("expected header 'n=<int> r=<int>'")
         n = parse_int(header[0][2:], rd, "n")
         r = parse_int(header[1][2:], rd, "r")
-        basis = np.empty((n, r))
-        for j in range(r):
-            basis[:, j] = rd.read_floats(n, f"mode {j}")
-        line = rd.peek()
-        sigma = rd.read_floats(len(line.split()), "singular values") if line else np.zeros(0)
+        # One mode per line; keep the (n, r) basis C-contiguous.
+        basis = np.ascontiguousarray(rd.read_rows(r, n, "mode").T)
+        count = len((rd.peek() or "").split())
+        sigma = rd.read_floats(count, "singular values") if count else np.zeros(0)
         return PodBasis(basis=basis, singular_values=sigma)

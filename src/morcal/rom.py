@@ -201,10 +201,7 @@ def _read_matrix(rd: TextReader, name):
     scale = parse_float(parts[2].split("=", 1)[1], rd, "scale")
     if rows == 0 or cols == 0:
         return None
-    matrix = np.empty((rows, cols))
-    for i in range(rows):
-        matrix[i, :] = rd.read_floats(cols, f"{name} row {i}")
-    return matrix * scale
+    return rd.read_rows(rows, cols, f"{name} row") * scale
 
 
 def save_rom(model: RomModel, path, include_basis: bool = True) -> None:

@@ -389,21 +389,16 @@ def load_snapshots(path) -> SnapshotSet:
 
         if rd.next_line("'data' marker").strip() != "data":
             raise rd.error("expected 'data' section")
-        data = np.empty((n, m))
-        for j in range(m):
-            data[:, j] = rd.read_floats(n, f"data row {j}")
+        # Rows on disk are snapshot columns; keep the (n, m) matrix C-contiguous.
+        data = np.ascontiguousarray(rd.read_rows(m, n, "data row").T)
         derivatives = None
         if has_der:
             if rd.next_line("'derivatives' marker").strip() != "derivatives":
                 raise rd.error("expected 'derivatives' section")
-            derivatives = np.empty((n, m))
-            for j in range(m):
-                derivatives[:, j] = rd.read_floats(n, f"derivative row {j}")
+            derivatives = np.ascontiguousarray(rd.read_rows(m, n, "derivative row").T)
         if rd.next_line("'controls' marker").strip() != "controls":
             raise rd.error("expected 'controls' section")
-        controls = np.empty((m, 2))
-        for j in range(m):
-            controls[j, :] = rd.read_floats(2, f"control row {j}")
+        controls = rd.read_rows(m, 2, "control row")
 
         times = [np.arange(int(c)) * dt for c in np.diff(offsets)]
         return SnapshotSet(

@@ -6,7 +6,9 @@ a command on unchanged inputs produces byte-identical files.
 """
 
 import functools
+import itertools
 import math
+import warnings
 
 import numpy as np
 
@@ -62,8 +64,9 @@ class TextReader:
             self.close()
         self._next = None if line is None else line.rstrip("\n")
 
-    def error(self, msg) -> "DataError":
-        return DataError(f"{self.path}, line {self._pos}: {msg}")
+    def error(self, msg, line=None) -> "DataError":
+        """DataError naming ``line`` (default: the line read last)."""
+        return DataError(f"{self.path}, line {self._pos if line is None else line}: {msg}")
 
     def at_end(self) -> bool:
         return self._next is None
@@ -73,7 +76,7 @@ class TextReader:
 
     def next_line(self, what="line") -> str:
         if self._next is None:
-            raise DataError(f"{self.path}: unexpected end of file while reading {what}")
+            raise self._eof_error(what)
         line = self._next
         self._pos += 1
         self._advance()
@@ -85,18 +88,77 @@ class TextReader:
             raise self.error(f"expected '{key}=', found {line!r}")
         return line[len(key) + 1 :]
 
+    def read_rows(self, rows, cols, what="row") -> np.ndarray:
+        """The next ``rows`` lines as a (rows, cols) block of finite numbers.
+
+        The lines stream from the file into one ``np.loadtxt`` call.  When
+        the block is malformed, the section is read again line by line so
+        the DataError names the first bad line (see ``_section_error``).
+        Row ``i`` is called ``"{what} {i}"`` in errors.
+        """
+        return self._read_block(rows, cols, lambda i: f"{what} {i}")
+
     def read_floats(self, count, what="row") -> np.ndarray:
         """One line of exactly ``count`` finite numbers."""
-        line = self.next_line(what)
+        return self._read_block(1, count, lambda i: what)[0]
+
+    def _read_block(self, rows, cols, name_row) -> np.ndarray:
+        if rows < 0 or cols < 0:
+            raise self.error(f"negative size {rows} x {cols} for {name_row(0)}")
+        if rows == 0:
+            return np.empty((0, cols))
+        if self._next is None:
+            raise self._eof_error(name_row(0))
+        start = self._pos
+        lines = itertools.chain([self._next], itertools.islice(self._lines, rows - 1))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an all-blank section: caught by the shape check
+                block = np.loadtxt(lines, dtype=float, ndmin=2, comments=None)
+        except ValueError:
+            block = None
+        if block is None or block.shape != (rows, cols) or not np.all(np.isfinite(block)):
+            raise self._section_error(start, rows, cols, name_row)
+        self._pos += rows
+        self._advance()
+        return block
+
+    def _eof_error(self, what, line=None) -> "DataError":
+        return self.error(f"unexpected end of file while reading {what}",
+                          self._pos + 1 if line is None else line)
+
+    def _section_error(self, start, rows, cols, name_row) -> "DataError":
+        """The error of the first bad line among the ``rows`` after line ``start``.
+
+        The file is opened again at the section's first line and each line
+        is checked on its own, so the error names its kind and exact line.
+        """
+        with open(self.path, "r") as fh:
+            lines = itertools.islice(fh, start, start + rows)
+            for i in range(rows):
+                line = next(lines, None)
+                if line is None:
+                    return self._eof_error(name_row(i), start + i + 1)
+                error = self._row_error(line, cols, name_row(i), start + i + 1)
+                if error is not None:
+                    return error
+        return self.error(f"unreadable section of {rows} rows of {cols} values", start + 1)
+
+    def _row_error(self, line, count, what, line_no) -> "DataError | None":
+        """The DataError of a line that is not ``count`` finite numbers, else None."""
         try:
             values = np.fromiter(map(float, line.split()), dtype=float)
         except ValueError as exc:
-            raise self.error(f"bad number in {what}: {exc}") from None
+            return self.error(f"bad number in {what}: {exc}", line_no)
         if values.size != count:
-            raise self.error(f"expected {count} values in {what}, found {values.size}")
+            return self.error(f"expected {count} values in {what}, found {values.size}", line_no)
         if not np.all(np.isfinite(values)):
-            raise self.error(f"non-finite number in {what}")
-        return values
+            return self.error(f"non-finite number in {what}", line_no)
+        try:  # tokens float() takes but the bulk parser does not, such as '1_0'
+            np.loadtxt([line], dtype=float, comments=None)
+        except ValueError as exc:
+            return self.error(f"bad number in {what}: {exc}", line_no)
+        return None
 
 
 def parse_float(text, reader: TextReader, what):
@@ -104,6 +166,8 @@ def parse_float(text, reader: TextReader, what):
         value = float(text)
     except ValueError:
         raise reader.error(f"bad float for {what}: {text!r}") from None
+    if "_" in text or not text.isascii():  # float() takes '1_0' and '١'; read_rows does not
+        raise reader.error(f"bad float for {what}: {text!r}")
     if not math.isfinite(value):
         raise reader.error(f"non-finite float for {what}: {text!r}")
     return value

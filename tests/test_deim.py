@@ -8,11 +8,9 @@ from morcal.deim import (
     arrhenius_jacobian,
     build_deim_operators,
     deim_points,
-    load_deim_operators,
     nonlinearity_basis,
     nonlinearity_snapshots,
     reduced_arrhenius,
-    save_deim_operators,
 )
 from morcal.errors import DataError, NumericError
 from morcal.fom import FomConfig, fom_integrate
@@ -189,18 +187,6 @@ def test_build_operators_fold_in_gain_and_scaling(rng):
     t_samples = ops.sample_temperatures(basis.basis.T @ col)
     full = scaling.unscale_array(basis.basis @ (basis.basis.T @ col))
     assert np.allclose(t_samples, full[idx], rtol=1e-12)
-
-
-def test_save_load_round_trip(tmp_path, rng):
-    ops = _simple_ops(rng)
-    path = tmp_path / "deim.txt"
-    save_deim_operators(ops, path)
-    loaded = load_deim_operators(path)
-    assert np.array_equal(loaded.indices, ops.indices)
-    assert np.array_equal(loaded.p1, ops.p1)
-    assert np.array_equal(loaded.p2, ops.p2)
-    assert loaded.arrhenius_prefactor == ops.arrhenius_prefactor
-    assert np.array_equal(loaded.unscale_shift, ops.unscale_shift)
 
 
 def test_deim_points_rejects_rank_deficient_basis():
