@@ -16,12 +16,10 @@ from morcal.calibrate import (
     calibrate,
     forward_rollout,
     objective,
-    theta,
 )
 from morcal.config import PipelineConfig, load_pipeline_config, parse_config_file
 from morcal.deim import (
     DeimOperators,
-    arrhenius_jacobian,
     build_deim_operators,
     deim_points,
     nonlinearity_basis,
@@ -44,15 +42,12 @@ from morcal.opinf import (
     quadratic_size,
     solve_opinf,
     sym_kron,
-    sym_kron_jacobian,
 )
 from morcal.pod import (
     PodBasis,
     compute_pod,
-    lift,
     load_basis,
     project,
-    reconstruction_error_curve,
     save_basis,
 )
 from morcal.rom import (
@@ -73,12 +68,9 @@ from morcal.snapshots import (
     apply_scaling,
     assemble_snapshots,
     concat_snapshot_sets,
-    estimate_derivatives,
     fit_scaling,
-    invert_scaling,
     load_snapshots,
     save_snapshots,
-    split_trajectories,
     to_trajectories,
 )
 
@@ -106,7 +98,6 @@ __all__ = [
     "SnapshotSet",
     "adjoint_gradient",
     "apply_scaling",
-    "arrhenius_jacobian",
     "arrhenius_source",
     "assemble_regression",
     "assemble_snapshots",
@@ -116,13 +107,10 @@ __all__ = [
     "compute_pod",
     "concat_snapshot_sets",
     "deim_points",
-    "estimate_derivatives",
     "fit_scaling",
     "fom_integrate",
     "fom_rhs",
     "forward_rollout",
-    "invert_scaling",
-    "lift",
     "load_reference_fixture",
     "load_basis",
     "load_pipeline_config",
@@ -134,7 +122,6 @@ __all__ = [
     "parse_config_file",
     "project",
     "quadratic_size",
-    "reconstruction_error_curve",
     "reduced_arrhenius",
     "rom_vs_projected_error",
     "save_basis",
@@ -142,11 +129,8 @@ __all__ = [
     "save_snapshots",
     "simulate_rom",
     "solve_opinf",
-    "split_trajectories",
     "state_statistics",
     "switch_off_window",
     "sym_kron",
-    "sym_kron_jacobian",
-    "theta",
     "to_trajectories",
 ]

@@ -4,14 +4,15 @@ Operator inference matches time derivatives; this module instead minimises
 the squared mismatch between explicit Euler rollouts of the reduced model
 and the projected training trajectories,
 
-    sum_i sum_j | s~_j^i - s_j^i |^2,   s~_j = s~_{j-1} + dt * theta(s~_{j-1}, u_{j-1}),
+    sum_i sum_j | s~_j^i - s_j^i |^2,   s~_j = s~_{j-1} + dt * f(s~_{j-1}, R_{j-1}),
 
-over the entries of the linear, quadratic, and input operators.  The
-sampled source term stays fixed during calibration.  Gradients come from
-one backward (adjoint) sweep per trajectory, so a full gradient costs one
-forward plus one backward pass regardless of the number of operator
-entries.  The optimiser is a limited-memory quasi-Newton method with an
-Armijo backtracking line search.
+with f(s, R) = a s + h sym_kron(s) + source(s, R), over the entries of the
+linear and quadratic operators.  The sampled source term of the heat load
+R stays fixed during calibration.  Gradients come from one backward
+(adjoint) sweep per trajectory, so a full gradient costs one forward plus
+one backward pass regardless of the number of operator entries.  The
+optimiser is a limited-memory quasi-Newton method with an Armijo
+backtracking line search.
 
 One rollout kernel serves calibration and evaluation alike: the operators
 are folded with the step size once per operator set, and trajectories of
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from morcal.deim import MIN_TEMPERATURE, DeimOperators, reduced_arrhenius
+from morcal.deim import MIN_TEMPERATURE, DeimOperators
 from morcal.errors import ConfigError, DataError, NumericError
 from morcal.opinf import RomOperators, sym_kron
 from morcal.textio import fmt_float
@@ -35,43 +36,25 @@ __all__ = [
     "CalibrationProblem",
     "OptimizerConfig",
     "ConvergenceReport",
-    "theta",
     "forward_rollout",
     "objective",
     "adjoint_gradient",
     "calibrate",
     "build_calibration_problem",
-    "reset_sweep_counters",
-    "sweep_counters",
 ]
 
 logger = logging.getLogger(__name__)
 
-# Diagnostic counters: number of trajectories rolled forward and swept
-# backward (adjoint) since the last reset.  Useful for asserting the
-# one-forward-one-backward cost of a gradient evaluation.
-_SWEEPS = {"forward": 0, "backward": 0}
-
-
-def reset_sweep_counters() -> None:
-    _SWEEPS["forward"] = 0
-    _SWEEPS["backward"] = 0
-
-
-def sweep_counters() -> dict:
-    return dict(_SWEEPS)
-
 
 @dataclass
 class CalibrationProblem:
-    """Reduced training trajectories with controls and step size."""
+    """Reduced training trajectories with heat loads and step size."""
 
     reduced_trajectories: list  # each (r, k_i + 1)
-    controls: list  # each (k_i + 1, 2) rows (R, v_I_dot)
+    controls: list  # each (k_i + 1,) heat load R per state
     dt: float
     deim: DeimOperators | None = field(default=None, repr=False)
     include_quadratic: bool = True
-    include_input: bool = True
     batches: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -87,8 +70,8 @@ class CalibrationProblem:
             ctrl = np.asarray(ctrl)
             if traj.ndim != 2 or traj.shape[0] != r or traj.shape[1] < 2:
                 raise DataError("each trajectory must be (r, k+1) with k >= 1")
-            if ctrl.shape != (traj.shape[1], 2):
-                raise DataError("controls must provide one (R, v_I_dot) row per state")
+            if ctrl.shape != (traj.shape[1],):
+                raise DataError("controls must provide one heat load per state")
         self.batches = _batches(self.reduced_trajectories, self.controls)
 
     @property
@@ -149,20 +132,6 @@ class ConvergenceReport:
                 fh.write(f"{i},{fmt_float(obj)},{fmt_float(g)},{fmt_float(step)}\n")
 
 
-def theta(ops: RomOperators, deim_ops: DeimOperators | None, s: np.ndarray, u) -> np.ndarray:
-    """Model right-hand side a s + h sym_kron(s) + b v_I_dot + source(s, R)."""
-    s = np.asarray(s, dtype=float)
-    u = np.asarray(u, dtype=float)
-    rhs = ops.a @ s
-    if ops.h is not None:
-        rhs = rhs + ops.h @ sym_kron(s)
-    if ops.b is not None:
-        rhs = rhs + ops.b[:, 0] * u[1]
-    if deim_ops is not None:
-        rhs = rhs + reduced_arrhenius(deim_ops, s, u[0])
-    return rhs
-
-
 @dataclass
 class _Folded:
     """One operator set with the step size folded in.
@@ -170,12 +139,11 @@ class _Folded:
     An explicit Euler step of a state stack S (one column per trajectory) is
 
         T = p2f S + shift,   E = exp(exponent / T),
-        S <- ad S + hd sym_kron(S) + bd v_I_dot + p1d (E * R).
+        S <- ad S + hd sym_kron(S) + p1d (E * R).
     """
 
     ad: np.ndarray  # I + dt a
     hd: np.ndarray | None  # dt h
-    bd: np.ndarray | None  # (r, 1) dt b[:, 0]
     # The sampled source; all None without sampling operators.
     p1d: np.ndarray | None = None  # dt prefactor p1
     p2f: np.ndarray | None = None  # unscale_scale p2
@@ -195,7 +163,6 @@ def _fold(ops: RomOperators, deim_ops: DeimOperators | None, dt: float) -> _Fold
     return _Folded(
         ad=np.eye(ops.r) + dt * ops.a,
         hd=None if ops.h is None else dt * ops.h,
-        bd=None if ops.b is None else dt * ops.b[:, :1],
         **source,
     )
 
@@ -206,7 +173,6 @@ class _Batch:
 
     data: np.ndarray  # (k + 1, r, L) reduced training states
     heat: np.ndarray  # (k, L) heat load R driving each step
-    inputs: np.ndarray  # (k, L) v_I_dot driving each step
 
 
 def _batches(trajectories, controls) -> list:
@@ -221,8 +187,7 @@ def _batches(trajectories, controls) -> list:
         out.append(
             _Batch(
                 data=np.ascontiguousarray(np.stack([t.T for t, _ in members], axis=2)),
-                heat=np.stack([c[:k, 0] for _, c in members], axis=1),
-                inputs=np.stack([c[:k, 1] for _, c in members], axis=1),
+                heat=np.stack([c[:k] for _, c in members], axis=1),
             )
         )
     return out
@@ -237,7 +202,7 @@ class _Sweep:
     sources: np.ndarray | None  # (k, s, L) exp(exponent / temperatures)
 
 
-def _forward(f: _Folded, s0: np.ndarray, heat: np.ndarray, inputs: np.ndarray) -> _Sweep:
+def _forward(f: _Folded, s0: np.ndarray, heat: np.ndarray) -> _Sweep:
     """Explicit Euler rollout of the state stack s0 (r, L) over len(heat) steps.
 
     Every step checks the sampled temperatures against MIN_TEMPERATURE and
@@ -256,8 +221,6 @@ def _forward(f: _Folded, s0: np.ndarray, heat: np.ndarray, inputs: np.ndarray) -
         np.matmul(f.ad, s, out=nxt)
         if f.hd is not None:
             nxt += f.hd @ sym_kron(s)
-        if f.bd is not None:
-            nxt += f.bd * inputs[j]
         if f.p1d is not None:
             t = np.matmul(f.p2f, s, out=temperatures[j])
             t += f.shift
@@ -272,7 +235,6 @@ def _forward(f: _Folded, s0: np.ndarray, heat: np.ndarray, inputs: np.ndarray) -
             nxt += f.p1d @ (e * heat[j])
         if not math.isfinite(float(nxt.sum())):
             raise NumericError(f"non-finite reduced state at rollout step {j + 1}")
-    _SWEEPS["forward"] += width
     return _Sweep(states=states, temperatures=temperatures, sources=sources)
 
 
@@ -286,19 +248,20 @@ def forward_rollout(
 ) -> np.ndarray:
     """Explicit Euler rollout over k steps; returns all k+1 states (r, k+1).
 
-    Controls are sampled left-continuously: row j drives the step from
-    state j to state j+1.  A non-finite state, or a sampled temperature at
-    or below MIN_TEMPERATURE, aborts with a NumericError naming the step.
+    Heat loads are sampled left-continuously: ``controls[j]`` drives the
+    step from state j to state j+1.  A non-finite state, or a sampled
+    temperature at or below MIN_TEMPERATURE, aborts with a NumericError
+    naming the step.
     """
     s0 = np.asarray(s0, dtype=float)
     controls = np.asarray(controls, dtype=float)
     if k < 1:
         raise ConfigError("rollout needs at least one step")
-    if controls.ndim != 2 or controls.shape[0] < k or controls.shape[1] != 2:
-        raise DataError("controls must have at least k rows of (R, v_I_dot)")
+    if controls.ndim != 1 or controls.shape[0] < k:
+        raise DataError("controls must hold at least k heat loads")
     if dt <= 0.0:
         raise ConfigError("dt must be positive")
-    sweep = _forward(_fold(ops, deim_ops, dt), s0[:, None], controls[:k, :1], controls[:k, 1:])
+    sweep = _forward(_fold(ops, deim_ops, dt), s0[:, None], controls[:k, None])
     return sweep.states[:, :, 0].T.copy()
 
 
@@ -309,7 +272,7 @@ class _Evaluation:
         self.ops = ops
         self.folded = _fold(ops, problem.deim, problem.dt)
         self.sweeps = [
-            _forward(self.folded, batch.data[0], batch.heat, batch.inputs)
+            _forward(self.folded, batch.data[0], batch.heat)
             for batch in problem.batches
         ]
         self.residuals = [sw.states - b.data for sw, b in zip(self.sweeps, problem.batches)]
@@ -330,7 +293,6 @@ def _zero_like_gradient(ops: RomOperators, problem: CalibrationProblem) -> RomOp
     return RomOperators(
         a=np.zeros((r, r)),
         h=np.zeros_like(ops.h) if (ops.h is not None and problem.include_quadratic) else None,
-        b=np.zeros_like(ops.b) if (ops.b is not None and problem.include_input) else None,
     )
 
 
@@ -350,13 +312,14 @@ def _gradient(ev: _Evaluation, problem: CalibrationProblem) -> RomOperators:
     The adjoint recursion runs backwards from the final step:
 
         mu_k = 2 (s~_k - s_k)
-        mu_j = 2 (s~_j - s_j) + (I + dt J_theta(s~_j, u_j))^T mu_{j+1}
+        mu_j = 2 (s~_j - s_j) + (I + dt J(s~_j, R_j))^T mu_{j+1}
 
-    where (I + dt J)^T mu = ad^T mu + p2f^T (w_j * (p1d^T mu)) + the
-    quadratic term, with w_j = R_j E_j (-exponent / T_j^2) built for all
-    steps at once.  The mu_{j+1} are stored, so each gradient block is one
-    contraction against the states: grad a = dt sum_j mu_{j+1} s~_j^T, and
-    likewise for h (against sym_kron(s~_j)) and b (against v_I_dot_j).
+    where J is the state Jacobian of f, so (I + dt J)^T mu = ad^T mu +
+    p2f^T (w_j * (p1d^T mu)) + the quadratic term, with
+    w_j = R_j E_j (-exponent / T_j^2) built for all steps at once.  The
+    mu_{j+1} are stored, so each gradient block is one contraction against
+    the states: grad a = dt sum_j mu_{j+1} s~_j^T, and likewise for h
+    (against sym_kron(s~_j)).
     """
     f, dt = ev.folded, problem.dt
     grad = _zero_like_gradient(ev.ops, problem)
@@ -383,35 +346,26 @@ def _gradient(ev: _Evaluation, problem: CalibrationProblem) -> RomOperators:
                 s = states[j]
                 nxt += first @ (v * s[cols]) + second @ (v * s[rows])
             mu = nxt
-        _SWEEPS["backward"] += states.shape[2]
 
         grad.a += dt * np.tensordot(mus, states[:k], axes=([0, 2], [0, 2]))
         if grad.h is not None:
             kron = sym_kron(states[:k].transpose(1, 0, 2))
             grad.h += dt * np.tensordot(mus, kron, axes=([0, 2], [1, 2]))
-        if grad.b is not None:
-            grad.b[:, 0] += dt * np.tensordot(mus, batch.inputs, axes=([0, 2], [0, 1]))
     return grad
-
-
-def _objective_and_gradient(ops: RomOperators, problem: CalibrationProblem):
-    """One forward and one backward sweep per trajectory."""
-    ev = _Evaluation(ops, problem)
-    return ev.value, _gradient(ev, problem)
 
 
 def adjoint_gradient(ops: RomOperators, problem: CalibrationProblem) -> RomOperators:
-    """Gradient of the calibration objective over all operator entries."""
-    _, grad = _objective_and_gradient(ops, problem)
-    return grad
+    """Gradient of the calibration objective over all operator entries.
+
+    Costs one forward and one backward sweep per trajectory.
+    """
+    return _gradient(_Evaluation(ops, problem), problem)
 
 
 def _pack(ops: RomOperators, problem: CalibrationProblem) -> np.ndarray:
     parts = [ops.a.ravel()]
     if ops.h is not None and problem.include_quadratic:
         parts.append(ops.h.ravel())
-    if ops.b is not None and problem.include_input:
-        parts.append(ops.b.ravel())
     return np.concatenate(parts)
 
 
@@ -423,15 +377,7 @@ def _unpack(vec: np.ndarray, template: RomOperators, problem: CalibrationProblem
     if template.h is not None and problem.include_quadratic:
         size = template.h.size
         h = vec[pos : pos + size].reshape(template.h.shape)
-        pos += size
-    b = template.b
-    if template.b is not None and problem.include_input:
-        size = template.b.size
-        b = vec[pos : pos + size].reshape(template.b.shape)
-        pos += size
-    return RomOperators(
-        a=a.copy(), h=None if h is None else h.copy(), b=None if b is None else b.copy()
-    )
+    return RomOperators(a=a.copy(), h=None if h is None else h.copy())
 
 
 def _symmetrize(vec: np.ndarray, template: RomOperators) -> np.ndarray:
@@ -584,7 +530,6 @@ def build_calibration_problem(
     basis,
     deim_ops: DeimOperators | None,
     include_quadratic: bool = True,
-    include_input: bool = True,
 ) -> CalibrationProblem:
     """Project a scaled snapshot set onto the basis, one trajectory at a time."""
     from morcal.pod import project
@@ -597,12 +542,11 @@ def build_calibration_problem(
     controls = []
     for sl in scaled_snapshots.trajectory_slices():
         trajectories.append(project(basis, scaled_snapshots.data[:, sl]))
-        controls.append(scaled_snapshots.controls[sl, :])
+        controls.append(scaled_snapshots.controls[sl])
     return CalibrationProblem(
         reduced_trajectories=trajectories,
         controls=controls,
         dt=dt,
         deim=deim_ops,
         include_quadratic=include_quadratic,
-        include_input=include_input,
     )

@@ -115,14 +115,12 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
     reduced_states = pod_mod.project(basis, scaled.data)
     reduced_derivs = pod_mod.project(basis, scaled.derivatives)
     opinf_cfg = OpinfConfig(
-        tikhonov_lambda=cfg.tikhonov_lambda,
-        include_quadratic=cfg.include_quadratic,
-        include_input=cfg.include_input,
+        tikhonov_lambda=cfg.tikhonov_lambda, include_quadratic=cfg.include_quadratic
     )
     design, target = assemble_regression(
         reduced_states, reduced_derivs, scaled.controls, deim_ops, opinf_cfg
     )
-    operators = solve_opinf(design, target, cfg.tikhonov_lambda, opinf_cfg)
+    operators = solve_opinf(design, target, cfg.tikhonov_lambda)
     dt = float(np.diff(scaled.times[0])[0])
     oi_model = rom_mod.RomModel(operators=operators, deim=deim_ops, basis=basis, dt=dt)
     oi_path = os.path.join(cfg.output_dir, "rom_opinf.txt")
@@ -145,11 +143,7 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
         return EXIT_OK
 
     problem = build_calibration_problem(
-        scaled,
-        basis,
-        deim_ops,
-        include_quadratic=cfg.include_quadratic,
-        include_input=cfg.include_input,
+        scaled, basis, deim_ops, include_quadratic=cfg.include_quadratic
     )
     calibrated, report = calibrate(operators, problem, cfg.optimizer)
     cal_model = rom_mod.RomModel(operators=calibrated, deim=deim_ops, basis=basis, dt=dt)
@@ -304,8 +298,8 @@ def cmd_fixture_check() -> int:
     # reference initial temperature, then heat and switch off.
     s0 = np.linalg.solve(deim_ops.p2, np.full(8, 533.15))
     k = FIXTURE_STEPS_ON + FIXTURE_STEPS_OFF
-    controls = np.zeros((k, 2))
-    controls[:FIXTURE_STEPS_ON, 0] = 1.0
+    controls = np.zeros(k)
+    controls[:FIXTURE_STEPS_ON] = 1.0
     try:
         rolled = rom_mod.simulate_rom(model, s0, controls, k)
         finite = bool(np.all(np.isfinite(rolled)))
@@ -327,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", default=None, help="path to a key=value config file")
     parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--seed", type=int, default=None, help="seed recorded in the config")
     parser.add_argument(
         "--skip-calibration",
         action="store_true",
@@ -355,7 +348,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "fixture-check":
             return cmd_fixture_check()
-        cfg = load_pipeline_config(args.config, output_override=args.out, seed_override=args.seed)
+        cfg = load_pipeline_config(args.config, output_override=args.out)
         if args.command == "generate":
             return cmd_generate(cfg)
         if args.command == "train":

@@ -138,11 +138,9 @@ class PipelineConfig:
     deim_rank: int
     tikhonov_lambda: float
     include_quadratic: bool
-    include_input: bool
     optimizer: OptimizerConfig
     output_dir: str
     snapshot_dir: str | None
-    seed: int = 0
     source: str = field(default="<config>", repr=False)
 
     def __post_init__(self):
@@ -171,7 +169,7 @@ class PipelineConfig:
         return os.path.join(base, f"snapshots_R{load:g}.txt")
 
 
-def load_pipeline_config(path=None, output_override=None, seed_override=None) -> PipelineConfig:
+def load_pipeline_config(path=None, output_override=None) -> PipelineConfig:
     """Build a PipelineConfig from a file (default: the bundled scenario)."""
     if path is None:
         from importlib import resources
@@ -231,9 +229,6 @@ def load_pipeline_config(path=None, output_override=None, seed_override=None) ->
     output_dir = rd.get_str("output_dir", "morcal_out")
     if output_override is not None:
         output_dir = output_override
-    seed = rd.get_int("seed", 0)
-    if seed_override is not None:
-        seed = seed_override
 
     cfg = PipelineConfig(
         fom=fom,
@@ -246,11 +241,9 @@ def load_pipeline_config(path=None, output_override=None, seed_override=None) ->
         deim_rank=rd.get_int("deim_rank", 8),
         tikhonov_lambda=rd.get_float("tikhonov_lambda", 1.0),
         include_quadratic=rd.get_bool("include_quadratic", False),
-        include_input=rd.get_bool("include_input", False),
         optimizer=optimizer,
         output_dir=output_dir,
         snapshot_dir=rd.get_str("snapshot_dir", None),
-        seed=seed,
         source=source,
     )
     rd.warn_unknown()

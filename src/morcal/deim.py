@@ -8,7 +8,7 @@ map so the exponential always sees physical temperatures.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class DeimOperators:
     arrhenius_exponent: float
     unscale_scale: np.ndarray  # (s,)
     unscale_shift: np.ndarray  # (s,)
-    nonlinearity_basis: np.ndarray | None = field(default=None, repr=False)  # (n, s)
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=int)
@@ -67,10 +66,6 @@ class DeimOperators:
             raise DataError("p1 and p2 shapes are inconsistent")
         if self.unscale_scale.shape != (s,) or self.unscale_shift.shape != (s,):
             raise DataError("unscale coefficients must have one entry per sample point")
-        if self.nonlinearity_basis is not None:
-            self.nonlinearity_basis = np.asarray(self.nonlinearity_basis, dtype=float)
-            if self.nonlinearity_basis.shape[1] != s:
-                raise DataError("nonlinearity basis must have s columns")
 
     @property
     def s(self) -> int:
@@ -110,8 +105,7 @@ def nonlinearity_snapshots(snapshots: SnapshotSet, cfg: FomConfig) -> np.ndarray
     if np.any(ts[mask, :] <= 0.0):
         raise NumericError("non-positive solid temperature in the snapshot data")
     out = np.zeros_like(data)
-    heat = snapshots.controls[:, 0]
-    out[npts:, :][mask, :] = arrhenius_source(ts[mask, :], heat[None, :], cfg)
+    out[npts:, :][mask, :] = arrhenius_source(ts[mask, :], snapshots.controls[None, :], cfg)
     return out
 
 
@@ -207,7 +201,6 @@ def build_deim_operators(
         arrhenius_exponent=arrhenius_exponent,
         unscale_scale=unscale_scale,
         unscale_shift=unscale_shift,
-        nonlinearity_basis=u_n,
     )
 
 
@@ -228,21 +221,3 @@ def reduced_arrhenius(ops: DeimOperators, s_red: np.ndarray, heat_load) -> np.nd
     values = np.exp(ops.arrhenius_exponent / t)
     return heat_load * ops.arrhenius_prefactor * (ops.p1 @ values)
 
-
-def arrhenius_jacobian(ops: DeimOperators, s_red: np.ndarray, heat_load: float) -> np.ndarray:
-    """Jacobian of reduced_arrhenius with respect to the reduced state.
-
-    Chain rule through the sampling map: d/dT exp(b/T) = exp(b/T) * (-b/T^2),
-    then T = unscale_scale * (p2 @ s) + unscale_shift.
-    """
-    t = ops.sample_temperatures(s_red)
-    if not t.min() > MIN_TEMPERATURE:
-        raise NumericError("sampled temperature out of range in jacobian evaluation")
-    w = (
-        heat_load
-        * ops.arrhenius_prefactor
-        * np.exp(ops.arrhenius_exponent / t)
-        * (-ops.arrhenius_exponent / t ** 2)
-        * ops.unscale_scale
-    )
-    return ops.p1 @ (w[:, None] * ops.p2)

@@ -106,11 +106,10 @@ class FomConfig:
 
 @dataclass
 class ControlSignal:
-    """Piecewise-constant heat load R(t) plus the inflow-rate derivative.
+    """Piecewise-constant heat load R(t), the only control of the model.
 
     ``heat_values[i]`` applies on ``[heat_times[i], heat_times[i+1])``; the
-    last value extends to infinity.  The coolant flow is constant in this
-    model, so the inflow-rate derivative is identically zero.
+    last value extends to infinity.
     """
 
     heat_times: np.ndarray
@@ -134,9 +133,6 @@ class ControlSignal:
         idx = np.clip(np.searchsorted(self.heat_times, t, side="right") - 1, 0, None)
         return self.heat_values[idx]
 
-    def inflow_rate_derivative(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
 
 @dataclass
 class FomTrajectory:
@@ -145,7 +141,7 @@ class FomTrajectory:
     times: np.ndarray  # (k,)
     states: np.ndarray  # (n, k)
     derivatives: np.ndarray | None  # (n, k) exact rhs at each saved state
-    controls: np.ndarray  # (k, 2) rows (R, v_I_dot) at the saved times
+    controls: np.ndarray  # (k,) heat load R at the saved times
     fields: list
 
     def __post_init__(self):
@@ -154,8 +150,8 @@ class FomTrajectory:
             raise DataError("trajectory arrays are inconsistent")
         if self.derivatives is not None and self.derivatives.shape != self.states.shape:
             raise DataError("derivative array must match the state array shape")
-        if self.controls.shape != (k, 2):
-            raise DataError("controls must have one (R, v_I_dot) row per saved state")
+        if self.controls.shape != (k,):
+            raise DataError("controls must hold one heat load per saved state")
         if k > 1 and np.any(np.diff(self.times) <= 0.0):
             raise DataError("times must be strictly increasing")
 
@@ -189,9 +185,8 @@ def fom_rhs(state, control, cfg: FomConfig):
     ----------
     state : (2*grid_points,) array, [T_c; T_s] stacked, or an
         (L, 2*grid_points) stack with one such state per row.
-    control : pair (R, v_I_dot) applied to every row, or for a stack an
-        (L, 2) block with one pair per row; the second entry is unused
-        because the coolant velocity is constant.
+    control : heat load R applied to every row, or for a stack an (L,)
+        vector with one load per row.
     cfg : FomConfig.
 
     Returns
@@ -204,12 +199,12 @@ def fom_rhs(state, control, cfg: FomConfig):
     if state.ndim not in (1, 2) or state.shape[-1] != cfg.n:
         raise DataError(f"state must have shape ({cfg.n},) or (L, {cfg.n}), got {state.shape}")
     control = np.asarray(control, dtype=float)
-    if control.ndim <= 1:
-        heat_load = float(control.ravel()[0])
-    elif state.ndim == 2 and control.shape == (state.shape[0], 2):
-        heat_load = control[:, 0:1]
+    if control.ndim == 0:
+        heat_load = float(control)
+    elif state.ndim == 2 and control.shape == (state.shape[0],):
+        heat_load = control[:, None]
     else:
-        raise DataError(f"control must be a pair or one pair per state row, got {control.shape}")
+        raise DataError(f"control must be a heat load or one per state row, got {control.shape}")
 
     npts = cfg.grid_points
     dx = cfg.dx
@@ -292,10 +287,8 @@ def fom_integrate(cfg: FomConfig, signal, save_every: int = 1):
 
     step_times = np.arange(n_steps + 1) * cfg.dt
     n_loads = len(signals)
-    # (step, load, control) block: row j is the control of every load at step j.
-    controls = np.zeros((n_steps + 1, n_loads, 2))
-    for i, sig in enumerate(signals):
-        controls[:, i, 0] = sig.heat_load(step_times)
+    # (step, load) block: row j is the heat load of every load at step j.
+    controls = np.column_stack([sig.heat_load(step_times) for sig in signals])
     saved = np.arange(0, n_steps + 1, save_every)
     k = saved.size
 
@@ -311,7 +304,7 @@ def fom_integrate(cfg: FomConfig, signal, save_every: int = 1):
         except NumericError as exc:
             solid_t = state[:, cfg.grid_points:][:, cfg.solid_mask > 0.0]
             bad = np.any(solid_t <= 0.0, axis=1)
-            raise _load_error(str(exc), j, cfg, bad, controls[j, :, 0]) from None
+            raise _load_error(str(exc), j, cfg, bad, controls[j]) from None
         if col < k and saved[col] == j:
             states[:, :, col] = state
             derivs[:, :, col] = rhs
@@ -320,14 +313,14 @@ def fom_integrate(cfg: FomConfig, signal, save_every: int = 1):
             state = state + cfg.dt * rhs
             if not np.all(np.isfinite(state)):
                 bad = ~np.all(np.isfinite(state), axis=1)
-                raise _load_error("non-finite state", j + 1, cfg, bad, controls[j, :, 0])
+                raise _load_error("non-finite state", j + 1, cfg, bad, controls[j])
 
     trajectories = [
         FomTrajectory(
             times=step_times[saved],
             states=states[i],
             derivatives=derivs[i],
-            controls=controls[saved, i, :],
+            controls=controls[saved, i],
             fields=cfg.fields(),
         )
         for i in range(n_loads)

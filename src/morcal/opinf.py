@@ -1,9 +1,9 @@
 """Operator inference: ridge-regularised least squares for reduced operators.
 
-Fits a linear operator, an optional quadratic operator acting on the
-symmetric Kronecker compression of the state, and an optional input
-operator, against reduced time-derivative data with any sampled source
-contribution subtracted beforehand.
+Fits a linear operator and an optional quadratic operator acting on the
+symmetric Kronecker compression of the state against reduced
+time-derivative data, with the sampled source contribution of the heat
+load subtracted beforehand.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,6 @@ __all__ = [
     "RomOperators",
     "OpinfConfig",
     "sym_kron",
-    "sym_kron_jacobian",
     "quadratic_size",
     "assemble_regression",
     "solve_opinf",
@@ -41,30 +40,12 @@ def sym_kron(s: np.ndarray) -> np.ndarray:
     return s[rows] * s[cols]
 
 
-def sym_kron_jacobian(s: np.ndarray) -> np.ndarray:
-    """Jacobian of sym_kron at a single state, shape (q, r)."""
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 1:
-        raise DataError("sym_kron_jacobian expects a single state vector")
-    r = s.shape[0]
-    rows, cols = np.triu_indices(r)
-    q = rows.size
-    jac = np.zeros((q, r))
-    entries = np.arange(q)
-    # d(s_i s_j)/ds_l = delta_il s_j + delta_jl s_i; the diagonal terms
-    # (i == j) receive both contributions and end up with 2 s_i.
-    np.add.at(jac, (entries, rows), s[cols])
-    np.add.at(jac, (entries, cols), s[rows])
-    return jac
-
-
 @dataclass
 class OpinfConfig:
     """Regression settings: regularisation weight and active blocks."""
 
     tikhonov_lambda: float = 1.0
     include_quadratic: bool = True
-    include_input: bool = True
 
     def __post_init__(self):
         if self.tikhonov_lambda < 0.0:
@@ -73,11 +54,10 @@ class OpinfConfig:
 
 @dataclass
 class RomOperators:
-    """Reduced operators: linear a, quadratic h (on sym_kron), input b."""
+    """Reduced operators: linear a and quadratic h (on sym_kron)."""
 
     a: np.ndarray  # (r, r)
     h: np.ndarray | None = None  # (r, q) with q = r(r+1)/2
-    b: np.ndarray | None = None  # (r, p)
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=float)
@@ -92,12 +72,6 @@ class RomOperators:
                 raise DataError(f"quadratic operator must have shape ({r}, {quadratic_size(r)})")
             if not np.all(np.isfinite(self.h)):
                 raise DataError("quadratic operator has non-finite entries")
-        if self.b is not None:
-            self.b = np.asarray(self.b, dtype=float)
-            if self.b.ndim != 2 or self.b.shape[0] != r or self.b.shape[1] < 1:
-                raise DataError("input operator must have shape (r, p)")
-            if not np.all(np.isfinite(self.b)):
-                raise DataError("input operator has non-finite entries")
 
     @property
     def r(self) -> int:
@@ -107,16 +81,8 @@ class RomOperators:
     def q(self) -> int:
         return 0 if self.h is None else self.h.shape[1]
 
-    @property
-    def p(self) -> int:
-        return 0 if self.b is None else self.b.shape[1]
-
     def copy(self) -> "RomOperators":
-        return RomOperators(
-            a=self.a.copy(),
-            h=None if self.h is None else self.h.copy(),
-            b=None if self.b is None else self.b.copy(),
-        )
+        return RomOperators(a=self.a.copy(), h=None if self.h is None else self.h.copy())
 
 
 def assemble_regression(
@@ -132,55 +98,47 @@ def assemble_regression(
     ----------
     reduced_states : (r, m) reduced coordinates per column.
     reduced_derivatives : (r, m) reduced time derivatives per column.
-    controls : (m, 2) rows (R, v_I_dot).
+    controls : (m,) heat load R per column.
     deim_ops : sampled source operators whose contribution is subtracted
         from the derivatives, or None when no source term is present.
     config : block flags; the regularisation weight is used by solve_opinf.
 
     Returns
     -------
-    design : (m, d) with feature blocks [state, sym_kron(state), input].
+    design : (m, d) with feature blocks [state, sym_kron(state)].
     target : (m, r).
     """
     s = np.asarray(reduced_states, dtype=float)
     if reduced_derivatives is None:
         raise DataError(
-            "reduced derivatives are missing; run estimate_derivatives or "
-            "provide exact derivative data"
+            "reduced derivatives are missing; regenerate the snapshots so that "
+            "they carry exact derivative data"
         )
     d = np.asarray(reduced_derivatives, dtype=float)
     controls = np.asarray(controls, dtype=float)
     if s.ndim != 2 or d.shape != s.shape:
         raise DataError("states and derivatives must be (r, m) with equal shapes")
     m = s.shape[1]
-    if controls.shape != (m, 2):
-        raise DataError("controls must have shape (m, 2)")
+    if controls.shape != (m,):
+        raise DataError("controls must hold one heat load per column")
 
     blocks = [s.T]
     if config.include_quadratic:
         blocks.append(sym_kron(s).T)
-    if config.include_input:
-        blocks.append(controls[:, 1:2])
     design = np.hstack(blocks)
 
     target = d.T.copy()
     if deim_ops is not None:
-        target -= reduced_arrhenius(deim_ops, s, controls[:, 0]).T
+        target -= reduced_arrhenius(deim_ops, s, controls).T
     return design, target
 
 
-def solve_opinf(
-    design: np.ndarray,
-    target: np.ndarray,
-    tikhonov_lambda: float,
-    config: OpinfConfig | None = None,
-) -> RomOperators:
-    """Minimise |design O^T - target|_F^2 + lambda |O|_F^2 for O = [a h b].
+def solve_opinf(design: np.ndarray, target: np.ndarray, tikhonov_lambda: float) -> RomOperators:
+    """Minimise |design O^T - target|_F^2 + lambda |O|_F^2 for O = [a h].
 
-    The block layout of the feature columns is taken from ``config``; when
-    omitted it is inferred from the column count (possible only when the
-    sizes are unambiguous).  A rank-deficient system with lambda = 0 is
-    refused.
+    The block layout is read from the column count: r columns hold the
+    linear block alone, r + r(r+1)/2 add the quadratic block.  A
+    rank-deficient system with lambda = 0 is refused.
     """
     design = np.asarray(design, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -190,29 +148,8 @@ def solve_opinf(
         raise ConfigError("tikhonov_lambda must be nonnegative")
     m, d = design.shape
     r = target.shape[1]
-
-    if config is not None:
-        expected = r + (quadratic_size(r) if config.include_quadratic else 0) + (
-            1 if config.include_input else 0
-        )
-        if expected != d:
-            raise DataError(f"design has {d} columns but the block layout implies {expected}")
-        include_quadratic = config.include_quadratic
-        include_input = config.include_input
-    else:
-        q = quadratic_size(r)
-        layouts = [
-            (r, (False, False)),
-            (r + q, (True, False)),
-            (r + 1, (False, True)),
-            (r + q + 1, (True, True)),
-        ]
-        matches = [flags for size, flags in layouts if size == d]
-        if not matches:
-            raise DataError(f"design column count {d} fits no block layout for r={r}")
-        if len(matches) > 1:
-            raise ConfigError("block layout is ambiguous; pass an OpinfConfig")
-        include_quadratic, include_input = matches[0]
+    if d not in (r, r + quadratic_size(r)):
+        raise DataError(f"design column count {d} fits no block layout for r={r}")
 
     if tikhonov_lambda == 0.0 and np.linalg.matrix_rank(design) < d:
         raise NumericError(
@@ -224,13 +161,4 @@ def solve_opinf(
     padded = np.vstack([target, np.zeros((d, r))])
     solution, _, _, _ = np.linalg.lstsq(augmented, padded, rcond=None)
     operators = solution.T  # (r, d)
-
-    a = operators[:, :r]
-    pos = r
-    h = None
-    if include_quadratic:
-        q = quadratic_size(r)
-        h = operators[:, pos : pos + q]
-        pos += q
-    b = operators[:, pos : pos + 1] if include_input else None
-    return RomOperators(a=a, h=h, b=b)
+    return RomOperators(a=operators[:, :r], h=operators[:, r:] if d > r else None)

@@ -17,8 +17,6 @@ __all__ = [
     "PodBasis",
     "compute_pod",
     "project",
-    "lift",
-    "reconstruction_error_curve",
     "save_basis",
     "load_basis",
 ]
@@ -84,43 +82,6 @@ def project(basis: PodBasis, x: np.ndarray) -> np.ndarray:
     if x.shape[0] != basis.n:
         raise DataError(f"cannot project: expected leading dimension {basis.n}, got {x.shape[0]}")
     return basis.basis.T @ x
-
-def lift(basis: PodBasis, y: np.ndarray) -> np.ndarray:
-    """Full-order reconstruction U y of reduced coordinates."""
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] != basis.r:
-        raise DataError(f"cannot lift: expected leading dimension {basis.r}, got {y.shape[0]}")
-    return basis.basis @ y
-
-
-def reconstruction_error_curve(training: np.ndarray, validation: np.ndarray | None, r_max: int):
-    """Worst-column mean-squared reconstruction error for each rank.
-
-    For r = 1..r_max the error of a column x is |x - U_r U_r^T x|^2 / n with
-    U_r fitted on the training matrix.  Returns a pair of arrays (training,
-    validation); the second is None when no validation matrix is given.
-    """
-    training = np.asarray(training, dtype=float)
-    if not 1 <= r_max <= min(training.shape):
-        raise ConfigError(f"r_max must satisfy 1 <= r_max <= {min(training.shape)}")
-    u, _, _ = np.linalg.svd(training, full_matrices=False)
-    u = u[:, :r_max]
-
-    def curve(mat):
-        n = mat.shape[0]
-        total = np.sum(mat ** 2, axis=0)
-        coeffs = u.T @ mat
-        captured = np.cumsum(coeffs ** 2, axis=0)
-        residual = np.maximum(total[None, :] - captured, 0.0)
-        return np.max(residual, axis=1) / n
-
-    train_curve = curve(training)
-    if validation is None:
-        return train_curve, None
-    validation = np.asarray(validation, dtype=float)
-    if validation.shape[0] != training.shape[0]:
-        raise DataError("validation columns must match the training state dimension")
-    return train_curve, curve(validation)
 
 
 def save_basis(basis: PodBasis, path) -> None:

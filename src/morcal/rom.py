@@ -111,7 +111,7 @@ def rom_vs_projected_error(model: RomModel, trajectory) -> ErrorReport:
     ``trajectory`` is a FomTrajectory in physical units.  Its states are
     scaled with the model's scaling spec, projected onto the basis, and the
     rollout starts from the projected initial state using the trajectory's
-    own control sequence.  Steps inside the switch-off window are excluded
+    own heat loads.  Steps inside the switch-off window are excluded
     from the aggregate mean (they remain in the per-step curve).
     """
     if model.basis is None or model.basis.scaling is None:
@@ -134,7 +134,7 @@ def rom_vs_projected_error(model: RomModel, trajectory) -> ErrorReport:
     num = np.sum((rolled - projected) ** 2, axis=0)
     den = np.maximum(np.sum(projected ** 2, axis=0), 1e-300)
     errors = num / den
-    flags = switch_off_window(trajectory.controls[:, 0])
+    flags = switch_off_window(trajectory.controls)
     outside = ~flags
     mean_outside = float(np.mean(errors[outside])) if np.any(outside) else float("nan")
     return ErrorReport(
@@ -217,11 +217,11 @@ def save_rom(model: RomModel, path, include_basis: bool = True) -> None:
         fh.write(f"version={ROM_FORMAT_VERSION}\n")
         fh.write(f"r={ops.r}\n")
         fh.write(f"s={0 if model.deim is None else model.deim.s}\n")
-        fh.write(f"p={ops.p}\n")
+        fh.write("p=0\n")  # no input operator; kept for format version 1
         fh.write(f"dt={fmt_float(model.dt)}\n")
         _write_matrix(fh, "A", ops.a)
         _write_matrix(fh, "H", ops.h)
-        _write_matrix(fh, "B", ops.b)
+        _write_matrix(fh, "B", None)
         _write_matrix(fh, "P1", None if model.deim is None else model.deim.p1)
         _write_matrix(fh, "P2", None if model.deim is None else model.deim.p2)
         fh.write("[deim]\n")
@@ -262,21 +262,20 @@ def load_rom(path) -> RomModel:
             )
         r = parse_int(rd.expect_kv("r"), rd, "r")
         s = parse_int(rd.expect_kv("s"), rd, "s")
-        p = parse_int(rd.expect_kv("p"), rd, "p")
+        parse_int(rd.expect_kv("p"), rd, "p")  # input count; no input operator is read
         dt = parse_float(rd.expect_kv("dt"), rd, "dt")
 
         a = _read_matrix(rd, "A")
         h = _read_matrix(rd, "H")
-        b = _read_matrix(rd, "B")
+        if _read_matrix(rd, "B") is not None:
+            raise DataError(f"{path}: input operator [B] is not supported; it must be empty")
         p1 = _read_matrix(rd, "P1")
         p2 = _read_matrix(rd, "P2")
         if a is None or a.shape != (r, r):
             raise DataError(f"{path}: linear operator must be {r} x {r}")
         if h is not None and h.shape[1] != quadratic_size(r):
             raise DataError(f"{path}: quadratic operator has the wrong column count")
-        if b is not None and b.shape[1] != p:
-            raise DataError(f"{path}: input operator has the wrong column count")
-        operators = RomOperators(a=a, h=h, b=b)
+        operators = RomOperators(a=a, h=h)
 
         if rd.next_line("'[deim]' header").strip() != "[deim]":
             raise rd.error("expected '[deim]' section")

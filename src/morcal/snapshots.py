@@ -1,17 +1,17 @@
-"""Snapshot assembly, scaling, derivative estimation, and snapshot files.
+"""Snapshot assembly, scaling, and snapshot files.
 
 A snapshot set stacks one or more trajectories column-wise into an n x m
-matrix, keeping trajectory boundaries, per-column controls, and the field
-layout of the state vector.  Scaling standardises each field block by its
-mean and standard deviation; derivative columns are divided by the scale
-only, since shifting does not change a time derivative.
+matrix, keeping trajectory boundaries, the heat load of each column, and
+the field layout of the state vector.  Scaling standardises each field
+block by its mean and standard deviation; derivative columns are divided by
+the scale only, since shifting does not change a time derivative.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from morcal.errors import ConfigError, DataError
+from morcal.errors import DataError
 from morcal.fom import FomTrajectory
 from morcal.textio import (
     TextReader,
@@ -27,13 +27,10 @@ __all__ = [
     "ScalingSpec",
     "SnapshotSet",
     "assemble_snapshots",
-    "split_trajectories",
     "concat_snapshot_sets",
     "to_trajectories",
     "fit_scaling",
     "apply_scaling",
-    "invert_scaling",
-    "estimate_derivatives",
     "save_snapshots",
     "load_snapshots",
 ]
@@ -108,10 +105,6 @@ class ScalingSpec:
         d = np.asarray(d, dtype=float)
         return d / self.row_scale.reshape(-1, *([1] * (d.ndim - 1)))
 
-    def unscale_derivative_array(self, d: np.ndarray) -> np.ndarray:
-        d = np.asarray(d, dtype=float)
-        return d * self.row_scale.reshape(-1, *([1] * (d.ndim - 1)))
-
 
 @dataclass
 class SnapshotSet:
@@ -120,7 +113,7 @@ class SnapshotSet:
     data: np.ndarray  # (n, m)
     trajectory_offsets: np.ndarray  # (l+1,) column offsets, first 0, last m
     times: list  # per-trajectory time vectors
-    controls: np.ndarray  # (m, 2) rows (R, v_I_dot)
+    controls: np.ndarray  # (m,) heat load R per column
     fields: list  # (name, start, end)
     derivatives: np.ndarray | None = None
     scaling: ScalingSpec | None = field(default=None, repr=False)
@@ -138,8 +131,8 @@ class SnapshotSet:
         for t, count in zip(self.times, np.diff(off)):
             if np.asarray(t).shape != (count,):
                 raise DataError("time vector length must match the trajectory column count")
-        if self.controls.shape != (m, 2):
-            raise DataError("controls must have shape (m, 2)")
+        if self.controls.shape != (m,):
+            raise DataError("controls must hold one heat load per column")
         if self.derivatives is not None:
             self.derivatives = np.asarray(self.derivatives, dtype=float)
             if self.derivatives.shape != self.data.shape:
@@ -180,7 +173,7 @@ def assemble_snapshots(trajectories) -> SnapshotSet:
         data=np.hstack([t.states for t in trajectories]),
         trajectory_offsets=offsets,
         times=[np.asarray(t.times, dtype=float) for t in trajectories],
-        controls=np.vstack([t.controls for t in trajectories]),
+        controls=np.concatenate([t.controls for t in trajectories]),
         fields=list(first.fields),
         derivatives=None
         if first.derivatives is None
@@ -197,26 +190,8 @@ def to_trajectories(snapshots: SnapshotSet):
                 times=np.asarray(snapshots.times[i], dtype=float),
                 states=snapshots.data[:, sl],
                 derivatives=None if snapshots.derivatives is None else snapshots.derivatives[:, sl],
-                controls=snapshots.controls[sl, :],
+                controls=snapshots.controls[sl],
                 fields=list(snapshots.fields),
-            )
-        )
-    return out
-
-
-def split_trajectories(snapshots: SnapshotSet):
-    """Split a multi-trajectory set into single-trajectory sets."""
-    out = []
-    for i, sl in enumerate(snapshots.trajectory_slices()):
-        out.append(
-            SnapshotSet(
-                data=snapshots.data[:, sl],
-                trajectory_offsets=np.array([0, sl.stop - sl.start]),
-                times=[snapshots.times[i]],
-                controls=snapshots.controls[sl, :],
-                fields=list(snapshots.fields),
-                derivatives=None if snapshots.derivatives is None else snapshots.derivatives[:, sl],
-                scaling=snapshots.scaling,
             )
         )
     return out
@@ -241,7 +216,7 @@ def concat_snapshot_sets(sets) -> SnapshotSet:
         data=np.hstack([s.data for s in sets]),
         trajectory_offsets=offsets,
         times=times,
-        controls=np.vstack([s.controls for s in sets]),
+        controls=np.concatenate([s.controls for s in sets]),
         fields=list(first.fields),
         derivatives=None
         if first.derivatives is None
@@ -284,49 +259,6 @@ def apply_scaling(snapshots: SnapshotSet, spec: ScalingSpec) -> SnapshotSet:
     )
 
 
-def invert_scaling(snapshots: SnapshotSet, spec: ScalingSpec | None = None) -> SnapshotSet:
-    """Undo apply_scaling; spec defaults to the one recorded on the set."""
-    spec = spec if spec is not None else snapshots.scaling
-    if spec is None:
-        raise DataError("snapshot set carries no scaling spec to invert")
-    return SnapshotSet(
-        data=spec.unscale_array(snapshots.data),
-        trajectory_offsets=snapshots.trajectory_offsets.copy(),
-        times=[t.copy() for t in snapshots.times],
-        controls=snapshots.controls.copy(),
-        fields=list(snapshots.fields),
-        derivatives=None
-        if snapshots.derivatives is None
-        else spec.unscale_derivative_array(snapshots.derivatives),
-        scaling=None,
-    )
-
-
-def estimate_derivatives(snapshots: SnapshotSet) -> np.ndarray:
-    """Finite-difference time derivatives, second order, per trajectory.
-
-    Central differences at interior columns and one-sided three-point
-    stencils at the trajectory ends; exact for polynomials up to degree 2.
-    Requires at least three columns per trajectory and uniform spacing.
-    """
-    out = np.empty_like(snapshots.data)
-    for sl, times in zip(snapshots.trajectory_slices(), snapshots.times):
-        k = sl.stop - sl.start
-        if k < 3:
-            raise DataError("derivative estimation needs at least 3 columns per trajectory")
-        steps = np.diff(times)
-        dt = steps[0]
-        if dt <= 0.0 or not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
-            raise DataError("derivative estimation requires uniform time spacing")
-        x = snapshots.data[:, sl]
-        d = np.empty_like(x)
-        d[:, 1:-1] = (x[:, 2:] - x[:, :-2]) / (2.0 * dt)
-        d[:, 0] = (-3.0 * x[:, 0] + 4.0 * x[:, 1] - x[:, 2]) / (2.0 * dt)
-        d[:, -1] = (3.0 * x[:, -1] - 4.0 * x[:, -2] + x[:, -3]) / (2.0 * dt)
-        out[:, sl] = d
-    return out
-
-
 def _uniform_dt(snapshots: SnapshotSet) -> float:
     dts = []
     for times in snapshots.times:
@@ -365,8 +297,8 @@ def save_snapshots(snapshots: SnapshotSet, path) -> None:
             for j in range(snapshots.m):
                 fh.write(fmt_row(snapshots.derivatives[:, j]) + "\n")
         fh.write("controls\n")
-        for j in range(snapshots.m):
-            fh.write(fmt_row(snapshots.controls[j, :]) + "\n")
+        for load in snapshots.controls:
+            fh.write(fmt_float(load) + "\n")
 
 
 def load_snapshots(path) -> SnapshotSet:
@@ -398,7 +330,7 @@ def load_snapshots(path) -> SnapshotSet:
             derivatives = np.ascontiguousarray(rd.read_rows(m, n, "derivative row").T)
         if rd.next_line("'controls' marker").strip() != "controls":
             raise rd.error("expected 'controls' section")
-        controls = rd.read_rows(m, 2, "control row")
+        controls = rd.read_rows(m, 1, "control row")[:, 0]
 
         times = [np.arange(int(c)) * dt for c in np.diff(offsets)]
         return SnapshotSet(

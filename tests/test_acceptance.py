@@ -8,6 +8,7 @@ import math
 import os
 import time
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,17 +68,13 @@ def _gradient_check_problem(rng, r=3, k=40, l=2):
         unscale_shift=np.full(s, 533.15),
     )
     trajectories = [0.2 * rng.standard_normal((r, k + 1)) for _ in range(l)]
-    controls = [
-        np.column_stack([rng.uniform(0.5, 1.5, k + 1), rng.standard_normal(k + 1)])
-        for _ in range(l)
-    ]
+    controls = [rng.uniform(0.5, 1.5, k + 1) for _ in range(l)]
     problem = CalibrationProblem(
         reduced_trajectories=trajectories, controls=controls, dt=0.05, deim=deim
     )
     ops = RomOperators(
         a=0.1 * rng.standard_normal((r, r)),
         h=0.02 * rng.standard_normal((r, quadratic_size(r))),
-        b=0.1 * rng.standard_normal((r, 1)),
     )
     return ops, problem
 
@@ -89,7 +86,7 @@ def test_criterion_1_adjoint_gradient_matches_finite_differences():
     grad = adjoint_gradient(ops, problem)
 
     rel_errors = {}
-    for name in ("a", "h", "b"):
+    for name in ("a", "h"):
         block = getattr(ops, name)
         fd = np.zeros_like(block)
         for idx in np.ndindex(block.shape):
@@ -147,7 +144,6 @@ def test_criterion_3_operator_inference_exact_recovery():
     q = quadratic_size(r)
     a_true = rng.standard_normal((r, r))
     h_true = 0.3 * rng.standard_normal((r, q))
-    b_true = rng.standard_normal((r, 1))
     deim = DeimOperators(
         indices=np.arange(3),
         p1=0.1 * rng.standard_normal((r, 3)),
@@ -158,23 +154,18 @@ def test_criterion_3_operator_inference_exact_recovery():
         unscale_shift=np.full(3, 533.15),
     )
     states = rng.standard_normal((r, m))
-    controls = np.column_stack([rng.uniform(0.5, 1.5, m), rng.standard_normal(m)])
+    controls = rng.uniform(0.5, 1.5, m)
     from morcal.deim import reduced_arrhenius
 
     derivs = (
         a_true @ states
         + h_true @ sym_kron(states)
-        + b_true @ controls[:, 1][None, :]
-        + reduced_arrhenius(deim, states, controls[:, 0])
+        + reduced_arrhenius(deim, states, controls)
     )
     cfg = OpinfConfig()
     design, target = assemble_regression(states, derivs, controls, deim, cfg)
-    ops = solve_opinf(design, target, 0.0, cfg)
-    worst = max(
-        np.max(np.abs(ops.a - a_true)),
-        np.max(np.abs(ops.h - h_true)),
-        np.max(np.abs(ops.b - b_true)),
-    )
+    ops = solve_opinf(design, target, 0.0)
+    worst = max(np.max(np.abs(ops.a - a_true)), np.max(np.abs(ops.h - h_true)))
     ok = worst < 1e-6
     _verdict(
         3,
@@ -293,8 +284,8 @@ def test_criterion_6_reference_operator_fixture():
 
     s0 = np.linalg.solve(deim.p2, np.full(8, 533.15))
     k_on, k_off = 60, 30
-    controls = np.zeros((k_on + k_off, 2))
-    controls[:k_on, 0] = 1.0
+    controls = np.zeros(k_on + k_off)
+    controls[:k_on] = 1.0
     try:
         rolled = simulate_rom(model, s0, controls, k_on + k_off)
         t_samples = deim.sample_temperatures(rolled)
@@ -328,20 +319,17 @@ def test_criterion_7_optimizer_descends_and_recovers():
     true_ops = RomOperators(
         a=np.array([[-0.5, 0.2, 0.0], [0.1, -0.4, 0.1], [0.0, 0.2, -0.6]]),
         h=None,
-        b=np.array([[0.3], [-0.1], [0.2]]),
     )
-    controls = np.column_stack([np.ones(k + 1), np.sin(0.25 * np.arange(k + 1))])
+    controls = np.ones(k + 1)
     states = forward_rollout(true_ops, None, np.array([1.0, -0.5, 0.25]), controls, 0.1, k)
     problem = CalibrationProblem(
         reduced_trajectories=[states],
         controls=[controls],
         dt=0.1,
         include_quadratic=False,
-        include_input=True,
     )
     start = true_ops.copy()
     start.a = start.a + 0.05 * rng.standard_normal((r, r))
-    start.b = start.b + 0.05 * rng.standard_normal((r, 1))
     f0 = objective(start, problem)
     fitted, report = calibrate(
         start,
@@ -385,8 +373,8 @@ def test_criterion_8_reruns_are_byte_identical(bundled_run, tmp_path):
     names = sorted(os.listdir(outputs[0]))
     mismatched = []
     for name in names:
-        first = open(os.path.join(outputs[0], name), "rb").read()
-        second = open(os.path.join(outputs[1], name), "rb").read()
+        first = Path(outputs[0], name).read_bytes()
+        second = Path(outputs[1], name).read_bytes()
         if first != second:
             mismatched.append(name)
     ok = not mismatched and len(names) >= 10

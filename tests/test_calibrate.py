@@ -1,5 +1,6 @@
 """Rollout, objective, adjoint gradient, and the quasi-Newton loop."""
 
+import importlib
 import math
 
 import numpy as np
@@ -12,13 +13,14 @@ from morcal.calibrate import (
     calibrate,
     forward_rollout,
     objective,
-    reset_sweep_counters,
-    sweep_counters,
-    theta,
 )
-from morcal.deim import DeimOperators, arrhenius_jacobian
+from morcal.deim import DeimOperators
 from morcal.errors import ConfigError, DataError, NumericError
-from morcal.opinf import RomOperators, quadratic_size, sym_kron, sym_kron_jacobian
+from morcal.opinf import RomOperators, quadratic_size, sym_kron
+from oracles import arrhenius_jacobian, sym_kron_jacobian, theta
+
+# The module itself: the package attribute ``morcal.calibrate`` is the function.
+calibrate_mod = importlib.import_module("morcal.calibrate")
 
 # Hand-stepped mismatch for a = 0.5, dt = 0.1, s0 = 1, targets (1, 1.2, 1.1):
 # states 1.05 and 1.1025, squared errors 0.0225 and 0.00000625.
@@ -26,7 +28,7 @@ HAND_OBJECTIVE = 0.022506249999999974
 
 
 def _linear_ops(a):
-    return RomOperators(a=np.atleast_2d(np.asarray(a, dtype=float)), h=None, b=None)
+    return RomOperators(a=np.atleast_2d(np.asarray(a, dtype=float)), h=None)
 
 
 def _deim_ops(rng, r, s=3):
@@ -45,19 +47,29 @@ def _deim_ops(rng, r, s=3):
 
 def test_rollout_matches_geometric_closed_form():
     alpha, dt, k = -0.3, 0.05, 10
-    out = forward_rollout(_linear_ops([[alpha]]), None, np.array([2.0]), np.zeros((k, 2)), dt, k)
+    out = forward_rollout(_linear_ops([[alpha]]), None, np.array([2.0]), np.zeros(k), dt, k)
     assert out.shape == (1, k + 1)
     want = 2.0 * (1.0 + dt * alpha) ** np.arange(k + 1)
     assert np.allclose(out[0, :], want, rtol=1e-13)
 
 
 def test_rollout_uses_left_endpoint_controls(rng):
-    """Control row j drives the step from state j to state j+1."""
+    """Heat load j drives the step from state j to state j+1."""
     r = 2
-    ops = RomOperators(a=np.zeros((r, r)), h=None, b=np.array([[1.0], [0.0]]))
-    controls = np.zeros((3, 2))
-    controls[0, 1] = 5.0  # only the first step sees this input
-    out = forward_rollout(ops, None, np.zeros(r), controls, 0.1, 3)
+    ops = RomOperators(a=np.zeros((r, r)), h=None)
+    # A zero exponent makes the sampled source R * p1, whatever the state.
+    deim = DeimOperators(
+        indices=np.arange(1),
+        p1=np.array([[1.0], [0.0]]),
+        p2=np.zeros((1, r)),
+        arrhenius_prefactor=1.0,
+        arrhenius_exponent=0.0,
+        unscale_scale=np.ones(1),
+        unscale_shift=np.full(1, 533.15),
+    )
+    controls = np.zeros(3)
+    controls[0] = 5.0  # only the first step sees this load
+    out = forward_rollout(ops, deim, np.zeros(r), controls, 0.1, 3)
     assert np.allclose(out[:, 1], [0.5, 0.0])
     assert np.allclose(out[:, 3], [0.5, 0.0])
 
@@ -66,34 +78,29 @@ def test_rollout_uses_left_endpoint_controls(rng):
 def test_rollout_aborts_on_blowup():
     ops = _linear_ops([[1e8]])
     with pytest.raises(NumericError) as err:
-        forward_rollout(ops, None, np.array([1e300]), np.zeros((5, 2)), 1.0, 5)
+        forward_rollout(ops, None, np.array([1e300]), np.zeros(5), 1.0, 5)
     assert "step" in str(err.value)
 
 
 def test_theta_assembles_all_terms(rng):
     r = 3
     q = quadratic_size(r)
-    ops = RomOperators(
-        a=rng.standard_normal((r, r)),
-        h=rng.standard_normal((r, q)),
-        b=rng.standard_normal((r, 1)),
-    )
+    ops = RomOperators(a=rng.standard_normal((r, r)), h=rng.standard_normal((r, q)))
     deim = _deim_ops(rng, r)
     s = 0.1 * rng.standard_normal(r)
-    u = np.array([1.2, 0.7])
+    load = 1.2
     from morcal.deim import reduced_arrhenius
 
-    want = ops.a @ s + ops.h @ sym_kron(s) + ops.b[:, 0] * u[1] + reduced_arrhenius(deim, s, u[0])
-    assert np.allclose(theta(ops, deim, s, u), want, rtol=1e-13)
+    want = ops.a @ s + ops.h @ sym_kron(s) + reduced_arrhenius(deim, s, load)
+    assert np.allclose(theta(ops, deim, s, load), want, rtol=1e-13)
 
 
 def test_objective_hand_computed_value():
     problem = CalibrationProblem(
         reduced_trajectories=[np.array([[1.0, 1.2, 1.1]])],
-        controls=[np.zeros((3, 2))],
+        controls=[np.zeros(3)],
         dt=0.1,
         include_quadratic=False,
-        include_input=False,
     )
     got = objective(_linear_ops([[0.5]]), problem)
     assert math.isclose(got, HAND_OBJECTIVE, rel_tol=1e-14)
@@ -103,7 +110,7 @@ def test_objective_hand_computed_value():
 def test_objective_is_infinite_when_rollout_fails():
     problem = CalibrationProblem(
         reduced_trajectories=[np.array([[1e300, 1.0, 1.0]])],
-        controls=[np.zeros((3, 2))],
+        controls=[np.zeros(3)],
         dt=1.0,
     )
     assert objective(_linear_ops([[1e8]]), problem) == math.inf
@@ -115,15 +122,13 @@ def _random_problem(rng, r=3, k=40, l=2, with_deim=True, with_blocks=True):
     controls = []
     for _ in range(l):
         trajectories.append(0.2 * rng.standard_normal((r, k + 1)))
-        ctrl = np.column_stack([rng.uniform(0.5, 1.5, k + 1), rng.standard_normal(k + 1)])
-        controls.append(ctrl)
+        controls.append(rng.uniform(0.5, 1.5, k + 1))
     return CalibrationProblem(
         reduced_trajectories=trajectories,
         controls=controls,
         dt=0.05,
         deim=deim,
         include_quadratic=with_blocks,
-        include_input=with_blocks,
     )
 
 
@@ -132,7 +137,6 @@ def _random_ops(rng, r=3, with_blocks=True):
     return RomOperators(
         a=0.1 * rng.standard_normal((r, r)),
         h=0.02 * rng.standard_normal((r, q)) if with_blocks else None,
-        b=0.1 * rng.standard_normal((r, 1)) if with_blocks else None,
     )
 
 
@@ -140,15 +144,13 @@ def _flatten(ops):
     parts = [ops.a.ravel()]
     if ops.h is not None:
         parts.append(ops.h.ravel())
-    if ops.b is not None:
-        parts.append(ops.b.ravel())
     return np.concatenate(parts)
 
 
 def _fd_gradient(ops, problem):
     """Central differences over every operator entry."""
     grads = []
-    for name in ("a", "h", "b"):
+    for name in ("a", "h"):
         block = getattr(ops, name)
         if block is None:
             continue
@@ -178,7 +180,7 @@ def test_adjoint_gradient_without_optional_blocks(rng):
     problem = _random_problem(rng, with_blocks=False)
     ops = _random_ops(rng, with_blocks=False)
     grad = adjoint_gradient(ops, problem)
-    assert grad.h is None and grad.b is None
+    assert grad.h is None
     rel = np.linalg.norm(_flatten(grad) - _fd_gradient(ops, problem)) / np.linalg.norm(
         _flatten(grad)
     )
@@ -203,7 +205,7 @@ def _reference_objective_and_gradient(ops, problem):
     """Per-trajectory rollout and adjoint built from theta and its jacobian."""
     dt, deim = problem.dt, problem.deim
     total = 0.0
-    grad_a, grad_h, grad_b = np.zeros_like(ops.a), np.zeros_like(ops.h), np.zeros_like(ops.b)
+    grad_a, grad_h = np.zeros_like(ops.a), np.zeros_like(ops.h)
     rollouts = []
     for data, ctrl in zip(problem.reduced_trajectories, problem.controls):
         k = data.shape[1] - 1
@@ -219,11 +221,10 @@ def _reference_objective_and_gradient(ops, problem):
             s = rolled[:, j]
             grad_a += dt * np.outer(mu, s)
             grad_h += dt * np.outer(mu, sym_kron(s))
-            grad_b[:, 0] += dt * ctrl[j, 1] * mu
             if j > 0:
-                jac = ops.a + ops.h @ sym_kron_jacobian(s) + arrhenius_jacobian(deim, s, ctrl[j, 0])
+                jac = ops.a + ops.h @ sym_kron_jacobian(s) + arrhenius_jacobian(deim, s, ctrl[j])
                 mu = 2.0 * diff[:, j] + mu + dt * (jac.T @ mu)
-    return total, RomOperators(a=grad_a, h=grad_h, b=grad_b), rollouts
+    return total, RomOperators(a=grad_a, h=grad_h), rollouts
 
 
 def test_batched_kernel_matches_per_trajectory_reference_on_ragged_lengths(rng):
@@ -231,7 +232,7 @@ def test_batched_kernel_matches_per_trajectory_reference_on_ragged_lengths(rng):
     trajectories, controls = [], []
     for k in (40, 25, 40, 12, 25):
         trajectories.append(0.2 * rng.standard_normal((r, k + 1)))
-        controls.append(np.column_stack([rng.uniform(0.5, 1.5, k + 1), rng.standard_normal(k + 1)]))
+        controls.append(rng.uniform(0.5, 1.5, k + 1))
     problem = CalibrationProblem(
         reduced_trajectories=trajectories, controls=controls, dt=0.05, deim=_deim_ops(rng, r)
     )
@@ -241,7 +242,7 @@ def test_batched_kernel_matches_per_trajectory_reference_on_ragged_lengths(rng):
 
     assert math.isclose(objective(ops, problem), want_f, rel_tol=1e-12)
     grad = adjoint_gradient(ops, problem)
-    for name in ("a", "h", "b"):
+    for name in ("a", "h"):
         got, want = getattr(grad, name), getattr(want_grad, name)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
     for data, ctrl, want in zip(problem.reduced_trajectories, problem.controls, want_rollouts):
@@ -263,57 +264,72 @@ def test_rollout_guards_name_the_failing_step():
         unscale_shift=np.zeros(1),
     )
     with pytest.raises(NumericError, match="temperature .* at rollout step 4 "):
-        forward_rollout(_linear_ops([[-1.0]]), deim, np.array([8.0]), np.ones((6, 2)), 0.5, 6)
+        forward_rollout(_linear_ops([[-1.0]]), deim, np.array([8.0]), np.ones(6), 0.5, 6)
     # States 1e250, 1e300, inf: the third step leaves the finite range.
     with pytest.raises(NumericError, match="non-finite reduced state at rollout step 3$"):
-        forward_rollout(_linear_ops([[1e50]]), None, np.array([1e200]), np.zeros((5, 2)), 1.0, 5)
+        forward_rollout(_linear_ops([[1e50]]), None, np.array([1e200]), np.zeros(5), 1.0, 5)
 
 
-def test_calibrate_sweeps_forward_once_per_evaluation_and_backward_once_per_iterate(rng):
+@pytest.fixture
+def sweep_counters(monkeypatch):
+    """Trajectories swept forward and backward, counted around the kernels.
+
+    A forward sweep steps a stack of trajectories, one per column of its
+    start state; a gradient sweeps every training trajectory backward once.
+    """
+    counts = {"forward": 0, "backward": 0}
+    forward, gradient = calibrate_mod._forward, calibrate_mod._gradient
+
+    def counting_forward(f, s0, heat):
+        counts["forward"] += s0.shape[1]
+        return forward(f, s0, heat)
+
+    def counting_gradient(ev, problem):
+        counts["backward"] += sum(batch.data.shape[2] for batch in problem.batches)
+        return gradient(ev, problem)
+
+    monkeypatch.setattr(calibrate_mod, "_forward", counting_forward)
+    monkeypatch.setattr(calibrate_mod, "_gradient", counting_gradient)
+    return counts
+
+
+def test_calibrate_sweeps_forward_once_per_evaluation_and_backward_once_per_iterate(
+    rng, sweep_counters
+):
     problem = _random_problem(rng, l=3)
     ops = _random_ops(rng)
-    reset_sweep_counters()
     _, report = calibrate(ops, problem, OptimizerConfig(max_iterations=6))
     assert report.iterations == 6 and report.evaluations >= report.iterations + 1
-    assert sweep_counters() == {
+    assert sweep_counters == {
         "forward": 3 * report.evaluations,
         "backward": 3 * (report.iterations + 1),
     }
 
 
-def test_gradient_costs_one_forward_one_backward_per_trajectory(rng):
+def test_gradient_costs_one_forward_one_backward_per_trajectory(rng, sweep_counters):
     problem = _random_problem(rng, l=3)
     ops = _random_ops(rng)
-    reset_sweep_counters()
     adjoint_gradient(ops, problem)
-    counts = sweep_counters()
-    assert counts == {"forward": 3, "backward": 3}
+    assert sweep_counters == {"forward": 3, "backward": 3}
 
 
-def test_objective_costs_forward_sweeps_only(rng):
+def test_objective_costs_forward_sweeps_only(rng, sweep_counters):
     problem = _random_problem(rng, l=2)
     ops = _random_ops(rng)
-    reset_sweep_counters()
     objective(ops, problem)
-    counts = sweep_counters()
-    assert counts == {"forward": 2, "backward": 0}
+    assert sweep_counters == {"forward": 2, "backward": 0}
 
 
 def _self_consistent_problem(rng, r=2, k=30):
     """Data generated by known operators, so the optimum has zero residual."""
-    true_ops = RomOperators(
-        a=np.array([[-0.4, 0.2], [0.1, -0.5]]),
-        h=None,
-        b=np.array([[0.3], [-0.2]]),
-    )
-    controls = np.column_stack([np.ones(k + 1), np.sin(np.arange(k + 1) * 0.3)])
+    true_ops = RomOperators(a=np.array([[-0.4, 0.2], [0.1, -0.5]]), h=None)
+    controls = np.ones(k + 1)
     states = forward_rollout(true_ops, None, np.array([1.0, -0.5]), controls, 0.1, k)
     problem = CalibrationProblem(
         reduced_trajectories=[states],
         controls=[controls],
         dt=0.1,
         include_quadratic=False,
-        include_input=True,
     )
     return true_ops, problem
 
@@ -322,7 +338,6 @@ def test_calibrate_recovers_perturbed_operators(rng):
     true_ops, problem = _self_consistent_problem(rng)
     start = true_ops.copy()
     start.a = start.a + 0.05 * rng.standard_normal(start.a.shape)
-    start.b = start.b + 0.05 * rng.standard_normal(start.b.shape)
     f0 = objective(start, problem)
     fitted, report = calibrate(
         start, problem, OptimizerConfig(max_iterations=400, gradient_tolerance=1e-12)
@@ -343,13 +358,12 @@ def test_calibrate_descends_monotonically(rng):
 def test_calibrate_stops_immediately_at_a_minimum():
     """Data already generated by the starting operators: gradient is zero."""
     ops = _linear_ops([[-0.2]])
-    states = forward_rollout(ops, None, np.array([1.0]), np.zeros((10, 2)), 0.1, 10)
+    states = forward_rollout(ops, None, np.array([1.0]), np.zeros(10), 0.1, 10)
     problem = CalibrationProblem(
         reduced_trajectories=[states],
-        controls=[np.zeros((11, 2))],
+        controls=[np.zeros(11)],
         dt=0.1,
         include_quadratic=False,
-        include_input=False,
     )
     fitted, report = calibrate(ops, problem, OptimizerConfig(max_iterations=50))
     assert report.status == "converged"
@@ -361,7 +375,7 @@ def test_calibrate_stops_immediately_at_a_minimum():
 def test_calibrate_rejects_non_finite_start():
     problem = CalibrationProblem(
         reduced_trajectories=[np.array([[1e300, 1.0, 1.0]])],
-        controls=[np.zeros((3, 2))],
+        controls=[np.zeros(3)],
         dt=1.0,
     )
     with pytest.raises(NumericError):
@@ -371,7 +385,7 @@ def test_calibrate_rejects_non_finite_start():
 def test_enforce_symmetric_a_keeps_a_symmetric(rng):
     problem = _random_problem(rng, r=3, k=15, l=1, with_deim=False, with_blocks=False)
     sym = 0.5 * (lambda m: m + m.T)(rng.standard_normal((3, 3)))
-    ops = RomOperators(a=0.1 * sym, h=None, b=None)
+    ops = RomOperators(a=0.1 * sym, h=None)
     fitted, _ = calibrate(
         ops, problem, OptimizerConfig(max_iterations=25, enforce_symmetric_a=True)
     )
@@ -381,13 +395,12 @@ def test_enforce_symmetric_a_keeps_a_symmetric(rng):
 def test_convergence_report_csv(tmp_path):
     report_path = tmp_path / "conv.csv"
     ops = _linear_ops([[-0.2]])
-    states = forward_rollout(ops, None, np.array([1.0]), np.zeros((10, 2)), 0.1, 10)
+    states = forward_rollout(ops, None, np.array([1.0]), np.zeros(10), 0.1, 10)
     problem = CalibrationProblem(
         reduced_trajectories=[states + 0.01],
-        controls=[np.zeros((11, 2))],
+        controls=[np.zeros(11)],
         dt=0.1,
         include_quadratic=False,
-        include_input=False,
     )
     _, report = calibrate(ops, problem, OptimizerConfig(max_iterations=5))
     report.write_csv(report_path)
@@ -414,6 +427,12 @@ def test_problem_validation():
     with pytest.raises(DataError):
         CalibrationProblem(
             reduced_trajectories=[np.zeros((2, 5))],
-            controls=[np.zeros((4, 2))],
+            controls=[np.zeros(4)],
+            dt=1.0,
+        )
+    with pytest.raises(DataError):
+        CalibrationProblem(
+            reduced_trajectories=[np.zeros((2, 5))],
+            controls=[np.zeros((5, 2))],
             dt=1.0,
         )

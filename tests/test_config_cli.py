@@ -89,6 +89,23 @@ def test_load_pipeline_config_rejects_unknown_keys(tmp_path):
     assert "grid_pionts" in str(err.value)
 
 
+@pytest.mark.parametrize("line", ["seed = 0", "include_input = false"])
+def test_cli_rejects_removed_config_keys(tmp_path, capsys, line):
+    path = tmp_path / "old.cfg"
+    path.write_text(TINY_SCENARIO + line + "\n")
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"), "generate"]) == 2
+    err = capsys.readouterr().err
+    assert "error (config)" in err and line.split(" = ")[0] in err
+
+
+def test_cli_has_no_seed_flag(capsys):
+    for argv in (["--seed", "1", "generate"], ["generate", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_load_pipeline_config_rejects_overlapping_loads(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("train_loads = 1.0, 2.0\nvalidation_loads = 2.0\n")
@@ -123,7 +140,7 @@ def test_cli_generate_writes_loadable_snapshots(tmp_path):
     snaps = load_snapshots(os.path.join(out, "snapshots", "snapshots_R0.5.txt"))
     assert snaps.n == 32
     assert snaps.derivatives is not None
-    assert snaps.controls[0, 0] == 0.5
+    assert snaps.controls[0] == 0.5
 
 
 def test_cli_full_tiny_pipeline(tmp_path):
@@ -138,7 +155,7 @@ def test_cli_full_tiny_pipeline(tmp_path):
     assert main(["--config", cfg, "--out", out, "evaluate"]) == 0
     for name in ("summary.csv", "errors_R0.5.csv", "errors_R1.5.csv", "stats_R1.csv"):
         assert os.path.exists(os.path.join(out, name)), name
-    summary = open(os.path.join(out, "summary.csv")).read().splitlines()
+    summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
     assert summary[0] == "case,model,mean_rel_mse_excl_switch_off,mean_rel_mse_all"
     assert any(line.startswith("ratio,calibrated_over_opinf") for line in summary)
     assert main(["--config", cfg, "--out", out, "export-rom"]) == 0
@@ -177,6 +194,38 @@ def test_cli_non_finite_snapshot_value_is_a_data_error(tmp_path, capsys):
     assert main(["--config", cfg, "--out", out, "train"]) == 3
     err = capsys.readouterr().err
     assert "error (data)" in err and "non-finite" in err and f"line {row + 1}" in err
+
+
+def test_cli_two_column_snapshot_controls_are_a_data_error(tmp_path, capsys):
+    """A file from an older version, with (R, 0) control lines, must be regenerated."""
+    cfg = _write_tiny(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["--config", cfg, "--out", out, "generate"]) == 0
+    path = tmp_path / "out" / "snapshots" / "snapshots_R0.5.txt"
+    lines = path.read_text().splitlines()
+    first = lines.index("controls") + 1
+    lines[first:] = [line + " 0" for line in lines[first:]]
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", out, "train"]) == 3
+    err = capsys.readouterr().err
+    assert "error (data)" in err and "found 2" in err and f"line {first + 1}:" in err
+
+
+def test_cli_non_empty_input_operator_is_a_data_error(tmp_path, capsys):
+    cfg = _write_tiny(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["--config", cfg, "--out", out, "generate"]) == 0
+    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
+    path = tmp_path / "out" / "rom_opinf.txt"
+    text = path.read_text()
+    empty = "[B]\nrows=0 cols=0 scale=1\n"
+    assert text.count(empty) == 1
+    path.write_text(text.replace(empty, "[B]\nrows=4 cols=1 scale=1\n" + "0\n" * 4))
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", out, "evaluate"]) == 3
+    err = capsys.readouterr().err
+    assert "error (data)" in err and "[B]" in err
 
 
 def test_cli_maps_linear_algebra_failures_to_numeric_exit(monkeypatch, capsys):

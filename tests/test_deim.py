@@ -5,7 +5,6 @@ import pytest
 
 from morcal.deim import (
     DeimOperators,
-    arrhenius_jacobian,
     build_deim_operators,
     deim_points,
     nonlinearity_basis,
@@ -16,6 +15,7 @@ from morcal.errors import DataError, NumericError
 from morcal.fom import FomConfig, fom_integrate
 from morcal.pod import compute_pod
 from morcal.snapshots import apply_scaling, assemble_snapshots, fit_scaling
+from oracles import arrhenius_jacobian
 
 
 def _greedy_points_oracle(u_n):
@@ -156,7 +156,7 @@ def test_nonlinearity_snapshots_shape_and_support():
     # on the solid the values follow the source law for the stored states
     ts = snaps.data[npts:, :][solid, :]
     want = cfg.arrhenius_prefactor * np.exp(cfg.arrhenius_exponent / ts)
-    want = want * snaps.controls[:, 0][None, :]
+    want = want * snaps.controls[None, :]
     assert np.allclose(source[npts:, :][solid, :], want, rtol=1e-13)
 
 

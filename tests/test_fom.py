@@ -93,21 +93,21 @@ def _dense_rhs_oracle(state, heat_load, cfg):
 def test_rhs_matches_dense_oracle(rng):
     cfg = FomConfig(grid_points=7, dt=0.01, t_end=1.0)
     state = 533.15 + 30.0 * rng.standard_normal(cfg.n)
-    got = fom_rhs(state, (1.3, 0.0), cfg)
+    got = fom_rhs(state, 1.3, cfg)
     want = _dense_rhs_oracle(state, 1.3, cfg)
     assert np.allclose(got, want, rtol=1e-13, atol=1e-16)
 
 
 def test_rhs_inlet_node_is_pinned(small_cfg):
     state = 533.15 + np.linspace(0.0, 25.0, small_cfg.n)
-    rhs = fom_rhs(state, (1.0, 0.0), small_cfg)
+    rhs = fom_rhs(state, 1.0, small_cfg)
     assert rhs[0] == 0.0
 
 
 def test_rhs_source_acts_only_on_solid_rows(small_cfg):
     state = np.full(small_cfg.n, 533.15)
-    with_load = fom_rhs(state, (1.0, 0.0), small_cfg)
-    without = fom_rhs(state, (0.0, 0.0), small_cfg)
+    with_load = fom_rhs(state, 1.0, small_cfg)
+    without = fom_rhs(state, 0.0, small_cfg)
     diff = with_load - without
     npts = small_cfg.grid_points
     assert np.all(diff[:npts] == 0.0)
@@ -118,7 +118,7 @@ def test_rhs_source_acts_only_on_solid_rows(small_cfg):
 
 def test_rhs_rejects_wrong_state_size(small_cfg):
     with pytest.raises(DataError):
-        fom_rhs(np.zeros(small_cfg.n + 1), (1.0, 0.0), small_cfg)
+        fom_rhs(np.zeros(small_cfg.n + 1), 1.0, small_cfg)
 
 
 def test_control_signal_is_right_continuous():
@@ -127,7 +127,6 @@ def test_control_signal_is_right_continuous():
     assert sig.heat_load(9.999) == 1.0
     assert sig.heat_load(10.0) == 0.25
     assert sig.heat_load(11.0) == 0.25
-    assert sig.inflow_rate_derivative(5.0) == 0.0
 
 
 def test_control_signal_validation():
@@ -165,9 +164,9 @@ def test_integrate_saves_states_controls_and_exact_rhs(small_cfg, step_signal):
     assert traj.times[0] == 0.0
     assert np.allclose(np.diff(traj.times), 40 * small_cfg.dt)
     # controls carry the load that drives the following step
-    assert traj.controls.shape == (traj.times.size, 2)
-    assert np.all(traj.controls[traj.times < 100.0, 0] == 1.0)
-    assert np.all(traj.controls[traj.times >= 100.0, 0] == 0.0)
+    assert traj.controls.shape == (traj.times.size,)
+    assert np.all(traj.controls[traj.times < 100.0] == 1.0)
+    assert np.all(traj.controls[traj.times >= 100.0] == 0.0)
     # stored derivatives are the exact rhs at the stored states
     for j in (0, 2, traj.times.size - 1):
         want = fom_rhs(traj.states[:, j], traj.controls[j], small_cfg)
@@ -250,27 +249,32 @@ def test_batched_integrate_equals_one_load_at_a_time(small_cfg):
 
 def test_rhs_on_a_stack_equals_rhs_per_row(small_cfg, rng):
     stack = 533.15 + 30.0 * rng.standard_normal((4, small_cfg.n))
-    controls = np.column_stack([[0.0, 0.5, 1.0, 2.5], np.zeros(4)])
+    controls = np.array([0.0, 0.5, 1.0, 2.5])
     got = fom_rhs(stack, controls, small_cfg)
     assert got.shape == stack.shape
     for i in range(stack.shape[0]):
         assert np.array_equal(got[i], fom_rhs(stack[i], controls[i], small_cfg))
-    # a single pair applies to every row
-    shared = fom_rhs(stack, (1.3, 0.0), small_cfg)
+    # a single load applies to every row
+    shared = fom_rhs(stack, 1.3, small_cfg)
     for i in range(stack.shape[0]):
-        assert np.array_equal(shared[i], fom_rhs(stack[i], (1.3, 0.0), small_cfg))
+        assert np.array_equal(shared[i], fom_rhs(stack[i], 1.3, small_cfg))
 
 
 def test_rhs_rejects_wrongly_shaped_stacks(small_cfg):
     n = small_cfg.n
     with pytest.raises(DataError):
-        fom_rhs(np.full((3, n + 1), 533.15), np.zeros((3, 2)), small_cfg)
+        fom_rhs(np.full((3, n + 1), 533.15), np.zeros(3), small_cfg)
     with pytest.raises(DataError):
-        fom_rhs(np.full((2, 3, n), 533.15), (1.0, 0.0), small_cfg)
+        fom_rhs(np.full((2, 3, n), 533.15), 1.0, small_cfg)
     with pytest.raises(DataError):
-        fom_rhs(np.full((3, n), 533.15), np.zeros((2, 2)), small_cfg)
+        fom_rhs(np.full((3, n), 533.15), np.zeros(2), small_cfg)
     with pytest.raises(DataError):
-        fom_rhs(np.full(n, 533.15), np.zeros((3, 2)), small_cfg)
+        fom_rhs(np.full(n, 533.15), np.zeros(3), small_cfg)
+    # the heat load is the only control: (R, v_I_dot) pairs are refused
+    with pytest.raises(DataError):
+        fom_rhs(np.full((3, n), 533.15), np.zeros((3, 2)), small_cfg)
+    with pytest.raises(DataError):
+        fom_rhs(np.full(n, 533.15), (1.0, 0.0), small_cfg)
 
 
 def test_integrate_rejects_an_empty_signal_list(small_cfg):

@@ -11,8 +11,8 @@ from morcal.opinf import (
     quadratic_size,
     solve_opinf,
     sym_kron,
-    sym_kron_jacobian,
 )
+from oracles import sym_kron_jacobian
 
 
 def test_quadratic_size_values():
@@ -55,9 +55,9 @@ def test_single_parameter_ridge_closed_form():
     """min (x - 1)^2 + x^2 has the solution x = 1/2."""
     design = np.array([[1.0]])
     target = np.array([[1.0]])
-    ops = solve_opinf(design, target, 1.0, OpinfConfig(include_quadratic=False, include_input=False))
+    ops = solve_opinf(design, target, 1.0)
     assert np.isclose(ops.a[0, 0], 0.5, rtol=1e-12)
-    assert ops.h is None and ops.b is None
+    assert ops.h is None
 
 
 def test_zero_regularisation_reproduces_least_squares(rng):
@@ -65,9 +65,9 @@ def test_zero_regularisation_reproduces_least_squares(rng):
     states = rng.standard_normal((r, m))
     a_true = rng.standard_normal((r, r))
     derivs = a_true @ states
-    cfg = OpinfConfig(include_quadratic=False, include_input=False)
-    design, target = assemble_regression(states, derivs, np.zeros((m, 2)), None, cfg)
-    ops = solve_opinf(design, target, 0.0, cfg)
+    cfg = OpinfConfig(include_quadratic=False)
+    design, target = assemble_regression(states, derivs, np.zeros(m), None, cfg)
+    ops = solve_opinf(design, target, 0.0)
     assert np.allclose(ops.a, a_true, rtol=1e-10, atol=1e-12)
 
 
@@ -77,26 +77,23 @@ def test_exact_recovery_of_all_blocks(rng):
     q = quadratic_size(r)
     a_true = rng.standard_normal((r, r))
     h_true = 0.3 * rng.standard_normal((r, q))
-    b_true = rng.standard_normal((r, 1))
     states = rng.standard_normal((r, m))
-    controls = np.column_stack([np.ones(m), rng.standard_normal(m)])
-    derivs = a_true @ states + h_true @ sym_kron(states) + b_true @ controls[:, 1][None, :]
+    derivs = a_true @ states + h_true @ sym_kron(states)
     cfg = OpinfConfig()
-    design, target = assemble_regression(states, derivs, controls, None, cfg)
-    ops = solve_opinf(design, target, 0.0, cfg)
+    design, target = assemble_regression(states, derivs, np.ones(m), None, cfg)
+    ops = solve_opinf(design, target, 0.0)
     assert np.allclose(ops.a, a_true, rtol=1e-8, atol=1e-10)
     assert np.allclose(ops.h, h_true, rtol=1e-8, atol=1e-10)
-    assert np.allclose(ops.b, b_true, rtol=1e-8, atol=1e-10)
 
 
 def test_regularisation_shrinks_coefficients(rng):
     m, r = 30, 3
     states = rng.standard_normal((r, m))
     derivs = rng.standard_normal((r, m))
-    cfg = OpinfConfig(include_quadratic=False, include_input=False)
-    design, target = assemble_regression(states, derivs, np.zeros((m, 2)), None, cfg)
-    loose = solve_opinf(design, target, 1e-8, cfg)
-    tight = solve_opinf(design, target, 1e4, cfg)
+    cfg = OpinfConfig(include_quadratic=False)
+    design, target = assemble_regression(states, derivs, np.zeros(m), None, cfg)
+    loose = solve_opinf(design, target, 1e-8)
+    tight = solve_opinf(design, target, 1e4)
     assert np.linalg.norm(tight.a) < 1e-2 * np.linalg.norm(loose.a)
 
 
@@ -115,45 +112,53 @@ def test_source_term_is_subtracted_from_target(rng):
     )
     states = 0.1 * rng.standard_normal((r, m))
     derivs = rng.standard_normal((r, m))
-    controls = np.column_stack([rng.uniform(0.5, 1.5, m), np.zeros(m)])
-    cfg = OpinfConfig(include_quadratic=False, include_input=False)
+    controls = rng.uniform(0.5, 1.5, m)
+    cfg = OpinfConfig(include_quadratic=False)
     _, target_with = assemble_regression(states, derivs, controls, ops, cfg)
     _, target_without = assemble_regression(states, derivs, controls, None, cfg)
-    source = reduced_arrhenius(ops, states, controls[:, 0])
+    source = reduced_arrhenius(ops, states, controls)
     assert np.allclose(target_without - target_with, source.T, rtol=1e-12)
 
 
 def test_missing_derivatives_is_a_data_error(rng):
     cfg = OpinfConfig()
     with pytest.raises(DataError):
-        assemble_regression(rng.standard_normal((3, 5)), None, np.zeros((5, 2)), None, cfg)
+        assemble_regression(rng.standard_normal((3, 5)), None, np.zeros(5), None, cfg)
 
 
 def test_rank_deficient_without_regularisation_raises(rng):
     states = np.zeros((3, 12))
     states[0, :] = rng.standard_normal(12)  # two silent directions
-    cfg = OpinfConfig(include_quadratic=False, include_input=False)
-    design, target = assemble_regression(states, np.zeros((3, 12)), np.zeros((12, 2)), None, cfg)
+    cfg = OpinfConfig(include_quadratic=False)
+    design, target = assemble_regression(states, np.zeros((3, 12)), np.zeros(12), None, cfg)
     with pytest.raises(NumericError):
-        solve_opinf(design, target, 0.0, cfg)
+        solve_opinf(design, target, 0.0)
 
 
 def test_layout_inference_without_config(rng):
+    """The block layout is read from the design's column count."""
     r, m = 3, 25
     states = rng.standard_normal((r, m))
     derivs = rng.standard_normal((r, m))
-    cfg = OpinfConfig(include_quadratic=True, include_input=True)
-    design, target = assemble_regression(states, derivs, rng.standard_normal((m, 2)), None, cfg)
-    ops = solve_opinf(design, target, 0.5)
-    assert ops.a.shape == (r, r)
-    assert ops.h.shape == (r, quadratic_size(r))
-    assert ops.b.shape == (r, 1)
+    for quadratic in (True, False):
+        cfg = OpinfConfig(include_quadratic=quadratic)
+        design, target = assemble_regression(states, derivs, np.ones(m), None, cfg)
+        ops = solve_opinf(design, target, 0.5)
+        assert ops.a.shape == (r, r)
+        assert (ops.h is not None) == quadratic
+        if quadratic:
+            assert ops.h.shape == (r, quadratic_size(r))
+    # one column more than the quadratic layout was the input block: refused
+    with pytest.raises(DataError):
+        solve_opinf(np.hstack([design, np.ones((m, 1))]), target, 0.5)
+    with pytest.raises(DataError):
+        assemble_regression(states, derivs, np.ones((m, 2)), None, OpinfConfig())
 
 
 def test_operator_container_validation(rng):
     with pytest.raises(DataError):
-        RomOperators(a=rng.standard_normal((3, 2)), h=None, b=None)
+        RomOperators(a=rng.standard_normal((3, 2)), h=None)
     with pytest.raises(DataError):
-        RomOperators(a=np.full((2, 2), np.nan), h=None, b=None)
+        RomOperators(a=np.full((2, 2), np.nan), h=None)
     with pytest.raises(DataError):
-        RomOperators(a=np.eye(3), h=rng.standard_normal((3, 5)), b=None)
+        RomOperators(a=np.eye(3), h=rng.standard_normal((3, 5)))

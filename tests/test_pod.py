@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from morcal.errors import ConfigError, DataError, NumericError
-from morcal.pod import (
-    PodBasis,
-    compute_pod,
-    lift,
-    load_basis,
-    project,
-    reconstruction_error_curve,
-    save_basis,
-)
+from morcal.pod import PodBasis, compute_pod, load_basis, project, save_basis
 
 
 def test_basis_is_orthonormal_with_descending_spectrum(rng):
@@ -44,18 +36,19 @@ def test_truncated_basis_is_best_in_frobenius_norm(rng):
 
 
 def test_project_and_lift_are_mutually_consistent(rng):
+    """project inverts the lift y -> U y onto the basis span."""
     x = rng.standard_normal((20, 12))
     basis = compute_pod(x, 4)
     y = rng.standard_normal(4)
-    assert np.allclose(project(basis, lift(basis, y)), y, atol=1e-12)
+    assert np.allclose(project(basis, basis.basis @ y), y, atol=1e-12)
     batch = rng.standard_normal((4, 7))
-    assert np.allclose(project(basis, lift(basis, batch)), batch, atol=1e-12)
+    assert np.allclose(project(basis, basis.basis @ batch), batch, atol=1e-12)
 
 
 def test_exact_reconstruction_at_full_rank(rng):
     x = rng.standard_normal((10, 6))
     basis = compute_pod(x, 6)
-    assert np.allclose(lift(basis, project(basis, x)), x, atol=1e-10)
+    assert np.allclose(basis.basis @ project(basis, x), x, atol=1e-10)
 
 
 def test_compute_pod_rejects_bad_rank(rng):
@@ -70,26 +63,12 @@ def test_project_shape_check(rng):
     basis = compute_pod(rng.standard_normal((10, 6)), 3)
     with pytest.raises(DataError):
         project(basis, np.zeros(9))
-    with pytest.raises(DataError):
-        lift(basis, np.zeros(4))
 
 
 def test_podbasis_rejects_non_orthonormal():
     bad = np.ones((5, 2))
     with pytest.raises(NumericError):
         PodBasis(basis=bad, singular_values=np.array([2.0, 1.0]))
-
-
-def test_reconstruction_error_curve_decreases(rng):
-    train = rng.standard_normal((16, 20))
-    val = rng.standard_normal((16, 8))
-    tr_curve, val_curve = reconstruction_error_curve(train, val, 16)
-    assert tr_curve.shape == (16,)
-    assert np.all(np.diff(tr_curve) <= 1e-12)
-    assert np.all(val_curve >= 0.0)
-    # at full rank the residual vanishes up to round-off
-    assert tr_curve[-1] < 1e-12
-    assert val_curve[-1] < 1e-12
 
 
 def test_save_load_round_trip(tmp_path, rng):

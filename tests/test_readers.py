@@ -29,7 +29,7 @@ def _snapshot_file(path):
         data=500.0 + rng.standard_normal((N, M)),
         trajectory_offsets=np.array([0, M]),
         times=[np.arange(M) * 2.0],
-        controls=np.column_stack([np.ones(M), np.zeros(M)]),
+        controls=np.ones(M),
         fields=list(FIELDS),
         derivatives=rng.standard_normal((N, M)),
     ), path)
@@ -56,7 +56,7 @@ def _rom_file(path):
     rng = np.random.default_rng(3)
     save_rom(RomModel(
         operators=RomOperators(a=rng.standard_normal((R, R)),
-                               h=rng.standard_normal((R, quadratic_size(R))), b=None),
+                               h=rng.standard_normal((R, quadratic_size(R)))),
         deim=DeimOperators(indices=np.array([4, 5]), p1=rng.standard_normal((R, S)),
                            p2=rng.standard_normal((S, R)), arrhenius_prefactor=10.0,
                            arrhenius_exponent=1500.0, unscale_scale=np.array([2.0, 3.0]),

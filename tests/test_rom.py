@@ -42,7 +42,7 @@ def test_switch_off_window_near_the_edges():
 def _static_model(r=3):
     """Zero dynamics: the rollout stays at the initial reduced state."""
     return RomModel(
-        operators=RomOperators(a=np.zeros((r, r)), h=None, b=None),
+        operators=RomOperators(a=np.zeros((r, r)), h=None),
         deim=None,
         basis=None,
         dt=1.0,
@@ -51,7 +51,7 @@ def _static_model(r=3):
 
 def test_simulate_rom_wraps_rollout():
     model = _static_model()
-    out = simulate_rom(model, np.array([1.0, 2.0, 3.0]), np.zeros((5, 2)), 5)
+    out = simulate_rom(model, np.array([1.0, 2.0, 3.0]), np.zeros(5), 5)
     assert out.shape == (3, 6)
     assert np.all(out == out[:, :1])
 
@@ -77,7 +77,7 @@ def _trained_model(include_window=False):
     basis = compute_pod(scaled.data, 4, scaling=scaling)
     dt = float(np.diff(traj.times)[0])
     model = RomModel(
-        operators=RomOperators(a=np.zeros((4, 4)), h=None, b=None),
+        operators=RomOperators(a=np.zeros((4, 4)), h=None),
         deim=None,
         basis=basis,
         dt=dt,
@@ -130,11 +130,7 @@ def test_field_statistics_solid_mask_restriction():
 
 def _full_model(rng):
     r, s = 3, 2
-    ops = RomOperators(
-        a=rng.standard_normal((r, r)),
-        h=rng.standard_normal((r, 6)),
-        b=rng.standard_normal((r, 1)),
-    )
+    ops = RomOperators(a=rng.standard_normal((r, r)), h=rng.standard_normal((r, 6)))
     deim = DeimOperators(
         indices=np.array([4, 9]),
         p1=rng.standard_normal((r, s)),
@@ -154,7 +150,6 @@ def test_save_load_round_trip_without_basis(tmp_path, rng):
     loaded = load_rom(path)
     assert np.array_equal(loaded.operators.a, model.operators.a)
     assert np.array_equal(loaded.operators.h, model.operators.h)
-    assert np.array_equal(loaded.operators.b, model.operators.b)
     assert np.array_equal(loaded.deim.p1, model.deim.p1)
     assert np.array_equal(loaded.deim.p2, model.deim.p2)
     assert np.array_equal(loaded.deim.indices, model.deim.indices)
@@ -194,7 +189,7 @@ def test_reference_fixture_loads_with_stored_entries():
     model = load_reference_fixture()
     ops = model.operators
     assert ops.a.shape == (8, 8)
-    assert ops.h is None and ops.b is None
+    assert ops.h is None
     assert model.deim.p1.shape == (8, 8)
     assert model.deim.p2.shape == (8, 8)
     assert abs(ops.a[0, 0] - (-3.3e-6)) < 1e-15
@@ -206,7 +201,7 @@ def test_reference_fixture_loads_with_stored_entries():
 
 
 def test_model_consistency_checks(rng):
-    ops = RomOperators(a=np.zeros((3, 3)), h=None, b=None)
+    ops = RomOperators(a=np.zeros((3, 3)), h=None)
     basis_mat = np.linalg.qr(rng.standard_normal((10, 4)))[0]
     from morcal.pod import PodBasis
 

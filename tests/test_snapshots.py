@@ -1,4 +1,4 @@
-"""Snapshot assembly, scaling, derivative estimation, and the text format."""
+"""Snapshot assembly, scaling, and the text format."""
 
 import numpy as np
 import pytest
@@ -12,12 +12,9 @@ from morcal.snapshots import (
     apply_scaling,
     assemble_snapshots,
     concat_snapshot_sets,
-    estimate_derivatives,
     fit_scaling,
-    invert_scaling,
     load_snapshots,
     save_snapshots,
-    split_trajectories,
     to_trajectories,
 )
 
@@ -29,7 +26,7 @@ def _toy_set(m=5, l=1, with_derivatives=True, seed=7):
     data = 500.0 + 40.0 * rng.standard_normal((6, m * l))
     offsets = np.arange(l + 1) * m
     times = [np.arange(m) * 2.0 for _ in range(l)]
-    controls = np.column_stack([np.ones(m * l), np.zeros(m * l)])
+    controls = np.ones(m * l)
     derivatives = rng.standard_normal((6, m * l)) if with_derivatives else None
     return SnapshotSet(
         data=data,
@@ -64,7 +61,7 @@ def test_assemble_rejects_mixed_derivative_presence(small_cfg, step_signal):
 
 def test_split_and_concat_round_trip():
     s = _toy_set(m=4, l=3)
-    parts = split_trajectories(s)
+    parts = [assemble_snapshots([t]) for t in to_trajectories(s)]
     assert len(parts) == 3
     rebuilt = concat_snapshot_sets(parts)
     assert np.array_equal(rebuilt.data, s.data)
@@ -102,10 +99,8 @@ def test_apply_and_invert_scaling_round_trip():
     assert np.allclose(
         scaled.derivatives, s.derivatives / spec.row_scale[:, None], rtol=1e-14
     )
-    back = invert_scaling(scaled)
-    assert np.allclose(back.data, s.data, rtol=1e-13)
-    assert np.allclose(back.derivatives, s.derivatives, rtol=1e-13)
-    assert back.scaling is None
+    assert np.allclose(spec.unscale_array(scaled.data), s.data, rtol=1e-13)
+    assert np.allclose(scaled.derivatives * spec.row_scale[:, None], s.derivatives, rtol=1e-13)
 
 
 def test_apply_scaling_twice_is_rejected():
@@ -114,49 +109,6 @@ def test_apply_scaling_twice_is_rejected():
     scaled = apply_scaling(s, spec)
     with pytest.raises(DataError):
         apply_scaling(scaled, spec)
-
-
-def test_estimate_derivatives_exact_on_quadratics():
-    """Second-order stencils reproduce polynomials of degree two exactly."""
-    m = 9
-    t = np.arange(m) * 0.5
-    row = 3.0 + 2.0 * t - 0.7 * t**2
-    want = 2.0 - 1.4 * t
-    s = SnapshotSet(
-        data=np.vstack([row, row, np.ones(m), 2.0 * np.ones(m), row, row]),
-        trajectory_offsets=np.array([0, m]),
-        times=[t],
-        controls=np.zeros((m, 2)),
-        fields=list(FIELDS),
-    )
-    out = estimate_derivatives(s)
-    assert out.shape == s.data.shape
-    assert np.allclose(out[0, :], want, rtol=1e-11, atol=1e-11)
-    assert np.allclose(out[2, :], 0.0, atol=1e-12)
-
-
-def test_estimate_derivatives_is_per_trajectory():
-    m = 5
-    t = np.arange(m) * 1.0
-    row_a = t**2
-    row_b = 10.0 - t**2
-    s = SnapshotSet(
-        data=np.hstack([np.tile(row_a, (6, 1)), np.tile(row_b, (6, 1))]),
-        trajectory_offsets=np.array([0, m, 2 * m]),
-        times=[t, t],
-        controls=np.zeros((2 * m, 2)),
-        fields=list(FIELDS),
-    )
-    out = estimate_derivatives(s)
-    assert np.allclose(out[0, :m], 2.0 * t, atol=1e-11)
-    assert np.allclose(out[0, m:], -2.0 * t, atol=1e-11)
-
-
-def test_estimate_derivatives_requires_uniform_spacing():
-    s = _toy_set(m=5)
-    s.times[0][-1] += 0.5
-    with pytest.raises(DataError):
-        estimate_derivatives(s)
 
 
 def test_save_load_round_trip(tmp_path):
