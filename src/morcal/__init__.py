@@ -36,7 +36,6 @@ from morcal.fom import (
     fom_rhs,
 )
 from morcal.opinf import (
-    OpinfConfig,
     RomOperators,
     assemble_regression,
     quadratic_size,
@@ -88,7 +87,6 @@ __all__ = [
     "FomTrajectory",
     "MorcalError",
     "NumericError",
-    "OpinfConfig",
     "OptimizerConfig",
     "PipelineConfig",
     "PodBasis",

@@ -12,7 +12,12 @@ R stays fixed during calibration.  Gradients come from one backward
 (adjoint) sweep per trajectory, so a full gradient costs one forward plus
 one backward pass regardless of the number of operator entries.  The
 optimiser is a limited-memory quasi-Newton method with an Armijo
-backtracking line search.
+backtracking line search.  Its constants are fixed at the textbook values
+(Nocedal & Wright, Numerical Optimization, ch. 3 and sec. 7.2):
+HISTORY_SIZE = 10 curvature pairs, a trial step of INITIAL_STEP = 1 (scaled
+by the gradient norm on the first iteration), shrunk by LINE_SEARCH_SHRINK =
+0.5 at most LINE_SEARCH_MAX_BACKTRACKS = 40 times, and the sufficient
+decrease constant ARMIJO_CONSTANT = 1e-4.
 
 One rollout kernel serves calibration and evaluation alike: the operators
 are folded with the step size once per operator set, and trajectories of
@@ -45,6 +50,12 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+HISTORY_SIZE = 10
+INITIAL_STEP = 1.0
+LINE_SEARCH_SHRINK = 0.5
+LINE_SEARCH_MAX_BACKTRACKS = 40
+ARMIJO_CONSTANT = 1e-4
+
 
 @dataclass
 class CalibrationProblem:
@@ -54,7 +65,6 @@ class CalibrationProblem:
     controls: list  # each (k_i + 1,) heat load R per state
     dt: float
     deim: DeimOperators | None = field(default=None, repr=False)
-    include_quadratic: bool = True
     batches: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -81,32 +91,16 @@ class CalibrationProblem:
 
 @dataclass
 class OptimizerConfig:
-    """Limited-memory quasi-Newton settings."""
+    """Limited-memory quasi-Newton stopping settings."""
 
     max_iterations: int = 500
     gradient_tolerance: float = 1e-8  # relative to the initial gradient norm
-    history_size: int = 10
-    initial_step: float = 1.0
-    line_search_shrink: float = 0.5
-    line_search_max_backtracks: int = 40
-    armijo_constant: float = 1e-4
-    enforce_symmetric_a: bool = False
 
     def __post_init__(self):
         if self.max_iterations < 0:
             raise ConfigError("max_iterations must be nonnegative")
         if self.gradient_tolerance < 0.0:
             raise ConfigError("gradient_tolerance must be nonnegative")
-        if self.history_size < 1:
-            raise ConfigError("history_size must be at least 1")
-        if self.initial_step <= 0.0:
-            raise ConfigError("initial_step must be positive")
-        if not 0.0 < self.line_search_shrink < 1.0:
-            raise ConfigError("line_search_shrink must lie in (0, 1)")
-        if self.line_search_max_backtracks < 1:
-            raise ConfigError("line_search_max_backtracks must be at least 1")
-        if not 0.0 < self.armijo_constant < 1.0:
-            raise ConfigError("armijo_constant must lie in (0, 1)")
 
 
 @dataclass
@@ -288,11 +282,9 @@ def objective(ops: RomOperators, problem: CalibrationProblem) -> float:
         return math.inf
 
 
-def _zero_like_gradient(ops: RomOperators, problem: CalibrationProblem) -> RomOperators:
-    r = ops.r
+def _zero_like_gradient(ops: RomOperators) -> RomOperators:
     return RomOperators(
-        a=np.zeros((r, r)),
-        h=np.zeros_like(ops.h) if (ops.h is not None and problem.include_quadratic) else None,
+        a=np.zeros_like(ops.a), h=None if ops.h is None else np.zeros_like(ops.h)
     )
 
 
@@ -322,7 +314,7 @@ def _gradient(ev: _Evaluation, problem: CalibrationProblem) -> RomOperators:
     (against sym_kron(s~_j)).
     """
     f, dt = ev.folded, problem.dt
-    grad = _zero_like_gradient(ev.ops, problem)
+    grad = _zero_like_gradient(ev.ops)
     if f.hd is not None:
         rows, cols, first, second = _sym_kron_selectors(ev.ops.r)
     for sweep, res, batch in zip(ev.sweeps, ev.residuals, problem.batches):
@@ -362,30 +354,17 @@ def adjoint_gradient(ops: RomOperators, problem: CalibrationProblem) -> RomOpera
     return _gradient(_Evaluation(ops, problem), problem)
 
 
-def _pack(ops: RomOperators, problem: CalibrationProblem) -> np.ndarray:
+def _pack(ops: RomOperators) -> np.ndarray:
     parts = [ops.a.ravel()]
-    if ops.h is not None and problem.include_quadratic:
+    if ops.h is not None:
         parts.append(ops.h.ravel())
     return np.concatenate(parts)
 
 
-def _unpack(vec: np.ndarray, template: RomOperators, problem: CalibrationProblem) -> RomOperators:
+def _unpack(vec: np.ndarray, template: RomOperators) -> RomOperators:
     r = template.r
-    pos = r * r
-    a = vec[:pos].reshape(r, r)
-    h = template.h
-    if template.h is not None and problem.include_quadratic:
-        size = template.h.size
-        h = vec[pos : pos + size].reshape(template.h.shape)
-    return RomOperators(a=a.copy(), h=None if h is None else h.copy())
-
-
-def _symmetrize(vec: np.ndarray, template: RomOperators) -> np.ndarray:
-    r = template.r
-    out = vec.copy()
-    a = out[: r * r].reshape(r, r)
-    a[:] = 0.5 * (a + a.T)
-    return out
+    h = None if template.h is None else vec[r * r :].reshape(template.h.shape).copy()
+    return RomOperators(a=vec[: r * r].reshape(r, r).copy(), h=h)
 
 
 def calibrate(
@@ -409,21 +388,15 @@ def calibrate(
         nonlocal evaluations
         evaluations += 1
         try:
-            return _Evaluation(_unpack(vec, template, problem), problem)
+            return _Evaluation(_unpack(vec, template), problem)
         except NumericError as exc:
             logger.warning("rollout failed during objective evaluation: %s", exc)
             return None
 
     def gradient(ev):
-        gvec = _pack(_gradient(ev, problem), problem)
-        if opt.enforce_symmetric_a:
-            gvec = _symmetrize(gvec, template)
-        return gvec
+        return _pack(_gradient(ev, problem))
 
-    x = _pack(initial, problem)
-    if opt.enforce_symmetric_a:
-        x = _symmetrize(x, template)
-
+    x = _pack(initial)
     current = evaluate(x)
     if current is None or not math.isfinite(current.value):
         raise NumericError(
@@ -439,58 +412,51 @@ def calibrate(
     step_lengths = [0.0]
     status = "max_iterations"
 
-    if gnorm0 == 0.0:
-        status = "converged"
-    else:
-        for _ in range(opt.max_iterations):
-            gnorm = float(np.linalg.norm(g))
-            if gnorm <= opt.gradient_tolerance * gnorm0 or gnorm == 0.0:
-                status = "converged"
-                break
-
-            direction = _two_loop_direction(g, history_s, history_y)
-            descent = float(direction @ g)
-            if descent >= 0.0:
-                direction = -g
-                descent = -gnorm ** 2
-
-            step = opt.initial_step
-            if not history_s:
-                step = opt.initial_step / max(1.0, gnorm)
-            accepted = None
-            for _bt in range(opt.line_search_max_backtracks):
-                candidate = x + step * direction
-                if opt.enforce_symmetric_a:
-                    candidate = _symmetrize(candidate, template)
-                trial = evaluate(candidate)
-                if trial is not None and trial.value <= f + opt.armijo_constant * step * descent:
-                    accepted = trial
-                    break
-                step *= opt.line_search_shrink
-            if accepted is None:
-                status = "line_search_failure"
-                logger.info("line search stalled at objective %.6e", f)
-                break
-
-            f_new, g_new = accepted.value, gradient(accepted)
-            s_vec = candidate - x
-            y_vec = g_new - g
-            curvature = float(s_vec @ y_vec)
-            if curvature > 1e-12 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
-                history_s.append(s_vec)
-                history_y.append(y_vec)
-                if len(history_s) > opt.history_size:
-                    history_s.pop(0)
-                    history_y.pop(0)
-
-            x, f, g = candidate, f_new, g_new
-            objective_history.append(f)
-            gradient_norms.append(float(np.linalg.norm(g)))
-            step_lengths.append(step)
-        else:
-            status = "max_iterations"
-        if status == "max_iterations" and float(np.linalg.norm(g)) <= opt.gradient_tolerance * gnorm0:
+    for _ in range(opt.max_iterations):
+        gnorm = gradient_norms[-1]
+        if gnorm <= opt.gradient_tolerance * gnorm0:
             status = "converged"
+            break
+
+        direction = _two_loop_direction(g, history_s, history_y)
+        descent = float(direction @ g)
+        if descent >= 0.0:
+            direction = -g
+            descent = -gnorm ** 2
+
+        step = INITIAL_STEP
+        if not history_s:
+            step = INITIAL_STEP / max(1.0, gnorm)
+        accepted = None
+        for _bt in range(LINE_SEARCH_MAX_BACKTRACKS):
+            candidate = x + step * direction
+            trial = evaluate(candidate)
+            if trial is not None and trial.value <= f + ARMIJO_CONSTANT * step * descent:
+                accepted = trial
+                break
+            step *= LINE_SEARCH_SHRINK
+        if accepted is None:
+            status = "line_search_failure"
+            logger.info("line search stalled at objective %.6e", f)
+            break
+
+        f_new, g_new = accepted.value, gradient(accepted)
+        s_vec = candidate - x
+        y_vec = g_new - g
+        curvature = float(s_vec @ y_vec)
+        if curvature > 1e-12 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
+            history_s.append(s_vec)
+            history_y.append(y_vec)
+            if len(history_s) > HISTORY_SIZE:
+                history_s.pop(0)
+                history_y.pop(0)
+
+        x, f, g = candidate, f_new, g_new
+        objective_history.append(f)
+        gradient_norms.append(float(np.linalg.norm(g)))
+        step_lengths.append(step)
+    if status == "max_iterations" and gradient_norms[-1] <= opt.gradient_tolerance * gnorm0:
+        status = "converged"
 
     report = ConvergenceReport(
         status=status,
@@ -499,7 +465,7 @@ def calibrate(
         step_lengths=step_lengths,
         evaluations=evaluations,
     )
-    return _unpack(x, template, problem), report
+    return _unpack(x, template), report
 
 
 def _two_loop_direction(g, history_s, history_y):
@@ -529,7 +495,6 @@ def build_calibration_problem(
     scaled_snapshots,
     basis,
     deim_ops: DeimOperators | None,
-    include_quadratic: bool = True,
 ) -> CalibrationProblem:
     """Project a scaled snapshot set onto the basis, one trajectory at a time."""
     from morcal.pod import project
@@ -548,5 +513,4 @@ def build_calibration_problem(
         controls=controls,
         dt=dt,
         deim=deim_ops,
-        include_quadratic=include_quadratic,
     )

@@ -18,7 +18,7 @@ from morcal.calibrate import build_calibration_problem, calibrate
 from morcal.config import PipelineConfig, load_pipeline_config
 from morcal.errors import ConfigError, DataError, MorcalError, NumericError
 from morcal.fom import fom_integrate
-from morcal.opinf import OpinfConfig, assemble_regression, solve_opinf
+from morcal.opinf import assemble_regression, solve_opinf
 from morcal.parallel import ordered_map
 from morcal.textio import fmt_float
 
@@ -114,11 +114,8 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
 
     reduced_states = pod_mod.project(basis, scaled.data)
     reduced_derivs = pod_mod.project(basis, scaled.derivatives)
-    opinf_cfg = OpinfConfig(
-        tikhonov_lambda=cfg.tikhonov_lambda, include_quadratic=cfg.include_quadratic
-    )
     design, target = assemble_regression(
-        reduced_states, reduced_derivs, scaled.controls, deim_ops, opinf_cfg
+        reduced_states, reduced_derivs, scaled.controls, deim_ops, cfg.include_quadratic
     )
     operators = solve_opinf(design, target, cfg.tikhonov_lambda)
     dt = float(np.diff(scaled.times[0])[0])
@@ -142,9 +139,7 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
         print("train: calibration skipped on request")
         return EXIT_OK
 
-    problem = build_calibration_problem(
-        scaled, basis, deim_ops, include_quadratic=cfg.include_quadratic
-    )
+    problem = build_calibration_problem(scaled, basis, deim_ops)
     calibrated, report = calibrate(operators, problem, cfg.optimizer)
     cal_model = rom_mod.RomModel(operators=calibrated, deim=deim_ops, basis=basis, dt=dt)
     cal_path = os.path.join(cfg.output_dir, "rom_calibrated.txt")
@@ -321,20 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", default=None, help="path to a key=value config file")
     parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument(
-        "--skip-calibration",
-        action="store_true",
-        help="train: stop after operator inference",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("generate", help="run the full-order model and write snapshots")
     train = sub.add_parser("train", help="fit basis, sampling operators, and reduced operators")
-    # SUPPRESS keeps the subcommand from resetting a flag given before it.
     train.add_argument(
-        "--skip-calibration",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="stop after operator inference",
+        "--skip-calibration", action="store_true", help="stop after operator inference"
     )
     sub.add_parser("evaluate", help="compare stored models against snapshot data")
     export = sub.add_parser("export-rom", help="write a compact operator file")

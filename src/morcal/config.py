@@ -219,11 +219,6 @@ def load_pipeline_config(path=None, output_override=None) -> PipelineConfig:
     optimizer = OptimizerConfig(
         max_iterations=rd.get_int("max_iterations", 500),
         gradient_tolerance=rd.get_float("gradient_tolerance", 1e-8),
-        history_size=rd.get_int("history_size", 10),
-        initial_step=rd.get_float("initial_step", 1.0),
-        line_search_shrink=rd.get_float("line_search_shrink", 0.5),
-        line_search_max_backtracks=rd.get_int("line_search_max_backtracks", 40),
-        enforce_symmetric_a=rd.get_bool("enforce_symmetric_a", False),
     )
 
     output_dir = rd.get_str("output_dir", "morcal_out")

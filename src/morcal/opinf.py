@@ -15,7 +15,6 @@ from morcal.errors import ConfigError, DataError, NumericError
 
 __all__ = [
     "RomOperators",
-    "OpinfConfig",
     "sym_kron",
     "quadratic_size",
     "assemble_regression",
@@ -38,18 +37,6 @@ def sym_kron(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     rows, cols = np.triu_indices(s.shape[0])
     return s[rows] * s[cols]
-
-
-@dataclass
-class OpinfConfig:
-    """Regression settings: regularisation weight and active blocks."""
-
-    tikhonov_lambda: float = 1.0
-    include_quadratic: bool = True
-
-    def __post_init__(self):
-        if self.tikhonov_lambda < 0.0:
-            raise ConfigError("tikhonov_lambda must be nonnegative")
 
 
 @dataclass
@@ -90,7 +77,7 @@ def assemble_regression(
     reduced_derivatives: np.ndarray,
     controls: np.ndarray,
     deim_ops: DeimOperators | None,
-    config: OpinfConfig,
+    include_quadratic: bool,
 ):
     """Build the least-squares system (design, target) for operator fitting.
 
@@ -101,11 +88,11 @@ def assemble_regression(
     controls : (m,) heat load R per column.
     deim_ops : sampled source operators whose contribution is subtracted
         from the derivatives, or None when no source term is present.
-    config : block flags; the regularisation weight is used by solve_opinf.
+    include_quadratic : whether the design carries the sym_kron(state) block.
 
     Returns
     -------
-    design : (m, d) with feature blocks [state, sym_kron(state)].
+    design : (m, d) with feature blocks [state] or [state, sym_kron(state)].
     target : (m, r).
     """
     s = np.asarray(reduced_states, dtype=float)
@@ -123,7 +110,7 @@ def assemble_regression(
         raise DataError("controls must hold one heat load per column")
 
     blocks = [s.T]
-    if config.include_quadratic:
+    if include_quadratic:
         blocks.append(sym_kron(s).T)
     design = np.hstack(blocks)
 

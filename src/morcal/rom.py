@@ -193,12 +193,14 @@ def _read_matrix(rd: TextReader, name):
     line = rd.next_line(f"'[{name}]' header").strip()
     if line != f"[{name}]":
         raise rd.error(f"expected section '[{name}]', found {line!r}")
-    parts = rd.next_line("matrix header").split()
-    if len(parts) != 3:
-        raise rd.error("matrix header must be 'rows= cols= scale='")
-    rows = parse_int(parts[0].split("=", 1)[1], rd, "rows")
-    cols = parse_int(parts[1].split("=", 1)[1], rd, "cols")
-    scale = parse_float(parts[2].split("=", 1)[1], rd, "scale")
+    header = rd.next_line("matrix header").strip()
+    fields = [token.partition("=") for token in header.split()]
+    if [key + eq for key, eq, _ in fields] != ["rows=", "cols=", "scale="]:
+        raise rd.error(f"matrix header must be 'rows=R cols=C scale=S', found {header!r}")
+    (_, _, rows), (_, _, cols), (_, _, scale) = fields
+    rows = parse_int(rows, rd, "rows")
+    cols = parse_int(cols, rd, "cols")
+    scale = parse_float(scale, rd, "scale")
     if rows == 0 or cols == 0:
         return None
     return rd.read_rows(rows, cols, f"{name} row") * scale

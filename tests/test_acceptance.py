@@ -31,7 +31,6 @@ from morcal.deim import (
 )
 from morcal.fom import ControlSignal, FomConfig, fom_integrate
 from morcal.opinf import (
-    OpinfConfig,
     RomOperators,
     assemble_regression,
     quadratic_size,
@@ -162,8 +161,7 @@ def test_criterion_3_operator_inference_exact_recovery():
         + h_true @ sym_kron(states)
         + reduced_arrhenius(deim, states, controls)
     )
-    cfg = OpinfConfig()
-    design, target = assemble_regression(states, derivs, controls, deim, cfg)
+    design, target = assemble_regression(states, derivs, controls, deim, include_quadratic=True)
     ops = solve_opinf(design, target, 0.0)
     worst = max(np.max(np.abs(ops.a - a_true)), np.max(np.abs(ops.h - h_true)))
     ok = worst < 1e-6
@@ -326,7 +324,6 @@ def test_criterion_7_optimizer_descends_and_recovers():
         reduced_trajectories=[states],
         controls=[controls],
         dt=0.1,
-        include_quadratic=False,
     )
     start = true_ops.copy()
     start.a = start.a + 0.05 * rng.standard_normal((r, r))

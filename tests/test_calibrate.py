@@ -100,7 +100,6 @@ def test_objective_hand_computed_value():
         reduced_trajectories=[np.array([[1.0, 1.2, 1.1]])],
         controls=[np.zeros(3)],
         dt=0.1,
-        include_quadratic=False,
     )
     got = objective(_linear_ops([[0.5]]), problem)
     assert math.isclose(got, HAND_OBJECTIVE, rel_tol=1e-14)
@@ -116,7 +115,7 @@ def test_objective_is_infinite_when_rollout_fails():
     assert objective(_linear_ops([[1e8]]), problem) == math.inf
 
 
-def _random_problem(rng, r=3, k=40, l=2, with_deim=True, with_blocks=True):
+def _random_problem(rng, r=3, k=40, l=2, with_deim=True):
     deim = _deim_ops(rng, r) if with_deim else None
     trajectories = []
     controls = []
@@ -128,7 +127,6 @@ def _random_problem(rng, r=3, k=40, l=2, with_deim=True, with_blocks=True):
         controls=controls,
         dt=0.05,
         deim=deim,
-        include_quadratic=with_blocks,
     )
 
 
@@ -177,7 +175,7 @@ def test_adjoint_gradient_matches_finite_differences(rng):
 
 
 def test_adjoint_gradient_without_optional_blocks(rng):
-    problem = _random_problem(rng, with_blocks=False)
+    problem = _random_problem(rng)
     ops = _random_ops(rng, with_blocks=False)
     grad = adjoint_gradient(ops, problem)
     assert grad.h is None
@@ -329,7 +327,6 @@ def _self_consistent_problem(rng, r=2, k=30):
         reduced_trajectories=[states],
         controls=[controls],
         dt=0.1,
-        include_quadratic=False,
     )
     return true_ops, problem
 
@@ -348,7 +345,7 @@ def test_calibrate_recovers_perturbed_operators(rng):
 
 
 def test_calibrate_descends_monotonically(rng):
-    problem = _random_problem(rng, r=2, k=20, l=1, with_deim=False, with_blocks=False)
+    problem = _random_problem(rng, r=2, k=20, l=1, with_deim=False)
     ops = _random_ops(rng, r=2, with_blocks=False)
     _, report = calibrate(ops, problem, OptimizerConfig(max_iterations=30))
     diffs = np.diff(report.objective_history)
@@ -363,10 +360,26 @@ def test_calibrate_stops_immediately_at_a_minimum():
         reduced_trajectories=[states],
         controls=[np.zeros(11)],
         dt=0.1,
-        include_quadratic=False,
     )
     fitted, report = calibrate(ops, problem, OptimizerConfig(max_iterations=50))
     assert report.status == "converged"
+    assert report.iterations == 0
+    assert np.array_equal(fitted.a, ops.a)
+
+
+@pytest.mark.parametrize("offset, status", [(0.0, "converged"), (0.01, "max_iterations")])
+def test_calibrate_without_iterations_converges_only_at_a_zero_gradient(offset, status):
+    """max_iterations = 0 returns the start; only a zero gradient there is converged."""
+    ops = _linear_ops([[-0.2]])
+    states = forward_rollout(ops, None, np.array([1.0]), np.zeros(10), 0.1, 10)
+    problem = CalibrationProblem(
+        reduced_trajectories=[states + offset],
+        controls=[np.zeros(11)],
+        dt=0.1,
+    )
+    fitted, report = calibrate(ops, problem, OptimizerConfig(max_iterations=0))
+    assert (report.gradient_norms[0] == 0.0) == (offset == 0.0)
+    assert report.status == status
     assert report.iterations == 0
     assert np.array_equal(fitted.a, ops.a)
 
@@ -382,16 +395,6 @@ def test_calibrate_rejects_non_finite_start():
         calibrate(_linear_ops([[1e8]]), problem)
 
 
-def test_enforce_symmetric_a_keeps_a_symmetric(rng):
-    problem = _random_problem(rng, r=3, k=15, l=1, with_deim=False, with_blocks=False)
-    sym = 0.5 * (lambda m: m + m.T)(rng.standard_normal((3, 3)))
-    ops = RomOperators(a=0.1 * sym, h=None)
-    fitted, _ = calibrate(
-        ops, problem, OptimizerConfig(max_iterations=25, enforce_symmetric_a=True)
-    )
-    assert np.allclose(fitted.a, fitted.a.T, atol=1e-12)
-
-
 def test_convergence_report_csv(tmp_path):
     report_path = tmp_path / "conv.csv"
     ops = _linear_ops([[-0.2]])
@@ -400,7 +403,6 @@ def test_convergence_report_csv(tmp_path):
         reduced_trajectories=[states + 0.01],
         controls=[np.zeros(11)],
         dt=0.1,
-        include_quadratic=False,
     )
     _, report = calibrate(ops, problem, OptimizerConfig(max_iterations=5))
     report.write_csv(report_path)
@@ -414,11 +416,9 @@ def test_convergence_report_csv(tmp_path):
 
 def test_optimizer_config_validation():
     with pytest.raises(ConfigError):
-        OptimizerConfig(history_size=0)
-    with pytest.raises(ConfigError):
-        OptimizerConfig(line_search_shrink=1.5)
-    with pytest.raises(ConfigError):
         OptimizerConfig(max_iterations=-1)
+    with pytest.raises(ConfigError):
+        OptimizerConfig(gradient_tolerance=-1.0)
 
 
 def test_problem_validation():

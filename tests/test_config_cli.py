@@ -1,6 +1,9 @@
 """Configuration parsing, environment overrides, and the pipeline commands."""
 
 import os
+import re
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,7 +92,18 @@ def test_load_pipeline_config_rejects_unknown_keys(tmp_path):
     assert "grid_pionts" in str(err.value)
 
 
-@pytest.mark.parametrize("line", ["seed = 0", "include_input = false"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "seed = 0",
+        "include_input = false",
+        "history_size = 10",
+        "initial_step = 1.0",
+        "line_search_shrink = 0.5",
+        "line_search_max_backtracks = 40",
+        "enforce_symmetric_a = false",
+    ],
+)
 def test_cli_rejects_removed_config_keys(tmp_path, capsys, line):
     path = tmp_path / "old.cfg"
     path.write_text(TINY_SCENARIO + line + "\n")
@@ -104,6 +118,17 @@ def test_cli_has_no_seed_flag(capsys):
             main(argv)
         assert exc.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_readme_lists_exactly_the_bundled_config_keys():
+    """README's "Configuration keys" names every key the bundled scenario sets, and no other."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration keys\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"`([a-z_]+)`", section))
+    bundled = resources.files("morcal").joinpath("data/reactor.cfg")
+    with resources.as_file(bundled) as path:
+        keys = set(parse_config_file(path))
+    assert documented == keys | {"snapshot_dir"}
 
 
 def test_load_pipeline_config_rejects_overlapping_loads(tmp_path):
@@ -162,13 +187,13 @@ def test_cli_full_tiny_pipeline(tmp_path):
     assert os.path.exists(os.path.join(out, "rom_compact.txt"))
 
 
-def test_cli_skip_calibration(tmp_path):
-    cfg = _write_tiny(tmp_path)
-    out = str(tmp_path / "out")
-    assert main(["--config", cfg, "--out", out, "generate"]) == 0
-    assert main(["--config", cfg, "--out", out, "--skip-calibration", "train"]) == 0
-    assert os.path.exists(os.path.join(out, "rom_opinf.txt"))
-    assert not os.path.exists(os.path.join(out, "rom_calibrated.txt"))
+def test_cli_skip_calibration(capsys):
+    """The flag belongs to 'train' alone; before the command name it is refused."""
+    for argv in (["--skip-calibration", "train"], ["--skip-calibration", "fixture-check"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert "unrecognized arguments: --skip-calibration" in capsys.readouterr().err
 
 
 def test_cli_skip_calibration_after_the_subcommand(tmp_path):
@@ -250,6 +275,22 @@ def test_cli_rejects_unstable_dt(tmp_path, capsys):
     path.write_text(TINY_SCENARIO.replace("dt = 0.5", "dt = 1e9"))
     assert main(["--config", str(path), "--out", str(tmp_path / "o"), "generate"]) == 4
     assert "error (numeric)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "header", ["rows8 cols=8 scale=0.001", "cols=8 rows=8 scale=0.001", "rows=8 colz=8 scale=0.001"]
+)
+def test_cli_export_rom_rejects_a_malformed_matrix_header(tmp_path, capsys, header):
+    bundled = resources.files("morcal").joinpath("data/reference_rom.txt")
+    text = bundled.read_text()
+    good = "[A]\nrows=8 cols=8 scale=0.001\n"
+    assert text.count(good) == 1
+    path = tmp_path / "rom.txt"
+    path.write_text(text.replace(good, f"[A]\n{header}\n"))
+    row = text.splitlines().index("[A]") + 2
+    assert main(["--out", str(tmp_path / "out"), "export-rom", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "error (data)" in err and f"line {row}:" in err and repr(header) in err
 
 
 def _edit_line(path, key, value):

@@ -5,7 +5,6 @@ import pytest
 
 from morcal.errors import ConfigError, DataError, NumericError
 from morcal.opinf import (
-    OpinfConfig,
     RomOperators,
     assemble_regression,
     quadratic_size,
@@ -65,8 +64,7 @@ def test_zero_regularisation_reproduces_least_squares(rng):
     states = rng.standard_normal((r, m))
     a_true = rng.standard_normal((r, r))
     derivs = a_true @ states
-    cfg = OpinfConfig(include_quadratic=False)
-    design, target = assemble_regression(states, derivs, np.zeros(m), None, cfg)
+    design, target = assemble_regression(states, derivs, np.zeros(m), None, False)
     ops = solve_opinf(design, target, 0.0)
     assert np.allclose(ops.a, a_true, rtol=1e-10, atol=1e-12)
 
@@ -79,8 +77,7 @@ def test_exact_recovery_of_all_blocks(rng):
     h_true = 0.3 * rng.standard_normal((r, q))
     states = rng.standard_normal((r, m))
     derivs = a_true @ states + h_true @ sym_kron(states)
-    cfg = OpinfConfig()
-    design, target = assemble_regression(states, derivs, np.ones(m), None, cfg)
+    design, target = assemble_regression(states, derivs, np.ones(m), None, True)
     ops = solve_opinf(design, target, 0.0)
     assert np.allclose(ops.a, a_true, rtol=1e-8, atol=1e-10)
     assert np.allclose(ops.h, h_true, rtol=1e-8, atol=1e-10)
@@ -90,8 +87,7 @@ def test_regularisation_shrinks_coefficients(rng):
     m, r = 30, 3
     states = rng.standard_normal((r, m))
     derivs = rng.standard_normal((r, m))
-    cfg = OpinfConfig(include_quadratic=False)
-    design, target = assemble_regression(states, derivs, np.zeros(m), None, cfg)
+    design, target = assemble_regression(states, derivs, np.zeros(m), None, False)
     loose = solve_opinf(design, target, 1e-8)
     tight = solve_opinf(design, target, 1e4)
     assert np.linalg.norm(tight.a) < 1e-2 * np.linalg.norm(loose.a)
@@ -113,24 +109,21 @@ def test_source_term_is_subtracted_from_target(rng):
     states = 0.1 * rng.standard_normal((r, m))
     derivs = rng.standard_normal((r, m))
     controls = rng.uniform(0.5, 1.5, m)
-    cfg = OpinfConfig(include_quadratic=False)
-    _, target_with = assemble_regression(states, derivs, controls, ops, cfg)
-    _, target_without = assemble_regression(states, derivs, controls, None, cfg)
+    _, target_with = assemble_regression(states, derivs, controls, ops, False)
+    _, target_without = assemble_regression(states, derivs, controls, None, False)
     source = reduced_arrhenius(ops, states, controls)
     assert np.allclose(target_without - target_with, source.T, rtol=1e-12)
 
 
 def test_missing_derivatives_is_a_data_error(rng):
-    cfg = OpinfConfig()
     with pytest.raises(DataError):
-        assemble_regression(rng.standard_normal((3, 5)), None, np.zeros(5), None, cfg)
+        assemble_regression(rng.standard_normal((3, 5)), None, np.zeros(5), None, True)
 
 
 def test_rank_deficient_without_regularisation_raises(rng):
     states = np.zeros((3, 12))
     states[0, :] = rng.standard_normal(12)  # two silent directions
-    cfg = OpinfConfig(include_quadratic=False)
-    design, target = assemble_regression(states, np.zeros((3, 12)), np.zeros(12), None, cfg)
+    design, target = assemble_regression(states, np.zeros((3, 12)), np.zeros(12), None, False)
     with pytest.raises(NumericError):
         solve_opinf(design, target, 0.0)
 
@@ -141,8 +134,7 @@ def test_layout_inference_without_config(rng):
     states = rng.standard_normal((r, m))
     derivs = rng.standard_normal((r, m))
     for quadratic in (True, False):
-        cfg = OpinfConfig(include_quadratic=quadratic)
-        design, target = assemble_regression(states, derivs, np.ones(m), None, cfg)
+        design, target = assemble_regression(states, derivs, np.ones(m), None, quadratic)
         ops = solve_opinf(design, target, 0.5)
         assert ops.a.shape == (r, r)
         assert (ops.h is not None) == quadratic
@@ -152,7 +144,7 @@ def test_layout_inference_without_config(rng):
     with pytest.raises(DataError):
         solve_opinf(np.hstack([design, np.ones((m, 1))]), target, 0.5)
     with pytest.raises(DataError):
-        assemble_regression(states, derivs, np.ones((m, 2)), None, OpinfConfig())
+        assemble_regression(states, derivs, np.ones((m, 2)), None, True)
 
 
 def test_operator_container_validation(rng):
