@@ -35,13 +35,7 @@ from morcal.fom import (
     fom_integrate,
     fom_rhs,
 )
-from morcal.opinf import (
-    RomOperators,
-    assemble_regression,
-    quadratic_size,
-    solve_opinf,
-    sym_kron,
-)
+from morcal.opinf import RomOperators, assemble_regression, solve_opinf
 from morcal.pod import (
     PodBasis,
     compute_pod,
@@ -119,7 +113,6 @@ __all__ = [
     "objective",
     "parse_config_file",
     "project",
-    "quadratic_size",
     "reduced_arrhenius",
     "rom_vs_projected_error",
     "save_basis",
@@ -129,6 +122,5 @@ __all__ = [
     "solve_opinf",
     "state_statistics",
     "switch_off_window",
-    "sym_kron",
     "to_trajectories",
 ]

@@ -6,13 +6,13 @@ and the projected training trajectories,
 
     sum_i sum_j | s~_j^i - s_j^i |^2,   s~_j = s~_{j-1} + dt * f(s~_{j-1}, R_{j-1}),
 
-with f(s, R) = a s + h sym_kron(s) + source(s, R), over the entries of the
-linear and quadratic operators.  The sampled source term of the heat load
-R stays fixed during calibration.  Gradients come from one backward
-(adjoint) sweep per trajectory, so a full gradient costs one forward plus
-one backward pass regardless of the number of operator entries.  The
-optimiser is a limited-memory quasi-Newton method with an Armijo
-backtracking line search.  Its constants are fixed at the textbook values
+with f(s, R) = a s + source(s, R), over the entries of the linear operator
+a.  The sampled source term of the heat load R stays fixed during
+calibration.  Gradients come from one backward (adjoint) sweep per
+trajectory, so a full gradient costs one forward plus one backward pass
+regardless of the number of operator entries.  The optimiser is a
+limited-memory quasi-Newton method with an Armijo backtracking line
+search.  Its constants are fixed at the textbook values
 (Nocedal & Wright, Numerical Optimization, ch. 3 and sec. 7.2):
 HISTORY_SIZE = 10 curvature pairs, a trial step of INITIAL_STEP = 1 (scaled
 by the gradient norm on the first iteration), shrunk by LINE_SEARCH_SHRINK =
@@ -34,7 +34,7 @@ import numpy as np
 
 from morcal.deim import MIN_TEMPERATURE, DeimOperators
 from morcal.errors import ConfigError, DataError, NumericError
-from morcal.opinf import RomOperators, sym_kron
+from morcal.opinf import RomOperators
 from morcal.textio import fmt_float
 
 __all__ = [
@@ -133,11 +133,10 @@ class _Folded:
     An explicit Euler step of a state stack S (one column per trajectory) is
 
         T = p2f S + shift,   E = exp(exponent / T),
-        S <- ad S + hd sym_kron(S) + p1d (E * R).
+        S <- ad S + p1d (E * R).
     """
 
     ad: np.ndarray  # I + dt a
-    hd: np.ndarray | None  # dt h
     # The sampled source; all None without sampling operators.
     p1d: np.ndarray | None = None  # dt prefactor p1
     p2f: np.ndarray | None = None  # unscale_scale p2
@@ -154,11 +153,7 @@ def _fold(ops: RomOperators, deim_ops: DeimOperators | None, dt: float) -> _Fold
             shift=deim_ops.unscale_shift[:, None],
             exponent=deim_ops.arrhenius_exponent,
         )
-    return _Folded(
-        ad=np.eye(ops.r) + dt * ops.a,
-        hd=None if ops.h is None else dt * ops.h,
-        **source,
-    )
+    return _Folded(ad=np.eye(ops.r) + dt * ops.a, **source)
 
 
 @dataclass
@@ -213,8 +208,6 @@ def _forward(f: _Folded, s0: np.ndarray, heat: np.ndarray) -> _Sweep:
     for j in range(k):
         s, nxt = states[j], states[j + 1]
         np.matmul(f.ad, s, out=nxt)
-        if f.hd is not None:
-            nxt += f.hd @ sym_kron(s)
         if f.p1d is not None:
             t = np.matmul(f.p2f, s, out=temperatures[j])
             t += f.shift
@@ -282,22 +275,6 @@ def objective(ops: RomOperators, problem: CalibrationProblem) -> float:
         return math.inf
 
 
-def _zero_like_gradient(ops: RomOperators) -> RomOperators:
-    return RomOperators(
-        a=np.zeros_like(ops.a), h=None if ops.h is None else np.zeros_like(ops.h)
-    )
-
-
-def _sym_kron_selectors(r: int):
-    """sym_kron's index pairs (i_e, j_e) and 0/1 matrices (r, q) moving entry e to row i_e, j_e."""
-    rows, cols = np.triu_indices(r)
-    first = np.zeros((r, rows.size))
-    second = np.zeros((r, rows.size))
-    first[rows, np.arange(rows.size)] = 1.0
-    second[cols, np.arange(rows.size)] = 1.0
-    return rows, cols, first, second
-
-
 def _gradient(ev: _Evaluation, problem: CalibrationProblem) -> RomOperators:
     """One backward (adjoint) sweep per batch over the stored forward sweeps.
 
@@ -307,16 +284,12 @@ def _gradient(ev: _Evaluation, problem: CalibrationProblem) -> RomOperators:
         mu_j = 2 (s~_j - s_j) + (I + dt J(s~_j, R_j))^T mu_{j+1}
 
     where J is the state Jacobian of f, so (I + dt J)^T mu = ad^T mu +
-    p2f^T (w_j * (p1d^T mu)) + the quadratic term, with
-    w_j = R_j E_j (-exponent / T_j^2) built for all steps at once.  The
-    mu_{j+1} are stored, so each gradient block is one contraction against
-    the states: grad a = dt sum_j mu_{j+1} s~_j^T, and likewise for h
-    (against sym_kron(s~_j)).
+    p2f^T (w_j * (p1d^T mu)), with w_j = R_j E_j (-exponent / T_j^2) built
+    for all steps at once.  The mu_{j+1} are stored, so the gradient is one
+    contraction against the states: grad a = dt sum_j mu_{j+1} s~_j^T.
     """
     f, dt = ev.folded, problem.dt
-    grad = _zero_like_gradient(ev.ops)
-    if f.hd is not None:
-        rows, cols, first, second = _sym_kron_selectors(ev.ops.r)
+    grad_a = np.zeros_like(ev.ops.a)
     for sweep, res, batch in zip(ev.sweeps, ev.residuals, problem.batches):
         states = sweep.states
         k = states.shape[0] - 1
@@ -333,38 +306,18 @@ def _gradient(ev: _Evaluation, problem: CalibrationProblem) -> RomOperators:
             nxt += twice[j]
             if weights is not None:
                 nxt += f.p2f.T @ (weights[j] * (f.p1d.T @ mu))
-            if f.hd is not None:
-                v = f.hd.T @ mu
-                s = states[j]
-                nxt += first @ (v * s[cols]) + second @ (v * s[rows])
             mu = nxt
 
-        grad.a += dt * np.tensordot(mus, states[:k], axes=([0, 2], [0, 2]))
-        if grad.h is not None:
-            kron = sym_kron(states[:k].transpose(1, 0, 2))
-            grad.h += dt * np.tensordot(mus, kron, axes=([0, 2], [1, 2]))
-    return grad
+        grad_a += dt * np.tensordot(mus, states[:k], axes=([0, 2], [0, 2]))
+    return RomOperators(a=grad_a)
 
 
 def adjoint_gradient(ops: RomOperators, problem: CalibrationProblem) -> RomOperators:
-    """Gradient of the calibration objective over all operator entries.
+    """Gradient of the calibration objective over the entries of a.
 
     Costs one forward and one backward sweep per trajectory.
     """
     return _gradient(_Evaluation(ops, problem), problem)
-
-
-def _pack(ops: RomOperators) -> np.ndarray:
-    parts = [ops.a.ravel()]
-    if ops.h is not None:
-        parts.append(ops.h.ravel())
-    return np.concatenate(parts)
-
-
-def _unpack(vec: np.ndarray, template: RomOperators) -> RomOperators:
-    r = template.r
-    h = None if template.h is None else vec[r * r :].reshape(template.h.shape).copy()
-    return RomOperators(a=vec[: r * r].reshape(r, r).copy(), h=h)
 
 
 def calibrate(
@@ -380,7 +333,7 @@ def calibrate(
     a hint to regularise the starting operators more strongly.
     """
     opt = optimizer if optimizer is not None else OptimizerConfig()
-    template = initial.copy()
+    r = initial.r
     evaluations = 0
 
     def evaluate(vec):
@@ -388,15 +341,15 @@ def calibrate(
         nonlocal evaluations
         evaluations += 1
         try:
-            return _Evaluation(_unpack(vec, template), problem)
+            return _Evaluation(RomOperators(a=vec.reshape(r, r)), problem)
         except NumericError as exc:
             logger.warning("rollout failed during objective evaluation: %s", exc)
             return None
 
     def gradient(ev):
-        return _pack(_gradient(ev, problem))
+        return _gradient(ev, problem).a.ravel()
 
-    x = _pack(initial)
+    x = initial.a.flatten()
     current = evaluate(x)
     if current is None or not math.isfinite(current.value):
         raise NumericError(
@@ -465,7 +418,7 @@ def calibrate(
         step_lengths=step_lengths,
         evaluations=evaluations,
     )
-    return _unpack(x, template), report
+    return RomOperators(a=x.reshape(r, r)), report
 
 
 def _two_loop_direction(g, history_s, history_y):

@@ -94,6 +94,7 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
 
     scaling = snap_mod.fit_scaling(raw)
     scaled = snap_mod.apply_scaling(raw, scaling)
+    dt = snap_mod._uniform_dt(scaled)
     basis = pod_mod.compute_pod(scaled.data, cfg.pod_rank, scaling=scaling)
     print(f"train: pod basis r={cfg.pod_rank} "
           f"(spectrum head {fmt_float(basis.singular_values[0])})")
@@ -114,11 +115,8 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
 
     reduced_states = pod_mod.project(basis, scaled.data)
     reduced_derivs = pod_mod.project(basis, scaled.derivatives)
-    design, target = assemble_regression(
-        reduced_states, reduced_derivs, scaled.controls, deim_ops, cfg.include_quadratic
-    )
+    design, target = assemble_regression(reduced_states, reduced_derivs, scaled.controls, deim_ops)
     operators = solve_opinf(design, target, cfg.tikhonov_lambda)
-    dt = float(np.diff(scaled.times[0])[0])
     oi_model = rom_mod.RomModel(operators=operators, deim=deim_ops, basis=basis, dt=dt)
     oi_path = os.path.join(cfg.output_dir, "rom_opinf.txt")
     rom_mod.save_rom(oi_model, oi_path)

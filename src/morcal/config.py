@@ -91,17 +91,6 @@ class _Reader:
         except ValueError:
             raise ConfigError(f"{self.source}: key {key!r} must be an integer, got {raw!r}") from None
 
-    def get_bool(self, key, default=None):
-        raw = self._raw(key, default)
-        if isinstance(raw, bool) or raw is None:
-            return raw
-        text = str(raw).strip().lower()
-        if text in ("1", "true", "yes", "on"):
-            return True
-        if text in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{self.source}: key {key!r} must be a boolean, got {raw!r}")
-
     def get_floats(self, key, default=None):
         raw = self._raw(key, default)
         if raw is None or isinstance(raw, tuple):
@@ -137,7 +126,6 @@ class PipelineConfig:
     pod_rank: int
     deim_rank: int
     tikhonov_lambda: float
-    include_quadratic: bool
     optimizer: OptimizerConfig
     output_dir: str
     snapshot_dir: str | None
@@ -235,7 +223,6 @@ def load_pipeline_config(path=None, output_override=None) -> PipelineConfig:
         pod_rank=rd.get_int("pod_rank", 8),
         deim_rank=rd.get_int("deim_rank", 8),
         tikhonov_lambda=rd.get_float("tikhonov_lambda", 1.0),
-        include_quadratic=rd.get_bool("include_quadratic", False),
         optimizer=optimizer,
         output_dir=output_dir,
         snapshot_dir=rd.get_str("snapshot_dir", None),

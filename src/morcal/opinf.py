@@ -1,9 +1,7 @@
-"""Operator inference: ridge-regularised least squares for reduced operators.
+"""Operator inference: ridge-regularised least squares for the reduced operator.
 
-Fits a linear operator and an optional quadratic operator acting on the
-symmetric Kronecker compression of the state against reduced
-time-derivative data, with the sampled source contribution of the heat
-load subtracted beforehand.
+Fits the linear operator against reduced time-derivative data, with the
+sampled source contribution of the heat load subtracted beforehand.
 """
 
 from dataclasses import dataclass
@@ -15,36 +13,16 @@ from morcal.errors import ConfigError, DataError, NumericError
 
 __all__ = [
     "RomOperators",
-    "sym_kron",
-    "quadratic_size",
     "assemble_regression",
     "solve_opinf",
 ]
 
 
-def quadratic_size(r: int) -> int:
-    """Length of the symmetric Kronecker compression, r (r + 1) / 2."""
-    return r * (r + 1) // 2
-
-
-def sym_kron(s: np.ndarray) -> np.ndarray:
-    """Symmetric Kronecker compression of a state or state stack.
-
-    For r = 2 and s = (x, y) the result is (x^2, x*y, y^2): products s_i s_j
-    with i <= j in lexicographic order, each cross term appearing exactly
-    once and unweighted.  Accepts (r,) vectors or (r, m) column stacks.
-    """
-    s = np.asarray(s, dtype=float)
-    rows, cols = np.triu_indices(s.shape[0])
-    return s[rows] * s[cols]
-
-
 @dataclass
 class RomOperators:
-    """Reduced operators: linear a and quadratic h (on sym_kron)."""
+    """Reduced linear operator a; the source term lives in DeimOperators."""
 
     a: np.ndarray  # (r, r)
-    h: np.ndarray | None = None  # (r, q) with q = r(r+1)/2
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=float)
@@ -53,23 +31,13 @@ class RomOperators:
             raise DataError("linear operator must be square")
         if not np.all(np.isfinite(self.a)):
             raise DataError("linear operator has non-finite entries")
-        if self.h is not None:
-            self.h = np.asarray(self.h, dtype=float)
-            if self.h.shape != (r, quadratic_size(r)):
-                raise DataError(f"quadratic operator must have shape ({r}, {quadratic_size(r)})")
-            if not np.all(np.isfinite(self.h)):
-                raise DataError("quadratic operator has non-finite entries")
 
     @property
     def r(self) -> int:
         return self.a.shape[0]
 
-    @property
-    def q(self) -> int:
-        return 0 if self.h is None else self.h.shape[1]
-
     def copy(self) -> "RomOperators":
-        return RomOperators(a=self.a.copy(), h=None if self.h is None else self.h.copy())
+        return RomOperators(a=self.a.copy())
 
 
 def assemble_regression(
@@ -77,7 +45,6 @@ def assemble_regression(
     reduced_derivatives: np.ndarray,
     controls: np.ndarray,
     deim_ops: DeimOperators | None,
-    include_quadratic: bool,
 ):
     """Build the least-squares system (design, target) for operator fitting.
 
@@ -88,11 +55,10 @@ def assemble_regression(
     controls : (m,) heat load R per column.
     deim_ops : sampled source operators whose contribution is subtracted
         from the derivatives, or None when no source term is present.
-    include_quadratic : whether the design carries the sym_kron(state) block.
 
     Returns
     -------
-    design : (m, d) with feature blocks [state] or [state, sym_kron(state)].
+    design : (m, r), the states.
     target : (m, r).
     """
     s = np.asarray(reduced_states, dtype=float)
@@ -109,22 +75,16 @@ def assemble_regression(
     if controls.shape != (m,):
         raise DataError("controls must hold one heat load per column")
 
-    blocks = [s.T]
-    if include_quadratic:
-        blocks.append(sym_kron(s).T)
-    design = np.hstack(blocks)
-
     target = d.T.copy()
     if deim_ops is not None:
         target -= reduced_arrhenius(deim_ops, s, controls).T
-    return design, target
+    return s.T, target
 
 
 def solve_opinf(design: np.ndarray, target: np.ndarray, tikhonov_lambda: float) -> RomOperators:
-    """Minimise |design O^T - target|_F^2 + lambda |O|_F^2 for O = [a h].
+    """Minimise |design a^T - target|_F^2 + lambda |a|_F^2 for the linear operator a.
 
-    The block layout is read from the column count: r columns hold the
-    linear block alone, r + r(r+1)/2 add the quadratic block.  A
+    The design must have r columns, one per reduced coordinate.  A
     rank-deficient system with lambda = 0 is refused.
     """
     design = np.asarray(design, dtype=float)
@@ -133,19 +93,17 @@ def solve_opinf(design: np.ndarray, target: np.ndarray, tikhonov_lambda: float) 
         raise DataError("design and target must share the row count")
     if tikhonov_lambda < 0.0:
         raise ConfigError("tikhonov_lambda must be nonnegative")
-    m, d = design.shape
     r = target.shape[1]
-    if d not in (r, r + quadratic_size(r)):
-        raise DataError(f"design column count {d} fits no block layout for r={r}")
+    if design.shape[1] != r:
+        raise DataError(f"design has {design.shape[1]} columns; the linear operator needs r={r}")
 
-    if tikhonov_lambda == 0.0 and np.linalg.matrix_rank(design) < d:
+    if tikhonov_lambda == 0.0 and np.linalg.matrix_rank(design) < r:
         raise NumericError(
             "design matrix is rank deficient and tikhonov_lambda is zero; "
             "set tikhonov_lambda > 0 to regularise the fit"
         )
 
-    augmented = np.vstack([design, np.sqrt(tikhonov_lambda) * np.eye(d)])
-    padded = np.vstack([target, np.zeros((d, r))])
+    augmented = np.vstack([design, np.sqrt(tikhonov_lambda) * np.eye(r)])
+    padded = np.vstack([target, np.zeros((r, r))])
     solution, _, _, _ = np.linalg.lstsq(augmented, padded, rcond=None)
-    operators = solution.T  # (r, d)
-    return RomOperators(a=operators[:, :r], h=operators[:, r:] if d > r else None)
+    return RomOperators(a=solution.T)

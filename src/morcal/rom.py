@@ -13,7 +13,7 @@ import numpy as np
 from morcal.calibrate import forward_rollout as _forward_rollout
 from morcal.deim import DeimOperators
 from morcal.errors import DataError
-from morcal.opinf import RomOperators, quadratic_size
+from morcal.opinf import RomOperators
 from morcal.pod import PodBasis
 from morcal.snapshots import ScalingSpec
 from morcal.textio import (
@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 ROM_FORMAT_VERSION = 1
+
+# Sections of format version 1 for operators this model does not have: a
+# quadratic operator on the state and an input operator.  They are written
+# empty, and a file that fills one is refused.
+UNSUPPORTED_OPERATORS = ("H", "B")
 
 # Number of steps flagged around a heat-load discontinuity: the step at the
 # discontinuity plus two on each side.
@@ -222,8 +227,8 @@ def save_rom(model: RomModel, path, include_basis: bool = True) -> None:
         fh.write("p=0\n")  # no input operator; kept for format version 1
         fh.write(f"dt={fmt_float(model.dt)}\n")
         _write_matrix(fh, "A", ops.a)
-        _write_matrix(fh, "H", ops.h)
-        _write_matrix(fh, "B", None)
+        for name in UNSUPPORTED_OPERATORS:
+            _write_matrix(fh, name, None)
         _write_matrix(fh, "P1", None if model.deim is None else model.deim.p1)
         _write_matrix(fh, "P2", None if model.deim is None else model.deim.p2)
         fh.write("[deim]\n")
@@ -268,16 +273,14 @@ def load_rom(path) -> RomModel:
         dt = parse_float(rd.expect_kv("dt"), rd, "dt")
 
         a = _read_matrix(rd, "A")
-        h = _read_matrix(rd, "H")
-        if _read_matrix(rd, "B") is not None:
-            raise DataError(f"{path}: input operator [B] is not supported; it must be empty")
+        for name in UNSUPPORTED_OPERATORS:
+            if _read_matrix(rd, name) is not None:
+                raise DataError(f"{path}: operator [{name}] is not supported; it must be empty")
         p1 = _read_matrix(rd, "P1")
         p2 = _read_matrix(rd, "P2")
         if a is None or a.shape != (r, r):
             raise DataError(f"{path}: linear operator must be {r} x {r}")
-        if h is not None and h.shape[1] != quadratic_size(r):
-            raise DataError(f"{path}: quadratic operator has the wrong column count")
-        operators = RomOperators(a=a, h=h)
+        operators = RomOperators(a=a)
 
         if rd.next_line("'[deim]' header").strip() != "[deim]":
             raise rd.error("expected '[deim]' section")

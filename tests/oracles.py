@@ -8,36 +8,16 @@ for a single state, so that the batched rollout and adjoint kernels in
 import numpy as np
 
 from morcal.deim import MIN_TEMPERATURE, reduced_arrhenius
-from morcal.errors import DataError, NumericError
-from morcal.opinf import sym_kron
+from morcal.errors import NumericError
 
 
 def theta(ops, deim_ops, s, heat_load):
-    """Model right-hand side a s + h sym_kron(s) + source(s, R)."""
+    """Model right-hand side a s + source(s, R)."""
     s = np.asarray(s, dtype=float)
     rhs = ops.a @ s
-    if ops.h is not None:
-        rhs = rhs + ops.h @ sym_kron(s)
     if deim_ops is not None:
         rhs = rhs + reduced_arrhenius(deim_ops, s, heat_load)
     return rhs
-
-
-def sym_kron_jacobian(s):
-    """Jacobian of sym_kron at a single state, shape (q, r)."""
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 1:
-        raise DataError("sym_kron_jacobian expects a single state vector")
-    r = s.shape[0]
-    rows, cols = np.triu_indices(r)
-    q = rows.size
-    jac = np.zeros((q, r))
-    entries = np.arange(q)
-    # d(s_i s_j)/ds_l = delta_il s_j + delta_jl s_i; the diagonal terms
-    # (i == j) receive both contributions and end up with 2 s_i.
-    np.add.at(jac, (entries, rows), s[cols])
-    np.add.at(jac, (entries, cols), s[rows])
-    return jac
 
 
 def arrhenius_jacobian(ops, s_red, heat_load):

@@ -16,8 +16,8 @@ from morcal.calibrate import (
 )
 from morcal.deim import DeimOperators
 from morcal.errors import ConfigError, DataError, NumericError
-from morcal.opinf import RomOperators, quadratic_size, sym_kron
-from oracles import arrhenius_jacobian, sym_kron_jacobian, theta
+from morcal.opinf import RomOperators
+from oracles import arrhenius_jacobian, theta
 
 # The module itself: the package attribute ``morcal.calibrate`` is the function.
 calibrate_mod = importlib.import_module("morcal.calibrate")
@@ -28,7 +28,7 @@ HAND_OBJECTIVE = 0.022506249999999974
 
 
 def _linear_ops(a):
-    return RomOperators(a=np.atleast_2d(np.asarray(a, dtype=float)), h=None)
+    return RomOperators(a=np.atleast_2d(np.asarray(a, dtype=float)))
 
 
 def _deim_ops(rng, r, s=3):
@@ -56,7 +56,7 @@ def test_rollout_matches_geometric_closed_form():
 def test_rollout_uses_left_endpoint_controls(rng):
     """Heat load j drives the step from state j to state j+1."""
     r = 2
-    ops = RomOperators(a=np.zeros((r, r)), h=None)
+    ops = RomOperators(a=np.zeros((r, r)))
     # A zero exponent makes the sampled source R * p1, whatever the state.
     deim = DeimOperators(
         indices=np.arange(1),
@@ -84,14 +84,13 @@ def test_rollout_aborts_on_blowup():
 
 def test_theta_assembles_all_terms(rng):
     r = 3
-    q = quadratic_size(r)
-    ops = RomOperators(a=rng.standard_normal((r, r)), h=rng.standard_normal((r, q)))
+    ops = RomOperators(a=rng.standard_normal((r, r)))
     deim = _deim_ops(rng, r)
     s = 0.1 * rng.standard_normal(r)
     load = 1.2
     from morcal.deim import reduced_arrhenius
 
-    want = ops.a @ s + ops.h @ sym_kron(s) + reduced_arrhenius(deim, s, load)
+    want = ops.a @ s + reduced_arrhenius(deim, s, load)
     assert np.allclose(theta(ops, deim, s, load), want, rtol=1e-13)
 
 
@@ -130,72 +129,43 @@ def _random_problem(rng, r=3, k=40, l=2, with_deim=True):
     )
 
 
-def _random_ops(rng, r=3, with_blocks=True):
-    q = quadratic_size(r)
-    return RomOperators(
-        a=0.1 * rng.standard_normal((r, r)),
-        h=0.02 * rng.standard_normal((r, q)) if with_blocks else None,
-    )
-
-
-def _flatten(ops):
-    parts = [ops.a.ravel()]
-    if ops.h is not None:
-        parts.append(ops.h.ravel())
-    return np.concatenate(parts)
+def _random_ops(rng, r=3):
+    return RomOperators(a=0.1 * rng.standard_normal((r, r)))
 
 
 def _fd_gradient(ops, problem):
-    """Central differences over every operator entry."""
-    grads = []
-    for name in ("a", "h"):
-        block = getattr(ops, name)
-        if block is None:
-            continue
-        g = np.zeros_like(block)
-        for idx in np.ndindex(block.shape):
-            h = 1e-6 * (1.0 + abs(block[idx]))
-            plus = ops.copy()
-            getattr(plus, name)[idx] += h
-            minus = ops.copy()
-            getattr(minus, name)[idx] -= h
-            g[idx] = (objective(plus, problem) - objective(minus, problem)) / (2.0 * h)
-        grads.append(g.ravel())
-    return np.concatenate(grads)
+    """Central differences over every entry of a."""
+    g = np.zeros_like(ops.a)
+    for idx in np.ndindex(g.shape):
+        h = 1e-6 * (1.0 + abs(ops.a[idx]))
+        plus = ops.copy()
+        plus.a[idx] += h
+        minus = ops.copy()
+        minus.a[idx] -= h
+        g[idx] = (objective(plus, problem) - objective(minus, problem)) / (2.0 * h)
+    return g
 
 
 def test_adjoint_gradient_matches_finite_differences(rng):
     problem = _random_problem(rng)
     ops = _random_ops(rng)
-    grad = adjoint_gradient(ops, problem)
-    got = _flatten(grad)
+    got = adjoint_gradient(ops, problem).a
     want = _fd_gradient(ops, problem)
     rel = np.linalg.norm(got - want) / np.linalg.norm(want)
     assert rel < 1e-5, f"relative gradient mismatch {rel:.3e}"
 
 
-def test_adjoint_gradient_without_optional_blocks(rng):
-    problem = _random_problem(rng)
-    ops = _random_ops(rng, with_blocks=False)
-    grad = adjoint_gradient(ops, problem)
-    assert grad.h is None
-    rel = np.linalg.norm(_flatten(grad) - _fd_gradient(ops, problem)) / np.linalg.norm(
-        _flatten(grad)
-    )
-    assert rel < 1e-5
-
-
 def test_gradient_doubles_with_duplicated_trajectory(rng):
     problem = _random_problem(rng, l=1)
     ops = _random_ops(rng)
-    single = _flatten(adjoint_gradient(ops, problem))
+    single = adjoint_gradient(ops, problem).a
     doubled_problem = CalibrationProblem(
         reduced_trajectories=problem.reduced_trajectories * 2,
         controls=problem.controls * 2,
         dt=problem.dt,
         deim=problem.deim,
     )
-    doubled = _flatten(adjoint_gradient(ops, doubled_problem))
+    doubled = adjoint_gradient(ops, doubled_problem).a
     assert np.allclose(doubled, 2.0 * single, rtol=1e-12)
 
 
@@ -203,7 +173,7 @@ def _reference_objective_and_gradient(ops, problem):
     """Per-trajectory rollout and adjoint built from theta and its jacobian."""
     dt, deim = problem.dt, problem.deim
     total = 0.0
-    grad_a, grad_h = np.zeros_like(ops.a), np.zeros_like(ops.h)
+    grad_a = np.zeros_like(ops.a)
     rollouts = []
     for data, ctrl in zip(problem.reduced_trajectories, problem.controls):
         k = data.shape[1] - 1
@@ -218,11 +188,10 @@ def _reference_objective_and_gradient(ops, problem):
         for j in range(k - 1, -1, -1):
             s = rolled[:, j]
             grad_a += dt * np.outer(mu, s)
-            grad_h += dt * np.outer(mu, sym_kron(s))
             if j > 0:
-                jac = ops.a + ops.h @ sym_kron_jacobian(s) + arrhenius_jacobian(deim, s, ctrl[j])
+                jac = ops.a + arrhenius_jacobian(deim, s, ctrl[j])
                 mu = 2.0 * diff[:, j] + mu + dt * (jac.T @ mu)
-    return total, RomOperators(a=grad_a, h=grad_h), rollouts
+    return total, RomOperators(a=grad_a), rollouts
 
 
 def test_batched_kernel_matches_per_trajectory_reference_on_ragged_lengths(rng):
@@ -239,10 +208,8 @@ def test_batched_kernel_matches_per_trajectory_reference_on_ragged_lengths(rng):
     want_f, want_grad, want_rollouts = _reference_objective_and_gradient(ops, problem)
 
     assert math.isclose(objective(ops, problem), want_f, rel_tol=1e-12)
-    grad = adjoint_gradient(ops, problem)
-    for name in ("a", "h"):
-        got, want = getattr(grad, name), getattr(want_grad, name)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+    got, want = adjoint_gradient(ops, problem).a, want_grad.a
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     for data, ctrl, want in zip(problem.reduced_trajectories, problem.controls, want_rollouts):
         k = data.shape[1] - 1
         got = forward_rollout(ops, problem.deim, data[:, 0], ctrl, problem.dt, k)
@@ -320,7 +287,7 @@ def test_objective_costs_forward_sweeps_only(rng, sweep_counters):
 
 def _self_consistent_problem(rng, r=2, k=30):
     """Data generated by known operators, so the optimum has zero residual."""
-    true_ops = RomOperators(a=np.array([[-0.4, 0.2], [0.1, -0.5]]), h=None)
+    true_ops = RomOperators(a=np.array([[-0.4, 0.2], [0.1, -0.5]]))
     controls = np.ones(k + 1)
     states = forward_rollout(true_ops, None, np.array([1.0, -0.5]), controls, 0.1, k)
     problem = CalibrationProblem(
@@ -346,7 +313,7 @@ def test_calibrate_recovers_perturbed_operators(rng):
 
 def test_calibrate_descends_monotonically(rng):
     problem = _random_problem(rng, r=2, k=20, l=1, with_deim=False)
-    ops = _random_ops(rng, r=2, with_blocks=False)
+    ops = _random_ops(rng, r=2)
     _, report = calibrate(ops, problem, OptimizerConfig(max_iterations=30))
     diffs = np.diff(report.objective_history)
     assert np.all(diffs <= 1e-14)

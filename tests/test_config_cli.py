@@ -102,6 +102,8 @@ def test_load_pipeline_config_rejects_unknown_keys(tmp_path):
         "line_search_shrink = 0.5",
         "line_search_max_backtracks = 40",
         "enforce_symmetric_a = false",
+        "include_quadratic = false",
+        "include_quadratic = true",
     ],
 )
 def test_cli_rejects_removed_config_keys(tmp_path, capsys, line):
@@ -237,20 +239,45 @@ def test_cli_two_column_snapshot_controls_are_a_data_error(tmp_path, capsys):
     assert "error (data)" in err and "found 2" in err and f"line {first + 1}:" in err
 
 
-def test_cli_non_empty_input_operator_is_a_data_error(tmp_path, capsys):
+@pytest.mark.parametrize("section", ["H", "B"])
+def test_cli_non_empty_input_operator_is_a_data_error(tmp_path, capsys, section):
+    """The quadratic [H] and input [B] sections stay in the format but must be empty."""
     cfg = _write_tiny(tmp_path)
     out = str(tmp_path / "out")
     assert main(["--config", cfg, "--out", out, "generate"]) == 0
     assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
     path = tmp_path / "out" / "rom_opinf.txt"
     text = path.read_text()
-    empty = "[B]\nrows=0 cols=0 scale=1\n"
+    empty = f"[{section}]\nrows=0 cols=0 scale=1\n"
     assert text.count(empty) == 1
-    path.write_text(text.replace(empty, "[B]\nrows=4 cols=1 scale=1\n" + "0\n" * 4))
+    path.write_text(text.replace(empty, f"[{section}]\nrows=4 cols=1 scale=1\n" + "0\n" * 4))
     capsys.readouterr()
     assert main(["--config", cfg, "--out", out, "evaluate"]) == 3
     err = capsys.readouterr().err
-    assert "error (data)" in err and "[B]" in err
+    assert "error (data)" in err and f"[{section}]" in err
+
+
+def test_cli_one_snapshot_training_files_are_a_data_error(tmp_path, capsys):
+    """A trajectory of one snapshot has no time step to train a model with."""
+    # Ranks small enough for the two columns left, so that nothing else refuses the data.
+    cfg = str(tmp_path / "one.cfg")
+    Path(cfg).write_text(TINY_SCENARIO.replace("_rank = 4", "_rank = 2"))
+    out = str(tmp_path / "out")
+    assert main(["--config", cfg, "--out", out, "generate"]) == 0
+    for load in ("0.5", "1"):
+        path = tmp_path / "out" / "snapshots" / f"snapshots_R{load}.txt"
+        lines = path.read_text().splitlines()
+        lines[1:4] = ["m=1", "l=1", "offsets=0,1"]
+        kept = []
+        for marker in ("data", "derivatives", "controls"):
+            start = lines.index(marker)
+            kept += lines[start:start + 2]
+        path.write_text("\n".join(lines[:lines.index("data")] + kept) + "\n")
+        assert load_snapshots(path).m == 1
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 3
+    err = capsys.readouterr().err
+    assert "error (data)" in err and "spacing" in err
 
 
 def test_cli_maps_linear_algebra_failures_to_numeric_exit(monkeypatch, capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from morcal.deim import DeimOperators
 from morcal.errors import DataError
-from morcal.opinf import RomOperators, quadratic_size
+from morcal.opinf import RomOperators
 from morcal.pod import PodBasis, load_basis, save_basis
 from morcal.rom import RomModel, load_rom, save_rom
 from morcal.snapshots import ScalingSpec, SnapshotSet, load_snapshots, save_snapshots
@@ -55,8 +55,7 @@ def _basis_file(path):
 def _rom_file(path):
     rng = np.random.default_rng(3)
     save_rom(RomModel(
-        operators=RomOperators(a=rng.standard_normal((R, R)),
-                               h=rng.standard_normal((R, quadratic_size(R)))),
+        operators=RomOperators(a=rng.standard_normal((R, R))),
         deim=DeimOperators(indices=np.array([4, 5]), p1=rng.standard_normal((R, S)),
                            p2=rng.standard_normal((S, R)), arrhenius_prefactor=10.0,
                            arrhenius_exponent=1500.0, unscale_scale=np.array([2.0, 3.0]),

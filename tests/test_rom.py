@@ -42,7 +42,7 @@ def test_switch_off_window_near_the_edges():
 def _static_model(r=3):
     """Zero dynamics: the rollout stays at the initial reduced state."""
     return RomModel(
-        operators=RomOperators(a=np.zeros((r, r)), h=None),
+        operators=RomOperators(a=np.zeros((r, r))),
         deim=None,
         basis=None,
         dt=1.0,
@@ -77,7 +77,7 @@ def _trained_model(include_window=False):
     basis = compute_pod(scaled.data, 4, scaling=scaling)
     dt = float(np.diff(traj.times)[0])
     model = RomModel(
-        operators=RomOperators(a=np.zeros((4, 4)), h=None),
+        operators=RomOperators(a=np.zeros((4, 4))),
         deim=None,
         basis=basis,
         dt=dt,
@@ -130,7 +130,7 @@ def test_field_statistics_solid_mask_restriction():
 
 def _full_model(rng):
     r, s = 3, 2
-    ops = RomOperators(a=rng.standard_normal((r, r)), h=rng.standard_normal((r, 6)))
+    ops = RomOperators(a=rng.standard_normal((r, r)))
     deim = DeimOperators(
         indices=np.array([4, 9]),
         p1=rng.standard_normal((r, s)),
@@ -149,7 +149,6 @@ def test_save_load_round_trip_without_basis(tmp_path, rng):
     save_rom(model, path)
     loaded = load_rom(path)
     assert np.array_equal(loaded.operators.a, model.operators.a)
-    assert np.array_equal(loaded.operators.h, model.operators.h)
     assert np.array_equal(loaded.deim.p1, model.deim.p1)
     assert np.array_equal(loaded.deim.p2, model.deim.p2)
     assert np.array_equal(loaded.deim.indices, model.deim.indices)
@@ -189,7 +188,6 @@ def test_reference_fixture_loads_with_stored_entries():
     model = load_reference_fixture()
     ops = model.operators
     assert ops.a.shape == (8, 8)
-    assert ops.h is None
     assert model.deim.p1.shape == (8, 8)
     assert model.deim.p2.shape == (8, 8)
     assert abs(ops.a[0, 0] - (-3.3e-6)) < 1e-15
@@ -201,7 +199,7 @@ def test_reference_fixture_loads_with_stored_entries():
 
 
 def test_model_consistency_checks(rng):
-    ops = RomOperators(a=np.zeros((3, 3)), h=None)
+    ops = RomOperators(a=np.zeros((3, 3)))
     basis_mat = np.linalg.qr(rng.standard_normal((10, 4)))[0]
     from morcal.pod import PodBasis
 
