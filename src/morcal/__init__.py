@@ -30,7 +30,6 @@ from morcal.errors import ConfigError, DataError, MorcalError, NumericError
 from morcal.fom import (
     ControlSignal,
     FomConfig,
-    FomTrajectory,
     arrhenius_source,
     fom_integrate,
     fom_rhs,
@@ -59,12 +58,10 @@ from morcal.snapshots import (
     ScalingSpec,
     SnapshotSet,
     apply_scaling,
-    assemble_snapshots,
     concat_snapshot_sets,
     fit_scaling,
     load_snapshots,
     save_snapshots,
-    to_trajectories,
 )
 
 __version__ = "0.1.0"
@@ -78,7 +75,6 @@ __all__ = [
     "DeimOperators",
     "ErrorReport",
     "FomConfig",
-    "FomTrajectory",
     "MorcalError",
     "NumericError",
     "OptimizerConfig",
@@ -92,7 +88,6 @@ __all__ = [
     "apply_scaling",
     "arrhenius_source",
     "assemble_regression",
-    "assemble_snapshots",
     "build_calibration_problem",
     "build_deim_operators",
     "calibrate",
@@ -122,5 +117,4 @@ __all__ = [
     "solve_opinf",
     "state_statistics",
     "switch_off_window",
-    "to_trajectories",
 ]

@@ -47,8 +47,7 @@ def _all_loads(cfg: PipelineConfig):
 
 def _write_snapshot_file(task) -> int:
     """Worker task of ``generate``: write one load's snapshot file, return its size m."""
-    trajectory, path = task
-    snapshots = snap_mod.assemble_snapshots([trajectory])
+    snapshots, path = task
     snap_mod.save_snapshots(snapshots, path)
     return snapshots.m
 
@@ -58,9 +57,9 @@ def cmd_generate(cfg: PipelineConfig) -> int:
     _ensure_outdir(cfg)
     loads = _all_loads(cfg)
     signals = [cfg.control_signal(load) for load in loads]
-    trajectories = fom_integrate(cfg.fom, signals, cfg.save_every)
+    snapshot_sets = fom_integrate(cfg.fom, signals, cfg.save_every)
     paths = [cfg.snapshot_path(load) for load in loads]
-    counts = ordered_map(_write_snapshot_file, zip(trajectories, paths))
+    counts = ordered_map(_write_snapshot_file, zip(snapshot_sets, paths))
     for m, load, path in zip(counts, loads, paths):
         print(f"generate: R={load:g} -> {path} ({m} snapshots)")
     return EXIT_OK
@@ -122,15 +121,14 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
     rom_mod.save_rom(oi_model, oi_path)
     print(f"train: inferred operators -> {oi_path}")
 
-    spectrum_path = os.path.join(cfg.output_dir, "pod_spectrum.csv")
-    with open(spectrum_path, "w") as fh:
-        fh.write("index,singular_value\n")
-        for i, sv in enumerate(basis.singular_values):
-            fh.write(f"{i},{fmt_float(sv)}\n")
-    with open(os.path.join(cfg.output_dir, "deim_spectrum.csv"), "w") as fh:
-        fh.write("index,singular_value\n")
-        for i, sv in enumerate(source_spectrum):
-            fh.write(f"{i},{fmt_float(sv)}\n")
+    def write_spectrum(name, values):
+        with open(os.path.join(cfg.output_dir, name), "w") as fh:
+            fh.write("index,singular_value\n")
+            for i, sv in enumerate(values):
+                fh.write(f"{i},{fmt_float(sv)}\n")
+
+    write_spectrum("pod_spectrum.csv", basis.singular_values)
+    write_spectrum("deim_spectrum.csv", source_spectrum)
     pod_mod.save_basis(basis, os.path.join(cfg.output_dir, "pod_basis.txt"))
 
     if skip_calibration:
@@ -162,9 +160,11 @@ def _evaluate_case(task):
     if not os.path.exists(path):
         raise DataError(f"missing snapshot file {path}; run 'generate' first")
     snapshots = snap_mod.load_snapshots(path)
-    trajectory = snap_mod.to_trajectories(snapshots)[0]
-    reports = {name: rom_mod.rom_vs_projected_error(model, trajectory)
-               for name, model in models.items()}
+    try:
+        reports = {name: rom_mod.rom_vs_projected_error(model, snapshots)
+                   for name, model in models.items()}
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
     names = sorted(reports)
     base = reports[names[0]]
@@ -177,15 +177,15 @@ def _evaluate_case(task):
     rom_stats = rom_mod.field_statistics(
         models[reference_name], reports[reference_name].rollout, solid_mask=solid_mask
     )
-    fom_stats = rom_mod.state_statistics(trajectory.states, trajectory.fields, solid_mask=solid_mask)
-    field_names = [name for name, _, _ in trajectory.fields]
+    fom_stats = rom_mod.state_statistics(snapshots.data, snapshots.fields, solid_mask=solid_mask)
+    field_names = [name for name, _, _ in snapshots.fields]
     header = ["step", "time"]
     for name in field_names:
         for kind in ("fom", "rom"):
             header += [f"{kind}_{name}_{agg}" for agg in ("min", "mean", "max")]
     stats = [",".join(header)]
-    for j in range(trajectory.times.size):
-        row = [str(j), fmt_float(trajectory.times[j])]
+    for j in range(base.times.size):
+        row = [str(j), fmt_float(base.times[j])]
         for name in field_names:
             row += [fmt_float(v) for v in fom_stats[name][j, :]]
             row += [fmt_float(v) for v in rom_stats[name][j, :]]

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from morcal.errors import ConfigError, DataError, NumericError
+from morcal.snapshots import SnapshotSet
 
 __all__ = [
     "FomConfig",
     "ControlSignal",
-    "FomTrajectory",
     "arrhenius_source",
     "fom_rhs",
     "fom_integrate",
@@ -134,32 +134,6 @@ class ControlSignal:
         return self.heat_values[idx]
 
 
-@dataclass
-class FomTrajectory:
-    """Saved states of one integration, optionally with exact derivatives."""
-
-    times: np.ndarray  # (k,)
-    states: np.ndarray  # (n, k)
-    derivatives: np.ndarray | None  # (n, k) exact rhs at each saved state
-    controls: np.ndarray  # (k,) heat load R at the saved times
-    fields: list
-
-    def __post_init__(self):
-        k = self.times.shape[0]
-        if self.states.shape[1] != k:
-            raise DataError("trajectory arrays are inconsistent")
-        if self.derivatives is not None and self.derivatives.shape != self.states.shape:
-            raise DataError("derivative array must match the state array shape")
-        if self.controls.shape != (k,):
-            raise DataError("controls must hold one heat load per saved state")
-        if k > 1 and np.any(np.diff(self.times) <= 0.0):
-            raise DataError("times must be strictly increasing")
-
-    @property
-    def n(self) -> int:
-        return self.states.shape[0]
-
-
 def arrhenius_source(t_solid, heat_load, cfg: FomConfig):
     """Volumetric heat generation R * prefactor * exp(exponent / T).
 
@@ -254,23 +228,22 @@ def _load_error(message, step, cfg, bad_rows, heat):
     return NumericError(f"{message} at step {step} (t={step * cfg.dt:g} s) in heat load(s) {loads}")
 
 
-def fom_integrate(cfg: FomConfig, signal, save_every: int = 1):
+def fom_integrate(cfg: FomConfig, signals, save_every: int = 1):
     """Integrate the model with explicit Euler and return saved snapshots.
 
-    ``signal`` is one ControlSignal, giving one FomTrajectory, or a sequence
-    of them, giving one FomTrajectory per signal.  All signals step together
-    as one (L, n) stack, one row per heat load; a single signal is the L = 1
-    case.  Saves every ``save_every``-th step starting at t=0, together with
-    the exact right-hand side at the saved state and the control values at
-    the saved times.  Refuses to run when dt exceeds the advection/diffusion
-    stability bound; a non-positive solid temperature or a non-finite state
-    aborts the whole stack with a NumericError naming the step and the
-    failing heat loads.
+    ``signals`` is a non-empty sequence of ControlSignals; the result holds
+    one single-trajectory SnapshotSet per signal, in the same order.  All
+    signals step together as one (L, n) stack, one row per heat load.
+    Saves every ``save_every``-th step starting at t=0, together with the
+    exact right-hand side at the saved state (``derivatives``) and the heat
+    load at the saved times (``controls``).  Refuses to run when dt exceeds
+    the advection/diffusion stability bound; a non-positive solid
+    temperature or a non-finite state aborts the whole stack with a
+    NumericError naming the step and the failing heat loads.
     """
-    single = isinstance(signal, ControlSignal)
-    signals = [signal] if single else list(signal)
+    signals = list(signals)
     if not signals or not all(isinstance(sig, ControlSignal) for sig in signals):
-        raise ConfigError("fom_integrate needs a ControlSignal or a non-empty sequence of them")
+        raise ConfigError("fom_integrate needs a non-empty sequence of ControlSignals")
     cfg.validate()
     if save_every < 1:
         raise ConfigError("save_every must be a positive integer")
@@ -315,14 +288,14 @@ def fom_integrate(cfg: FomConfig, signal, save_every: int = 1):
                 bad = ~np.all(np.isfinite(state), axis=1)
                 raise _load_error("non-finite state", j + 1, cfg, bad, controls[j])
 
-    trajectories = [
-        FomTrajectory(
-            times=step_times[saved],
-            states=states[i],
-            derivatives=derivs[i],
+    return [
+        SnapshotSet(
+            data=states[i],
+            trajectory_offsets=np.array([0, k]),
+            times=[step_times[saved]],
             controls=controls[saved, i],
             fields=cfg.fields(),
+            derivatives=derivs[i],
         )
         for i in range(n_loads)
     ]
-    return trajectories[0] if single else trajectories

@@ -36,9 +36,6 @@ class RomOperators:
     def r(self) -> int:
         return self.a.shape[0]
 
-    def copy(self) -> "RomOperators":
-        return RomOperators(a=self.a.copy())
-
 
 def assemble_regression(
     reduced_states: np.ndarray,

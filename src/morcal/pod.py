@@ -40,6 +40,8 @@ class PodBasis:
             raise NumericError("basis columns are not orthonormal")
         if np.any(np.diff(self.singular_values) > 1e-12):
             raise DataError("singular values must be sorted in descending order")
+        if self.scaling is not None and self.scaling.n != self.n:
+            raise DataError(f"scaling covers {self.scaling.n} rows, the basis has {self.n}")
 
     @property
     def n(self) -> int:

@@ -15,9 +15,10 @@ from morcal.deim import DeimOperators
 from morcal.errors import DataError
 from morcal.opinf import RomOperators
 from morcal.pod import PodBasis
-from morcal.snapshots import ScalingSpec
+from morcal.snapshots import ScalingSpec, SnapshotSet
 from morcal.textio import (
     TextReader,
+    fmt_fields,
     fmt_float,
     fmt_row,
     parse_fields,
@@ -110,21 +111,25 @@ def switch_off_window(heat_loads: np.ndarray, halfwidth: int = SWITCH_OFF_HALFWI
     return flags
 
 
-def rom_vs_projected_error(model: RomModel, trajectory) -> ErrorReport:
+def rom_vs_projected_error(model: RomModel, snapshots: SnapshotSet) -> ErrorReport:
     """Relative mean-squared rollout error against projected truth.
 
-    ``trajectory`` is a FomTrajectory in physical units.  Its states are
+    ``snapshots`` is a SnapshotSet in physical units holding exactly one
+    trajectory; a set with more is refused with a DataError.  Its states are
     scaled with the model's scaling spec, projected onto the basis, and the
-    rollout starts from the projected initial state using the trajectory's
-    own heat loads.  Steps inside the switch-off window are excluded
-    from the aggregate mean (they remain in the per-step curve).
+    rollout starts from the projected initial state using the set's own
+    heat loads.  Steps inside the switch-off window are excluded from the
+    aggregate mean (they remain in the per-step curve).
     """
     if model.basis is None or model.basis.scaling is None:
         raise DataError("error evaluation needs a model with basis and scaling")
-    states = np.asarray(trajectory.states, dtype=float)
+    if snapshots.l != 1:
+        raise DataError(f"error evaluation needs one trajectory per snapshot set, "
+                        f"found {snapshots.l}")
+    states = snapshots.data
     if states.shape[0] != model.basis.n:
         raise DataError("trajectory state size does not match the basis")
-    times = np.asarray(trajectory.times, dtype=float)
+    times = np.asarray(snapshots.times[0], dtype=float)
     steps = np.diff(times)
     if steps.size == 0:
         raise DataError("trajectory must contain at least two snapshots")
@@ -134,12 +139,12 @@ def rom_vs_projected_error(model: RomModel, trajectory) -> ErrorReport:
     scaled = model.basis.scaling.scale_array(states)
     projected = model.basis.basis.T @ scaled
     k = projected.shape[1] - 1
-    rolled = simulate_rom(model, projected[:, 0], trajectory.controls, k)
+    rolled = simulate_rom(model, projected[:, 0], snapshots.controls, k)
 
     num = np.sum((rolled - projected) ** 2, axis=0)
     den = np.maximum(np.sum(projected ** 2, axis=0), 1e-300)
     errors = num / den
-    flags = switch_off_window(trajectory.controls)
+    flags = switch_off_window(snapshots.controls)
     outside = ~flags
     mean_outside = float(np.mean(errors[outside])) if np.any(outside) else float("nan")
     return ErrorReport(
@@ -247,9 +252,7 @@ def save_rom(model: RomModel, path, include_basis: bool = True) -> None:
         scaling = None if model.basis is None else model.basis.scaling
         if include_basis and model.basis is not None and scaling is not None:
             fh.write("[scaling]\n")
-            fh.write(
-                "fields=" + ",".join(f"{nm}:{st}:{en}" for nm, st, en in scaling.fields) + "\n"
-            )
+            fh.write(f"fields={fmt_fields(scaling.fields)}\n")
             fh.write("shift=" + fmt_row(scaling.shift) + "\n")
             fh.write("scale=" + fmt_row(scaling.scale) + "\n")
             _write_matrix(fh, "basis", model.basis.basis)

@@ -1,4 +1,4 @@
-"""Snapshot assembly, scaling, and snapshot files.
+"""The snapshot container, its scaling, and snapshot files.
 
 A snapshot set stacks one or more trajectories column-wise into an n x m
 matrix, keeping trajectory boundaries, the heat load of each column, and
@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from morcal.errors import DataError
-from morcal.fom import FomTrajectory
 from morcal.textio import (
     TextReader,
+    fmt_fields,
     fmt_float,
     fmt_row,
     parse_fields,
@@ -26,9 +26,7 @@ from morcal.textio import (
 __all__ = [
     "ScalingSpec",
     "SnapshotSet",
-    "assemble_snapshots",
     "concat_snapshot_sets",
-    "to_trajectories",
     "fit_scaling",
     "apply_scaling",
     "save_snapshots",
@@ -155,48 +153,6 @@ class SnapshotSet:
         return [slice(int(off[i]), int(off[i + 1])) for i in range(self.l)]
 
 
-def assemble_snapshots(trajectories) -> SnapshotSet:
-    """Stack FomTrajectory objects column-wise into one SnapshotSet."""
-    if not trajectories:
-        raise DataError("no trajectories given")
-    first = trajectories[0]
-    for traj in trajectories:
-        if not isinstance(traj, FomTrajectory):
-            raise DataError("assemble_snapshots expects FomTrajectory objects")
-        if traj.n != first.n or traj.fields != first.fields:
-            raise DataError("trajectories disagree on state layout")
-        if (traj.derivatives is None) != (first.derivatives is None):
-            raise DataError("cannot mix trajectories with and without derivatives")
-    counts = [t.times.size for t in trajectories]
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return SnapshotSet(
-        data=np.hstack([t.states for t in trajectories]),
-        trajectory_offsets=offsets,
-        times=[np.asarray(t.times, dtype=float) for t in trajectories],
-        controls=np.concatenate([t.controls for t in trajectories]),
-        fields=list(first.fields),
-        derivatives=None
-        if first.derivatives is None
-        else np.hstack([t.derivatives for t in trajectories]),
-    )
-
-
-def to_trajectories(snapshots: SnapshotSet):
-    """View a snapshot set as one FomTrajectory per trajectory."""
-    out = []
-    for i, sl in enumerate(snapshots.trajectory_slices()):
-        out.append(
-            FomTrajectory(
-                times=np.asarray(snapshots.times[i], dtype=float),
-                states=snapshots.data[:, sl],
-                derivatives=None if snapshots.derivatives is None else snapshots.derivatives[:, sl],
-                controls=snapshots.controls[sl],
-                fields=list(snapshots.fields),
-            )
-        )
-    return out
-
-
 def concat_snapshot_sets(sets) -> SnapshotSet:
     """Concatenate snapshot sets that share layout and scaling state."""
     if not sets:
@@ -279,7 +235,6 @@ def save_snapshots(snapshots: SnapshotSet, path) -> None:
     """Write the set to a plain-text snapshot file (full precision)."""
     dt = _uniform_dt(snapshots)
     off = ",".join(str(int(v)) for v in snapshots.trajectory_offsets)
-    fields = ",".join(f"{name}:{start}:{end}" for name, start, end in snapshots.fields)
     has_der = 1 if snapshots.derivatives is not None else 0
     with open(path, "w") as fh:
         fh.write(f"n={snapshots.n}\n")
@@ -287,7 +242,7 @@ def save_snapshots(snapshots: SnapshotSet, path) -> None:
         fh.write(f"l={snapshots.l}\n")
         fh.write(f"offsets={off}\n")
         fh.write(f"dt={fmt_float(dt)}\n")
-        fh.write(f"fields={fields}\n")
+        fh.write(f"fields={fmt_fields(snapshots.fields)}\n")
         fh.write(f"has_derivatives={has_der}\n")
         fh.write("data\n")
         for j in range(snapshots.m):

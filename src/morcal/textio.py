@@ -191,6 +191,11 @@ def parse_list(text, reader: TextReader, what, parse=parse_float, sep=None) -> l
     return [parse(tok, reader, what) for tok in text.split(sep)]
 
 
+def fmt_fields(fields) -> str:
+    """The ``name:start:end,...`` text of (name, start, end) tuples; see parse_fields."""
+    return ",".join(f"{name}:{start}:{end}" for name, start, end in fields)
+
+
 def parse_fields(text, reader: TextReader) -> list:
     """A ``name:start:end,...`` field list as (name, start, end) tuples."""
     fields = []

@@ -33,7 +33,7 @@ from morcal.fom import ControlSignal, FomConfig, fom_integrate
 from morcal.opinf import RomOperators, assemble_regression, solve_opinf
 from morcal.pod import compute_pod
 from morcal.rom import load_reference_fixture, simulate_rom
-from morcal.snapshots import apply_scaling, assemble_snapshots, fit_scaling
+from morcal.snapshots import apply_scaling, fit_scaling
 
 RESULT_LINES = []
 
@@ -78,9 +78,9 @@ def test_criterion_1_adjoint_gradient_matches_finite_differences():
     fd = np.zeros_like(ops.a)
     for idx in np.ndindex(fd.shape):
         h = 1e-6 * (1.0 + abs(ops.a[idx]))
-        plus = ops.copy()
+        plus = RomOperators(a=ops.a.copy())
         plus.a[idx] += h
-        minus = ops.copy()
+        minus = RomOperators(a=ops.a.copy())
         minus.a[idx] -= h
         fd[idx] = (objective(plus, problem) - objective(minus, problem)) / (2.0 * h)
     rel_error = np.linalg.norm(grad.a - fd) / max(np.linalg.norm(fd), 1e-300)
@@ -169,8 +169,7 @@ def test_criterion_4_sampled_source_matches_galerkin_projection():
         t_end=200.0,
     )
     signal = ControlSignal(heat_times=np.array([0.0, 100.0]), heat_values=np.array([1.0, 0.4]))
-    traj = fom_integrate(cfg, signal, save_every=25)
-    snaps = assemble_snapshots([traj])
+    snaps = fom_integrate(cfg, [signal], save_every=25)[0]
     scaling = fit_scaling(snaps)
     scaled = apply_scaling(snaps, scaling)
     basis = compute_pod(scaled.data, 6, scaling=scaling)
@@ -306,8 +305,7 @@ def test_criterion_7_optimizer_descends_and_recovers():
         controls=[controls],
         dt=0.1,
     )
-    start = true_ops.copy()
-    start.a = start.a + 0.05 * rng.standard_normal((r, r))
+    start = RomOperators(a=true_ops.a + 0.05 * rng.standard_normal((r, r)))
     f0 = objective(start, problem)
     fitted, report = calibrate(
         start,

@@ -138,9 +138,9 @@ def _fd_gradient(ops, problem):
     g = np.zeros_like(ops.a)
     for idx in np.ndindex(g.shape):
         h = 1e-6 * (1.0 + abs(ops.a[idx]))
-        plus = ops.copy()
+        plus = RomOperators(a=ops.a.copy())
         plus.a[idx] += h
-        minus = ops.copy()
+        minus = RomOperators(a=ops.a.copy())
         minus.a[idx] -= h
         g[idx] = (objective(plus, problem) - objective(minus, problem)) / (2.0 * h)
     return g
@@ -300,8 +300,7 @@ def _self_consistent_problem(rng, r=2, k=30):
 
 def test_calibrate_recovers_perturbed_operators(rng):
     true_ops, problem = _self_consistent_problem(rng)
-    start = true_ops.copy()
-    start.a = start.a + 0.05 * rng.standard_normal(start.a.shape)
+    start = RomOperators(a=true_ops.a + 0.05 * rng.standard_normal(true_ops.a.shape))
     f0 = objective(start, problem)
     fitted, report = calibrate(
         start, problem, OptimizerConfig(max_iterations=400, gradient_tolerance=1e-12)

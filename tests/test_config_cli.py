@@ -1,6 +1,7 @@
 """Configuration parsing, environment overrides, and the pipeline commands."""
 
 import os
+import pkgutil
 import re
 from importlib import resources
 from pathlib import Path
@@ -8,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import morcal
 from morcal.cli import main
 from morcal.config import apply_env_overrides, load_pipeline_config, parse_config_file
 from morcal.errors import ConfigError
-from morcal.snapshots import load_snapshots
+from morcal.snapshots import concat_snapshot_sets, load_snapshots, save_snapshots
 
 TINY_SCENARIO = """
 grid_points = 16
@@ -120,6 +122,14 @@ def test_cli_has_no_seed_flag(capsys):
             main(argv)
         assert exc.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "module", ["morcal"] + [f"morcal.{m.name}" for m in pkgutil.iter_modules(morcal.__path__)]
+)
+def test_star_import_finds_every_exported_name(module):
+    """``from <module> import *`` fails on an ``__all__`` entry that does not exist."""
+    exec(f"from {module} import *", {})
 
 
 def test_readme_lists_exactly_the_bundled_config_keys():
@@ -278,6 +288,35 @@ def test_cli_one_snapshot_training_files_are_a_data_error(tmp_path, capsys):
     assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 3
     err = capsys.readouterr().err
     assert "error (data)" in err and "spacing" in err
+
+
+def test_cli_evaluate_refuses_a_two_trajectory_snapshot_file(tmp_path, capsys):
+    """A case file holds one trajectory; scoring only the first of two would hide the second."""
+    cfg = _write_tiny(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["--config", cfg, "--out", out, "generate"]) == 0
+    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
+    path = tmp_path / "out" / "snapshots" / "snapshots_R1.5.txt"
+    single = load_snapshots(path)
+    save_snapshots(concat_snapshot_sets([single, single]), path)
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", out, "evaluate"]) == 3
+    err = capsys.readouterr().err
+    assert "error (data)" in err and str(path) in err and "found 2" in err
+
+
+def test_cli_scaling_and_basis_row_mismatch_is_a_data_error(tmp_path, capsys):
+    cfg = _write_tiny(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["--config", cfg, "--out", out, "generate"]) == 0
+    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
+    # The fields cover 16 rows; the basis keeps its 32.
+    _edit_line(tmp_path / "out" / "rom_opinf.txt", "fields", "T_c:0:8,T_s:8:16")
+    capsys.readouterr()
+    for command in ("evaluate", "export-rom"):
+        assert main(["--config", cfg, "--out", out, command]) == 3
+        err = capsys.readouterr().err
+        assert "error (data)" in err and "scaling covers 16 rows, the basis has 32" in err
 
 
 def test_cli_maps_linear_algebra_failures_to_numeric_exit(monkeypatch, capsys):

@@ -14,7 +14,7 @@ from morcal.deim import (
 from morcal.errors import DataError, NumericError
 from morcal.fom import FomConfig, fom_integrate
 from morcal.pod import compute_pod
-from morcal.snapshots import apply_scaling, assemble_snapshots, fit_scaling
+from morcal.snapshots import apply_scaling, fit_scaling
 from oracles import arrhenius_jacobian
 
 
@@ -134,8 +134,7 @@ def _small_snapshot_set():
         dt=0.5,
         t_end=150.0,
     )
-    traj = fom_integrate(cfg, _unit_signal(), save_every=25)
-    return cfg, assemble_snapshots([traj])
+    return cfg, fom_integrate(cfg, [_unit_signal()], save_every=25)[0]
 
 
 def _unit_signal():

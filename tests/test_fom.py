@@ -154,30 +154,30 @@ def test_config_validation_rejects_bad_values():
 def test_integrate_refuses_unstable_step(small_cfg, step_signal):
     small_cfg.dt = 10.0 * small_cfg.stability_limit()
     with pytest.raises(NumericError):
-        fom_integrate(small_cfg, step_signal)
+        fom_integrate(small_cfg, [step_signal])
 
 
 def test_integrate_saves_states_controls_and_exact_rhs(small_cfg, step_signal):
-    traj = fom_integrate(small_cfg, step_signal, save_every=40)
+    traj = fom_integrate(small_cfg, [step_signal], save_every=40)[0]
     n_steps = round(small_cfg.t_end / small_cfg.dt)
-    assert traj.states.shape == (small_cfg.n, n_steps // 40 + 1)
-    assert traj.times[0] == 0.0
-    assert np.allclose(np.diff(traj.times), 40 * small_cfg.dt)
+    assert traj.data.shape == (small_cfg.n, n_steps // 40 + 1)
+    assert traj.times[0][0] == 0.0
+    assert np.allclose(np.diff(traj.times[0]), 40 * small_cfg.dt)
     # controls carry the load that drives the following step
-    assert traj.controls.shape == (traj.times.size,)
-    assert np.all(traj.controls[traj.times < 100.0] == 1.0)
-    assert np.all(traj.controls[traj.times >= 100.0] == 0.0)
+    assert traj.controls.shape == (traj.times[0].size,)
+    assert np.all(traj.controls[traj.times[0] < 100.0] == 1.0)
+    assert np.all(traj.controls[traj.times[0] >= 100.0] == 0.0)
     # stored derivatives are the exact rhs at the stored states
-    for j in (0, 2, traj.times.size - 1):
-        want = fom_rhs(traj.states[:, j], traj.controls[j], small_cfg)
+    for j in (0, 2, traj.times[0].size - 1):
+        want = fom_rhs(traj.data[:, j], traj.controls[j], small_cfg)
         assert np.allclose(traj.derivatives[:, j], want, rtol=1e-14)
 
 
 def test_integrate_first_column_is_initial_state(small_cfg, step_signal):
-    traj = fom_integrate(small_cfg, step_signal, save_every=10)
-    assert np.all(traj.states[:, 0] == 533.15)
+    traj = fom_integrate(small_cfg, [step_signal], save_every=10)[0]
+    assert np.all(traj.data[:, 0] == 533.15)
     # the pinned inlet never moves
-    assert np.all(traj.states[0, :] == 533.15)
+    assert np.all(traj.data[0, :] == 533.15)
 
 
 def test_integration_error_halves_with_dt():
@@ -194,7 +194,7 @@ def test_integration_error_halves_with_dt():
 
     def final_state(dt):
         cfg = FomConfig(**{**base.__dict__, "dt": dt, "solid_mask": None})
-        return fom_integrate(cfg, signal, save_every=round(120.0 / dt)).states[:, -1]
+        return fom_integrate(cfg, [signal], save_every=round(120.0 / dt))[0].data[:, -1]
 
     fine = final_state(0.1)
     err_coarse = np.linalg.norm(final_state(0.8) - fine)
@@ -221,7 +221,7 @@ def test_integrate_detects_blowup():
     )
     signal = ControlSignal(heat_times=np.array([0.0]), heat_values=np.array([1.0]))
     with pytest.raises(NumericError):
-        fom_integrate(cfg, signal)
+        fom_integrate(cfg, [signal])
 
 
 def _two_schedule_signals():
@@ -239,11 +239,11 @@ def test_batched_integrate_equals_one_load_at_a_time(small_cfg):
     batched = fom_integrate(small_cfg, signals, save_every=7)
     assert len(batched) == len(signals)
     for got, signal in zip(batched, signals):
-        want = fom_integrate(small_cfg, signal, save_every=7)
-        assert np.array_equal(got.states, want.states)
+        want = fom_integrate(small_cfg, [signal], save_every=7)[0]
+        assert np.array_equal(got.data, want.data)
         assert np.array_equal(got.derivatives, want.derivatives)
         assert np.array_equal(got.controls, want.controls)
-        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.times[0], want.times[0])
         assert got.fields == want.fields
 
 

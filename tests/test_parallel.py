@@ -162,12 +162,12 @@ def test_worker_tasks_survive_pickling(tmp_path):
     assert copy_fn is cli._evaluate_case
     assert copy_fn(copy_task) == cli._evaluate_case(task)
 
-    trajectory = fom_integrate(cfg.fom, cfg.control_signal(0.75), cfg.save_every)
+    trajectory = fom_integrate(cfg.fom, [cfg.control_signal(0.75)], cfg.save_every)[0]
     copy_fn, (copy_traj, path) = pickle.loads(
         pickle.dumps((cli._write_snapshot_file, (trajectory, str(tmp_path / "s.txt")))))
     assert copy_fn is cli._write_snapshot_file
-    assert np.array_equal(copy_traj.states, trajectory.states)
-    assert copy_fn((copy_traj, path)) == trajectory.times.size
+    assert np.array_equal(copy_traj.data, trajectory.data)
+    assert copy_fn((copy_traj, path)) == trajectory.times[0].size
     assert Path(path).read_bytes() == Path(cfg.snapshot_path(0.75)).read_bytes()
 
 

@@ -18,7 +18,7 @@ from morcal.rom import (
     switch_off_window,
     field_statistics,
 )
-from morcal.snapshots import apply_scaling, assemble_snapshots, fit_scaling
+from morcal.snapshots import apply_scaling, fit_scaling
 
 
 def test_switch_off_window_flags_steps_around_discontinuities():
@@ -70,12 +70,11 @@ def _trained_model(include_window=False):
     times = np.array([0.0, 75.0]) if include_window else np.array([0.0])
     values = np.array([1.0, 0.0]) if include_window else np.array([1.0])
     signal = ControlSignal(heat_times=times, heat_values=values)
-    traj = fom_integrate(cfg, signal, save_every=25)
-    snaps = assemble_snapshots([traj])
-    scaling = fit_scaling(snaps)
-    scaled = apply_scaling(snaps, scaling)
+    traj = fom_integrate(cfg, [signal], save_every=25)[0]
+    scaling = fit_scaling(traj)
+    scaled = apply_scaling(traj, scaling)
     basis = compute_pod(scaled.data, 4, scaling=scaling)
-    dt = float(np.diff(traj.times)[0])
+    dt = float(np.diff(traj.times[0])[0])
     model = RomModel(
         operators=RomOperators(a=np.zeros((4, 4))),
         deim=None,
@@ -89,10 +88,10 @@ def test_error_report_zero_for_exact_reproduction():
     """A frozen state reproduces a constant trajectory with zero error."""
     model, traj, _ = _trained_model()
     constant = traj
-    constant.states = np.tile(traj.states[:, :1], (1, traj.states.shape[1]))
+    constant.data = np.tile(traj.data[:, :1], (1, traj.data.shape[1]))
     constant.derivatives = None
     report = rom_vs_projected_error(model, constant)
-    assert report.step_errors.shape == traj.times.shape
+    assert report.step_errors.shape == traj.times[0].shape
     assert np.all(report.step_errors < 1e-28)
     assert report.mean_error < 1e-28
 
@@ -109,7 +108,7 @@ def test_error_report_excludes_switch_off_window():
 
 def test_field_statistics_solid_mask_restriction():
     model, traj, cfg = _trained_model()
-    scaled = model.basis.scaling.scale_array(traj.states)
+    scaled = model.basis.scaling.scale_array(traj.data)
     reduced = model.basis.basis.T @ scaled
     stats = field_statistics(model, reduced, solid_mask=cfg.solid_mask)
     assert set(stats) == {"T_c", "T_s"}

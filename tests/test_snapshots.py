@@ -1,21 +1,19 @@
-"""Snapshot assembly, scaling, and the text format."""
+"""The snapshot container, scaling, and the text format."""
 
 import numpy as np
 import pytest
 
 from morcal.errors import DataError
-from morcal.fom import fom_integrate
+from morcal.fom import ControlSignal, fom_integrate
 from morcal.snapshots import (
     SCALE_FLOOR,
     ScalingSpec,
     SnapshotSet,
     apply_scaling,
-    assemble_snapshots,
     concat_snapshot_sets,
     fit_scaling,
     load_snapshots,
     save_snapshots,
-    to_trajectories,
 )
 
 FIELDS = [("T_c", 0, 3), ("T_s", 3, 6)]
@@ -39,34 +37,40 @@ def _toy_set(m=5, l=1, with_derivatives=True, seed=7):
 
 
 def test_assemble_from_fom_trajectories(small_cfg, step_signal):
-    traj = fom_integrate(small_cfg, step_signal, save_every=40)
-    combined = assemble_snapshots([traj, traj])
+    traj = fom_integrate(small_cfg, [step_signal], save_every=40)[0]
+    assert traj.l == 1 and traj.fields == small_cfg.fields()
+    assert np.array_equal(traj.trajectory_offsets, [0, traj.m])
+    combined = concat_snapshot_sets([traj, traj])
     assert combined.l == 2
-    assert combined.m == 2 * traj.times.size
-    assert np.array_equal(combined.data[:, : traj.times.size], traj.states)
+    assert combined.m == 2 * traj.m
+    assert np.array_equal(combined.data[:, : traj.m], traj.data)
     assert combined.derivatives is not None
-    back = to_trajectories(combined)
+    back = combined.trajectory_slices()
     assert len(back) == 2
-    assert np.array_equal(back[1].states, traj.states)
-    assert np.array_equal(back[1].controls, traj.controls)
+    assert np.array_equal(combined.data[:, back[1]], traj.data)
+    assert np.array_equal(combined.controls[back[1]], traj.controls)
 
 
 def test_assemble_rejects_mixed_derivative_presence(small_cfg, step_signal):
-    traj = fom_integrate(small_cfg, step_signal, save_every=40)
-    bare = to_trajectories(assemble_snapshots([traj]))[0]
+    traj, bare = fom_integrate(small_cfg, [step_signal, step_signal], save_every=40)
     bare.derivatives = None
     with pytest.raises(DataError):
-        assemble_snapshots([traj, bare])
+        concat_snapshot_sets([traj, bare])
 
 
-def test_split_and_concat_round_trip():
-    s = _toy_set(m=4, l=3)
-    parts = [assemble_snapshots([t]) for t in to_trajectories(s)]
+def test_split_and_concat_round_trip(small_cfg, step_signal):
+    signals = [step_signal,
+               ControlSignal(heat_times=np.array([0.0]), heat_values=np.array([0.5])),
+               ControlSignal(heat_times=np.array([0.0, 60.0]), heat_values=np.array([0.0, 1.5]))]
+    parts = fom_integrate(small_cfg, signals, save_every=40)
     assert len(parts) == 3
     rebuilt = concat_snapshot_sets(parts)
-    assert np.array_equal(rebuilt.data, s.data)
-    assert np.array_equal(rebuilt.trajectory_offsets, s.trajectory_offsets)
-    assert np.array_equal(rebuilt.controls, s.controls)
+    assert np.array_equal(rebuilt.trajectory_offsets, np.arange(4) * parts[0].m)
+    for part, sl, times in zip(parts, rebuilt.trajectory_slices(), rebuilt.times):
+        assert np.array_equal(rebuilt.data[:, sl], part.data)
+        assert np.array_equal(rebuilt.derivatives[:, sl], part.derivatives)
+        assert np.array_equal(rebuilt.controls[sl], part.controls)
+        assert np.array_equal(times, part.times[0])
 
 
 def test_fit_scaling_matches_block_statistics():

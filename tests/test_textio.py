@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from morcal.errors import DataError
-from morcal.textio import TextReader, fmt_row, parse_fields, parse_float, parse_int, parse_list
+from morcal.textio import (
+    TextReader,
+    fmt_fields,
+    fmt_row,
+    parse_fields,
+    parse_float,
+    parse_int,
+    parse_list,
+)
 
 
 def test_fmt_row_matches_per_value_formatting():
@@ -30,7 +38,9 @@ def test_parse_list_values_and_empty_text(tmp_path):
     assert parse_list("1 -2.5  3e-3", rd, "v") == [1.0, -2.5, 3e-3]
     assert parse_list("0,4, 9", rd, "v", parse_int, ",") == [0, 4, 9]
     assert parse_list("  ", rd, "v") == []
-    assert parse_fields("T_c:0:2,T_s:2:4", rd) == [("T_c", 0, 2), ("T_s", 2, 4)]
+    fields = [("T_c", 0, 2), ("T_s", 2, 4)]
+    assert fmt_fields(fields) == "T_c:0:2,T_s:2:4"
+    assert parse_fields(fmt_fields(fields), rd) == fields
 
 
 @pytest.mark.parametrize("text, parse, sep", [
