@@ -9,8 +9,13 @@ driven by a piecewise-constant heat load R(t).
 Discretisation: first-order upwind advection (coolant only), second-order
 central diffusion (both fields), explicit Euler in time.  The coolant inlet
 is pinned to the inflow temperature; the coolant outlet and both solid ends
-use zero-gradient conditions.  Because stepping is explicit Euler, every
-saved snapshot comes with an exact right-hand-side evaluation.
+use zero-gradient conditions.
+
+The linear part of one Euler step, ``I + dt*L``, is folded once into a
+three-point band per field plus the exchange diagonals that couple the two
+fields, so a step is that banded update plus ``dt`` times the source on the
+solid rows.  ``fom_rhs`` evaluates the exact right-hand side; the integrator
+calls it only at the saved states, which is where snapshots need it.
 """
 
 from dataclasses import dataclass, field
@@ -27,6 +32,8 @@ __all__ = [
     "fom_rhs",
     "fom_integrate",
 ]
+
+_NON_POSITIVE = "non-positive solid temperature inside the reaction zone"
 
 
 @dataclass
@@ -66,6 +73,11 @@ class FomConfig:
     @property
     def dx(self) -> float:
         return self.domain_length / (self.grid_points - 1)
+
+    @property
+    def n_steps(self) -> int:
+        """Explicit Euler steps from t=0 to t_end."""
+        return int(round(self.t_end / self.dt))
 
     def fields(self):
         """Name and index range of each field block in the stacked state."""
@@ -216,7 +228,7 @@ def fom_rhs(state, control, cfg: FomConfig):
 
     solid_t = ts[..., solid]
     if np.any(solid_t <= 0.0):
-        raise NumericError("non-positive solid temperature inside the reaction zone")
+        raise NumericError(_NON_POSITIVE)
     dts[..., solid] += _arrhenius_source(solid_t, heat_load, cfg) / cfg.rho_cp_solid
 
     return out
@@ -228,18 +240,105 @@ def _load_error(message, step, cfg, bad_rows, heat):
     return NumericError(f"{message} at step {step} (t={step * cfg.dt:g} s) in heat load(s) {loads}")
 
 
+@dataclass
+class _FoldedStep:
+    """One explicit Euler step ``x + dt*f(x)`` of an (L, n) stack, folded.
+
+    The stack is stepped as one vector of its rows laid end to end.  The
+    linear part of the step, ``I + dt*L``, is then one banded matrix with
+    the diagonals below; they are zero wherever they would cross a field or
+    a load boundary, so every row of the stack sees only its own state.
+    The temperature-driven source is added on the solid rows.
+    """
+
+    centre: np.ndarray  # (L*n,) diagonal
+    lower: np.ndarray  # (L*n - 1,) multiplies x[i-1] in row i
+    upper: np.ndarray  # (L*n - 1,) multiplies x[i+1] in row i
+    from_solid: np.ndarray  # (L*n - g,) multiplies x[i+g] in row i (coolant rows)
+    from_coolant: np.ndarray  # (L*n - g,) multiplies x[i-g] in row i (solid rows)
+    grid_points: int  # g, the offset between the two fields
+    solid: object  # column index of the solid rows in the (L, n) stack
+    source_gain: float  # dt * prefactor / rho_cp_solid
+    exponent: float
+
+    def solid_temperatures(self, state, step, cfg, heat):
+        """Solid temperatures of ``state``; a non-positive one is a NumericError."""
+        solid_t = state[:, self.solid]
+        if np.any(solid_t <= 0.0):
+            raise _load_error(_NON_POSITIVE, step, cfg, np.any(solid_t <= 0.0, axis=1), heat)
+        return solid_t
+
+    def apply(self, state, solid_t, heat):
+        """Next (L, n) state; ``heat`` holds the (L,) loads driving the step."""
+        g = self.grid_points
+        x = state.ravel()
+        out = self.centre * x
+        out[1:] += self.lower * x[:-1]
+        out[:-1] += self.upper * x[1:]
+        out[:-g] += self.from_solid * x[g:]
+        out[g:] += self.from_coolant * x[:-g]
+        out = out.reshape(state.shape)
+        out[:, self.solid] += (self.source_gain * heat)[:, None] * np.exp(self.exponent / solid_t)
+        return out
+
+
+def _fold_step(cfg: FomConfig, n_loads: int) -> _FoldedStep:
+    """fom_rhs's discretisation times dt, plus the identity, for n_loads rows."""
+    npts = cfg.grid_points
+    dx2 = cfg.dx ** 2
+    diffuse_c = cfg.conductivity_coolant / cfg.rho_cp_coolant / dx2
+    diffuse_s = cfg.conductivity_solid / cfg.rho_cp_solid / dx2
+    exchange = cfg.exchange_coefficient * cfg.solid_mask
+    zeros = np.zeros(npts)
+    # Rates at which each row of one [T_c; T_s] state draws on its left and
+    # right neighbours in its own field, and on the same grid point of the
+    # other field.  The upwind coolant draws on its left neighbour only.
+    left = np.concatenate([np.full(npts, diffuse_c + cfg.coolant_velocity / cfg.dx),
+                           np.full(npts, diffuse_s)])
+    right = np.concatenate([np.full(npts, diffuse_c), np.full(npts, diffuse_s)])
+    from_solid = np.concatenate([exchange / cfg.rho_cp_coolant, zeros])
+    from_coolant = np.concatenate([zeros, exchange / cfg.rho_cp_solid])
+    # Each field's first point has no left neighbour and its last point no
+    # right one (zero-gradient ends); the pinned inlet draws on nothing.
+    left[[0, npts]] = 0.0
+    right[[0, npts - 1, cfg.n - 1]] = 0.0
+    from_solid[0] = 0.0
+    # A row loses heat at the total rate at which it draws.
+    centre = 1.0 - cfg.dt * (left + right + from_solid + from_coolant)
+
+    def stacked(rate):
+        return np.tile(cfg.dt * rate, n_loads)
+
+    rows = npts + np.flatnonzero(cfg.solid_mask > 0.0)
+    contiguous = rows.size > 0 and rows[-1] - rows[0] + 1 == rows.size
+    return _FoldedStep(
+        centre=np.tile(centre, n_loads),
+        lower=stacked(left)[1:],
+        upper=stacked(right)[:-1],
+        from_solid=stacked(from_solid)[:-npts],
+        from_coolant=stacked(from_coolant)[npts:],
+        grid_points=npts,
+        solid=slice(rows[0], rows[-1] + 1) if contiguous else rows,
+        source_gain=cfg.dt * cfg.arrhenius_prefactor / cfg.rho_cp_solid,
+        exponent=cfg.arrhenius_exponent,
+    )
+
+
 def fom_integrate(cfg: FomConfig, signals, save_every: int = 1):
     """Integrate the model with explicit Euler and return saved snapshots.
 
     ``signals`` is a non-empty sequence of ControlSignals; the result holds
     one single-trajectory SnapshotSet per signal, in the same order.  All
-    signals step together as one (L, n) stack, one row per heat load.
-    Saves every ``save_every``-th step starting at t=0, together with the
-    exact right-hand side at the saved state (``derivatives``) and the heat
-    load at the saved times (``controls``).  Refuses to run when dt exceeds
-    the advection/diffusion stability bound; a non-positive solid
-    temperature or a non-finite state aborts the whole stack with a
-    NumericError naming the step and the failing heat loads.
+    signals step together as one (L, n) stack, one row per heat load, and
+    each step is one folded ``(I + dt*L) x + dt*source`` update whose rows
+    do not depend on the other loads in the stack.  Saves every
+    ``save_every``-th step starting at t=0, together with the exact
+    right-hand side at the saved state (``derivatives``, from ``fom_rhs``,
+    which runs at saved states only) and the heat load at the saved times
+    (``controls``).  Refuses to run when dt exceeds the advection/diffusion
+    stability bound; a non-positive solid temperature or a non-finite state
+    aborts the whole stack with a NumericError naming the step and the
+    failing heat loads.
     """
     signals = list(signals)
     if not signals or not all(isinstance(sig, ControlSignal) for sig in signals):
@@ -254,7 +353,7 @@ def fom_integrate(cfg: FomConfig, signals, save_every: int = 1):
             f"{limit:g} s for this grid; reduce dt or coarsen the grid"
         )
 
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = cfg.n_steps
     if n_steps < 1:
         raise ConfigError("t_end must cover at least one step")
 
@@ -268,22 +367,17 @@ def fom_integrate(cfg: FomConfig, signals, save_every: int = 1):
     states = np.empty((n_loads, cfg.n, k))
     derivs = np.empty((n_loads, cfg.n, k))
 
+    step = _fold_step(cfg, n_loads)
     state = np.full((n_loads, cfg.n), cfg.initial_temperature, dtype=float)
     state[:, 0] = cfg.inflow_temperature  # pinned inlet node
-    col = 0
     for j in range(n_steps + 1):
-        try:
-            rhs = fom_rhs(state, controls[j], cfg)
-        except NumericError as exc:
-            solid_t = state[:, cfg.grid_points:][:, cfg.solid_mask > 0.0]
-            bad = np.any(solid_t <= 0.0, axis=1)
-            raise _load_error(str(exc), j, cfg, bad, controls[j]) from None
-        if col < k and saved[col] == j:
+        solid_t = step.solid_temperatures(state, j, cfg, controls[j])
+        if j % save_every == 0:
+            col = j // save_every
             states[:, :, col] = state
-            derivs[:, :, col] = rhs
-            col += 1
+            derivs[:, :, col] = fom_rhs(state, controls[j], cfg)
         if j < n_steps:
-            state = state + cfg.dt * rhs
+            state = step.apply(state, solid_t, controls[j])
             if not np.all(np.isfinite(state)):
                 bad = ~np.all(np.isfinite(state), axis=1)
                 raise _load_error("non-finite state", j + 1, cfg, bad, controls[j])

@@ -261,7 +261,11 @@ def save_rom(model: RomModel, path, include_basis: bool = True) -> None:
 
 
 def load_rom(path) -> RomModel:
-    """Read a model written by save_rom (or a compatible fixture file)."""
+    """Read a model written by save_rom (or a compatible fixture file).
+
+    Every DataError names the file: the reader's carry the line, and those
+    the model's containers raise on its values are prefixed with the path.
+    """
     with TextReader(path) as rd:
         if rd.next_line("'[meta]' header").strip() != "[meta]":
             raise rd.error("expected '[meta]' section")
@@ -283,7 +287,6 @@ def load_rom(path) -> RomModel:
         p2 = _read_matrix(rd, "P2")
         if a is None or a.shape != (r, r):
             raise DataError(f"{path}: linear operator must be {r} x {r}")
-        operators = RomOperators(a=a)
 
         if rd.next_line("'[deim]' header").strip() != "[deim]":
             raise rd.error("expected '[deim]' section")
@@ -293,13 +296,28 @@ def load_rom(path) -> RomModel:
                            dtype=int)
         unscale_scale = parse_list(rd.expect_kv("unscale_scale"), rd, "unscale_scale")
         unscale_shift = parse_list(rd.expect_kv("unscale_shift"), rd, "unscale_shift")
-
-        deim_ops = None
         if p1 is not None or p2 is not None:
             if p1 is None or p2 is None:
                 raise DataError(f"{path}: P1 and P2 must both be present")
             if p1.shape != (r, s) or p2.shape != (s, r):
                 raise DataError(f"{path}: P1/P2 shapes disagree with the meta section")
+
+        fields = None
+        if not rd.at_end() and rd.peek().strip() == "[scaling]":
+            rd.next_line("'[scaling]' header")
+            fields = parse_fields(rd.expect_kv("fields"), rd)
+            shift = parse_list(rd.expect_kv("shift"), rd, "shift")
+            scale = parse_list(rd.expect_kv("scale"), rd, "scale")
+            basis_matrix = _read_matrix(rd, "basis")
+            if basis_matrix is None or basis_matrix.shape[1] != r:
+                raise DataError(f"{path}: basis section must hold an n x {r} matrix")
+            if rd.next_line("'[singular_values]' header").strip() != "[singular_values]":
+                raise rd.error("expected '[singular_values]' section")
+            singular_values = parse_list(rd.next_line("singular values"), rd, "singular values")
+
+    try:
+        deim_ops = None
+        if p1 is not None:
             deim_ops = DeimOperators(
                 indices=indices,
                 p1=p1,
@@ -309,25 +327,13 @@ def load_rom(path) -> RomModel:
                 unscale_scale=np.array(unscale_scale) if unscale_scale else np.ones(s),
                 unscale_shift=np.array(unscale_shift) if unscale_shift else np.zeros(s),
             )
-
         basis = None
-        if not rd.at_end() and rd.peek().strip() == "[scaling]":
-            rd.next_line("'[scaling]' header")
-            fields = parse_fields(rd.expect_kv("fields"), rd)
-            shift = parse_list(rd.expect_kv("shift"), rd, "shift")
-            scale = parse_list(rd.expect_kv("scale"), rd, "scale")
-            scaling = ScalingSpec(fields=fields, shift=shift, scale=scale)
-            basis_matrix = _read_matrix(rd, "basis")
-            if basis_matrix is None or basis_matrix.shape[1] != r:
-                raise DataError(f"{path}: basis section must hold an n x {r} matrix")
-            if rd.next_line("'[singular_values]' header").strip() != "[singular_values]":
-                raise rd.error("expected '[singular_values]' section")
-            singular_values = np.array(
-                parse_list(rd.next_line("singular values"), rd, "singular values")
-            )
-            basis = PodBasis(basis=basis_matrix, singular_values=singular_values, scaling=scaling)
-
-        return RomModel(operators=operators, deim=deim_ops, basis=basis, dt=dt)
+        if fields is not None:
+            basis = PodBasis(basis=basis_matrix, singular_values=np.array(singular_values),
+                             scaling=ScalingSpec(fields=fields, shift=shift, scale=scale))
+        return RomModel(operators=RomOperators(a=a), deim=deim_ops, basis=basis, dt=dt)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def load_reference_fixture() -> RomModel:

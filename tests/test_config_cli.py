@@ -170,10 +170,13 @@ def test_cli_exit_codes_for_bad_inputs(tmp_path, capsys):
     assert main(["--config", cfg, "--out", out, "export-rom"]) == 3
 
 
-def test_cli_generate_writes_loadable_snapshots(tmp_path):
+def test_cli_generate_writes_loadable_snapshots(tmp_path, capsys):
     cfg = _write_tiny(tmp_path)
     out = str(tmp_path / "out")
     assert main(["--config", cfg, "--out", out, "generate"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "generate: 3 loads x 240 steps, n=32, 13 snapshots per load"
+    assert [line.split()[1] for line in lines[1:]] == ["R=0.5", "R=1", "R=1.5"]
     snaps = load_snapshots(os.path.join(out, "snapshots", "snapshots_R0.5.txt"))
     assert snaps.n == 32
     assert snaps.derivatives is not None
@@ -311,12 +314,27 @@ def test_cli_scaling_and_basis_row_mismatch_is_a_data_error(tmp_path, capsys):
     assert main(["--config", cfg, "--out", out, "generate"]) == 0
     assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
     # The fields cover 16 rows; the basis keeps its 32.
-    _edit_line(tmp_path / "out" / "rom_opinf.txt", "fields", "T_c:0:8,T_s:8:16")
+    model = tmp_path / "out" / "rom_opinf.txt"
+    _edit_line(model, "fields", "T_c:0:8,T_s:8:16")
     capsys.readouterr()
     for command in ("evaluate", "export-rom"):
         assert main(["--config", cfg, "--out", out, command]) == 3
         err = capsys.readouterr().err
         assert "error (data)" in err and "scaling covers 16 rows, the basis has 32" in err
+        assert f"{model}: " in err
+
+
+def test_cli_model_value_errors_name_the_model_file(tmp_path, capsys):
+    cfg = _write_tiny(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["--config", cfg, "--out", out, "generate"]) == 0
+    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
+    model = tmp_path / "out" / "rom_opinf.txt"
+    _edit_line(model, "scale", "0 1")
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", out, "evaluate"]) == 3
+    err = capsys.readouterr().err
+    assert "error (data)" in err and f"{model}: scales must be strictly positive" in err
 
 
 def test_cli_maps_linear_algebra_failures_to_numeric_exit(monkeypatch, capsys):

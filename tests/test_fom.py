@@ -334,3 +334,61 @@ def test_negative_temperature_in_one_stacked_load_names_that_load_and_step():
     message = str(info.value)
     assert message.startswith("non-positive solid temperature")
     assert message.endswith("at step 8 (t=8 s) in heat load(s) 1 (R=1)")
+
+
+def _stepping_cfg(**changes):
+    """A 12-point model whose inlet is colder than the start, so every term acts."""
+    values = dict(
+        grid_points=12,
+        rho_cp_coolant=1.0e6,
+        rho_cp_solid=2.0e6,
+        arrhenius_prefactor=3.0e4,
+        inflow_temperature=520.0,
+        initial_temperature=533.15,
+        coolant_velocity=0.01,
+        dt=0.5,
+        t_end=10.0,
+    )
+    values.update(changes)
+    return FomConfig(**values)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"solid_mask": np.array([0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 1], dtype=float)},
+        {"solid_mask": np.zeros(12)},
+        {"coolant_velocity": 0.0},
+        {"conductivity_coolant": 0.0, "conductivity_solid": 0.0},
+        {"exchange_coefficient": 0.0},
+    ],
+    ids=["non-contiguous-mask", "no-solid", "no-flow", "no-conduction", "no-exchange"],
+)
+def test_each_folded_step_is_one_exact_euler_step(changes):
+    cfg = _stepping_cfg(**changes)
+    signal = ControlSignal(heat_times=np.array([0.0, 4.0]), heat_values=np.array([1.0, 0.4]))
+    traj = fom_integrate(cfg, [signal], save_every=1)[0]
+    assert traj.data.shape == (cfg.n, 21)
+    for j in range(traj.data.shape[1] - 1):
+        want = traj.data[:, j] + cfg.dt * fom_rhs(traj.data[:, j], traj.controls[j], cfg)
+        assert np.allclose(traj.data[:, j + 1], want, rtol=1e-13, atol=0.0), j
+        assert np.array_equal(traj.derivatives[:, j],
+                              fom_rhs(traj.data[:, j], traj.controls[j], cfg))
+    assert np.all(traj.data[0] == cfg.inflow_temperature)
+
+
+def test_exact_rhs_runs_once_per_saved_column(small_cfg, monkeypatch):
+    import morcal.fom
+
+    calls = []
+    exact = morcal.fom.fom_rhs
+
+    def counting(state, control, cfg):
+        calls.append(np.shape(state))
+        return exact(state, control, cfg)
+
+    monkeypatch.setattr(morcal.fom, "fom_rhs", counting)
+    sets = fom_integrate(small_cfg, _two_schedule_signals(), save_every=7)
+    k = sets[0].data.shape[1]
+    assert k == round(small_cfg.t_end / small_cfg.dt) // 7 + 1
+    assert calls == [(3, small_cfg.n)] * k
