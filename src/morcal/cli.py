@@ -59,8 +59,6 @@ def cmd_generate(cfg: PipelineConfig) -> int:
     signals = [cfg.control_signal(load) for load in loads]
     snapshot_sets = fom_integrate(cfg.fom, signals, cfg.save_every)
     paths = [cfg.snapshot_path(load) for load in loads]
-    print(f"generate: {len(loads)} loads x {cfg.fom.n_steps} steps, n={cfg.fom.n}, "
-          f"{snapshot_sets[0].m} snapshots per load")
     counts = ordered_map(_write_snapshot_file, zip(snapshot_sets, paths))
     for m, load, path in zip(counts, loads, paths):
         print(f"generate: R={load:g} -> {path} ({m} snapshots)")

@@ -74,11 +74,6 @@ class FomConfig:
     def dx(self) -> float:
         return self.domain_length / (self.grid_points - 1)
 
-    @property
-    def n_steps(self) -> int:
-        """Explicit Euler steps from t=0 to t_end."""
-        return int(round(self.t_end / self.dt))
-
     def fields(self):
         """Name and index range of each field block in the stacked state."""
         n = self.grid_points
@@ -244,20 +239,17 @@ def _load_error(message, step, cfg, bad_rows, heat):
 class _FoldedStep:
     """One explicit Euler step ``x + dt*f(x)`` of an (L, n) stack, folded.
 
-    The stack is stepped as one vector of its rows laid end to end.  The
-    linear part of the step, ``I + dt*L``, is then one banded matrix with
-    the diagonals below; they are zero wherever they would cross a field or
-    a load boundary, so every row of the stack sees only its own state.
-    The temperature-driven source is added on the solid rows.
+    The linear part of the step, ``I + dt*L``, is a banded matrix with the
+    diagonals below, applied alike to every row of the stack; the lower and
+    upper ones are zero where they would cross the field boundary.  The
+    temperature-driven source is added on the solid rows.
     """
 
-    centre: np.ndarray  # (L*n,) diagonal
-    lower: np.ndarray  # (L*n - 1,) multiplies x[i-1] in row i
-    upper: np.ndarray  # (L*n - 1,) multiplies x[i+1] in row i
-    from_solid: np.ndarray  # (L*n - g,) multiplies x[i+g] in row i (coolant rows)
-    from_coolant: np.ndarray  # (L*n - g,) multiplies x[i-g] in row i (solid rows)
-    grid_points: int  # g, the offset between the two fields
-    solid: object  # column index of the solid rows in the (L, n) stack
+    centre: np.ndarray  # (n,) diagonal
+    lower: np.ndarray  # (n - 1,) multiplies x[i-1] in row i
+    upper: np.ndarray  # (n - 1,) multiplies x[i+1] in row i
+    exchange: np.ndarray  # (2, g) row f multiplies the other field in field f's rows
+    solid: np.ndarray  # columns of the solid rows
     source_gain: float  # dt * prefactor / rho_cp_solid
     exponent: float
 
@@ -270,55 +262,44 @@ class _FoldedStep:
 
     def apply(self, state, solid_t, heat):
         """Next (L, n) state; ``heat`` holds the (L,) loads driving the step."""
-        g = self.grid_points
-        x = state.ravel()
-        out = self.centre * x
-        out[1:] += self.lower * x[:-1]
-        out[:-1] += self.upper * x[1:]
-        out[:-g] += self.from_solid * x[g:]
-        out[g:] += self.from_coolant * x[:-g]
-        out = out.reshape(state.shape)
+        out = self.centre * state
+        out[:, 1:] += self.lower * state[:, :-1]
+        out[:, :-1] += self.upper * state[:, 1:]
+        # Each field draws on the other one at the same grid point.
+        by_field = (-1,) + self.exchange.shape  # (L, 2, g)
+        out_fields = out.reshape(by_field)
+        out_fields += self.exchange * state.reshape(by_field)[:, ::-1]
         out[:, self.solid] += (self.source_gain * heat)[:, None] * np.exp(self.exponent / solid_t)
         return out
 
 
-def _fold_step(cfg: FomConfig, n_loads: int) -> _FoldedStep:
-    """fom_rhs's discretisation times dt, plus the identity, for n_loads rows."""
+def _fold_step(cfg: FomConfig) -> _FoldedStep:
+    """fom_rhs's discretisation times dt, plus the identity."""
     npts = cfg.grid_points
     dx2 = cfg.dx ** 2
     diffuse_c = cfg.conductivity_coolant / cfg.rho_cp_coolant / dx2
     diffuse_s = cfg.conductivity_solid / cfg.rho_cp_solid / dx2
-    exchange = cfg.exchange_coefficient * cfg.solid_mask
-    zeros = np.zeros(npts)
     # Rates at which each row of one [T_c; T_s] state draws on its left and
     # right neighbours in its own field, and on the same grid point of the
     # other field.  The upwind coolant draws on its left neighbour only.
     left = np.concatenate([np.full(npts, diffuse_c + cfg.coolant_velocity / cfg.dx),
                            np.full(npts, diffuse_s)])
     right = np.concatenate([np.full(npts, diffuse_c), np.full(npts, diffuse_s)])
-    from_solid = np.concatenate([exchange / cfg.rho_cp_coolant, zeros])
-    from_coolant = np.concatenate([zeros, exchange / cfg.rho_cp_solid])
+    exchange = cfg.exchange_coefficient * cfg.solid_mask / np.array(
+        [[cfg.rho_cp_coolant], [cfg.rho_cp_solid]])
     # Each field's first point has no left neighbour and its last point no
     # right one (zero-gradient ends); the pinned inlet draws on nothing.
     left[[0, npts]] = 0.0
     right[[0, npts - 1, cfg.n - 1]] = 0.0
-    from_solid[0] = 0.0
+    exchange[0, 0] = 0.0
     # A row loses heat at the total rate at which it draws.
-    centre = 1.0 - cfg.dt * (left + right + from_solid + from_coolant)
-
-    def stacked(rate):
-        return np.tile(cfg.dt * rate, n_loads)
-
-    rows = npts + np.flatnonzero(cfg.solid_mask > 0.0)
-    contiguous = rows.size > 0 and rows[-1] - rows[0] + 1 == rows.size
+    centre = 1.0 - cfg.dt * (left + right + exchange.ravel())
     return _FoldedStep(
-        centre=np.tile(centre, n_loads),
-        lower=stacked(left)[1:],
-        upper=stacked(right)[:-1],
-        from_solid=stacked(from_solid)[:-npts],
-        from_coolant=stacked(from_coolant)[npts:],
-        grid_points=npts,
-        solid=slice(rows[0], rows[-1] + 1) if contiguous else rows,
+        centre=centre,
+        lower=cfg.dt * left[1:],
+        upper=cfg.dt * right[:-1],
+        exchange=cfg.dt * exchange,
+        solid=npts + np.flatnonzero(cfg.solid_mask > 0.0),
         source_gain=cfg.dt * cfg.arrhenius_prefactor / cfg.rho_cp_solid,
         exponent=cfg.arrhenius_exponent,
     )
@@ -353,7 +334,7 @@ def fom_integrate(cfg: FomConfig, signals, save_every: int = 1):
             f"{limit:g} s for this grid; reduce dt or coarsen the grid"
         )
 
-    n_steps = cfg.n_steps
+    n_steps = int(round(cfg.t_end / cfg.dt))
     if n_steps < 1:
         raise ConfigError("t_end must cover at least one step")
 
@@ -367,7 +348,7 @@ def fom_integrate(cfg: FomConfig, signals, save_every: int = 1):
     states = np.empty((n_loads, cfg.n, k))
     derivs = np.empty((n_loads, cfg.n, k))
 
-    step = _fold_step(cfg, n_loads)
+    step = _fold_step(cfg)
     state = np.full((n_loads, cfg.n), cfg.initial_temperature, dtype=float)
     state[:, 0] = cfg.inflow_temperature  # pinned inlet node
     for j in range(n_steps + 1):

@@ -170,13 +170,10 @@ def test_cli_exit_codes_for_bad_inputs(tmp_path, capsys):
     assert main(["--config", cfg, "--out", out, "export-rom"]) == 3
 
 
-def test_cli_generate_writes_loadable_snapshots(tmp_path, capsys):
+def test_cli_generate_writes_loadable_snapshots(tmp_path):
     cfg = _write_tiny(tmp_path)
     out = str(tmp_path / "out")
     assert main(["--config", cfg, "--out", out, "generate"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "generate: 3 loads x 240 steps, n=32, 13 snapshots per load"
-    assert [line.split()[1] for line in lines[1:]] == ["R=0.5", "R=1", "R=1.5"]
     snaps = load_snapshots(os.path.join(out, "snapshots", "snapshots_R0.5.txt"))
     assert snaps.n == 32
     assert snaps.derivatives is not None

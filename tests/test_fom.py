@@ -356,7 +356,7 @@ def _stepping_cfg(**changes):
 @pytest.mark.parametrize(
     "changes",
     [
-        {"solid_mask": np.array([0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 1], dtype=float)},
+        {"solid_mask": np.array([1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1], dtype=float)},
         {"solid_mask": np.zeros(12)},
         {"coolant_velocity": 0.0},
         {"conductivity_coolant": 0.0, "conductivity_solid": 0.0},

@@ -120,8 +120,7 @@ def test_stdout_lines_appear_once_in_order(tmp_path, capfd, monkeypatch):
     generated = [f"generate: R={case[1:]} -> {out}/snapshots/snapshots_{case}.txt (13 snapshots)"
                  for case in CASES]
     evaluated = [line for line in lines if line.startswith("evaluate: R")]
-    sizes = "generate: 4 loads x 240 steps, n=32, 13 snapshots per load"
-    assert lines[:6] == ["before the pool", sizes] + generated
+    assert lines[:5] == ["before the pool"] + generated
     assert [line.split()[1] for line in evaluated] == CASES
     assert len(lines) == len(set(lines))
     assert lines[-1] == f"evaluate: summary -> {out}/summary.csv"
