@@ -1,10 +1,10 @@
-"""Non-intrusive model-order reduction with adjoint-based operator calibration.
+"""Non-intrusive model-order reduction with trajectory-fit operator calibration.
 
 The package reduces a 1D heated-reactor model through proper orthogonal
 decomposition, samples its temperature nonlinearity with discrete empirical
 interpolation, infers reduced operators by regularised regression on
 snapshot derivatives, and then refines those operators by minimising the
-time-stepped trajectory mismatch with gradients from the discrete adjoint.
+time-stepped trajectory mismatch with Levenberg-Marquardt.
 """
 
 from morcal.calibrate import (

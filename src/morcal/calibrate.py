@@ -1,4 +1,4 @@
-"""Trajectory-fit calibration of reduced operators with adjoint gradients.
+"""Trajectory-fit calibration of reduced operators.
 
 Operator inference matches time derivatives; this module instead minimises
 the squared mismatch between explicit Euler rollouts of the reduced model
@@ -7,23 +7,25 @@ and the projected training trajectories,
     sum_i sum_j | s~_j^i - s_j^i |^2,   s~_j = s~_{j-1} + dt * f(s~_{j-1}, R_{j-1}),
 
 with f(s, R) = a s + source(s, R), over the entries of the linear operator
-a.  The sampled source term of the heat load R stays fixed during
-calibration.  Gradients come from one backward (adjoint) sweep per
-trajectory, so a full gradient costs one forward plus one backward pass
-regardless of the number of operator entries.  The optimiser is a
-limited-memory quasi-Newton method with an Armijo backtracking line
-search.  Its constants are fixed at the textbook values
-(Nocedal & Wright, Numerical Optimization, ch. 3 and sec. 7.2):
-HISTORY_SIZE = 10 curvature pairs, a trial step of INITIAL_STEP = 1 (scaled
-by the gradient norm on the first iteration), shrunk by LINE_SEARCH_SHRINK =
-0.5 at most LINE_SEARCH_MAX_BACKTRACKS = 40 times, and the sufficient
-decrease constant ARMIJO_CONSTANT = 1e-4.
+a; the sampled source term of the heat load R stays fixed.  This nonlinear
+least-squares problem is solved by Levenberg-Marquardt (More 1978; Nocedal
+& Wright, Numerical Optimization, ch. 10).  Each iteration solves
+(J^T J + mu diag(J^T J)) delta = -J^T res, with J^T J and J^T res summed by
+one forward tangent sweep per trajectory stack.  A step is accepted only if
+it strictly lowers the objective, and then mu /= DAMPING_FACTOR; otherwise,
+a failed rollout included, mu *= DAMPING_FACTOR and the step is solved
+again.  The report's status names the rule that ended the run:
+
+- ``converged``: the gradient 2 J^T res is at most ``gradient_tolerance``
+  times its initial norm;
+- ``small_decrease``: an accepted step gained less than SMALL_DECREASE of
+  the objective;
+- ``stalled``: the damped step changes no entry of a;
+- ``max_iterations``: the iteration budget ran out.
 
 One rollout kernel serves calibration and evaluation alike: the operators
 are folded with the step size once per operator set, and trajectories of
-equal length are stepped together as the columns of one state stack.  A
-forward sweep keeps its states and sampled temperatures, so the accepted
-line-search candidate needs only its backward sweep.
+equal length are stepped together as the columns of one state stack.
 """
 
 import logging
@@ -50,11 +52,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-HISTORY_SIZE = 10
-INITIAL_STEP = 1.0
-LINE_SEARCH_SHRINK = 0.5
-LINE_SEARCH_MAX_BACKTRACKS = 40
-ARMIJO_CONSTANT = 1e-4
+INITIAL_DAMPING = 1e-3
+DAMPING_FACTOR = 10.0
+SMALL_DECREASE = 1e-6
 
 
 @dataclass
@@ -91,7 +91,7 @@ class CalibrationProblem:
 
 @dataclass
 class OptimizerConfig:
-    """Limited-memory quasi-Newton stopping settings."""
+    """Levenberg-Marquardt stopping settings."""
 
     max_iterations: int = 500
     gradient_tolerance: float = 1e-8  # relative to the initial gradient norm
@@ -110,7 +110,7 @@ class ConvergenceReport:
     status: str
     objective_history: list
     gradient_norms: list
-    step_lengths: list
+    dampings: list  # the damping mu that produced each accepted step; 0 at the start
     evaluations: int  # objective evaluations, start point and rejected candidates included
 
     @property
@@ -119,11 +119,11 @@ class ConvergenceReport:
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("iteration,objective,gradient_norm,step_length\n")
-            for i, (obj, g, step) in enumerate(
-                zip(self.objective_history, self.gradient_norms, self.step_lengths)
+            fh.write("iteration,objective,gradient_norm,damping\n")
+            for i, (obj, g, mu) in enumerate(
+                zip(self.objective_history, self.gradient_norms, self.dampings)
             ):
-                fh.write(f"{i},{fmt_float(obj)},{fmt_float(g)},{fmt_float(step)}\n")
+                fh.write(f"{i},{fmt_float(obj)},{fmt_float(g)},{fmt_float(mu)}\n")
 
 
 @dataclass
@@ -184,7 +184,7 @@ def _batches(trajectories, controls) -> list:
 
 @dataclass
 class _Sweep:
-    """A forward sweep of one batch, kept for its backward sweep."""
+    """A forward sweep of one batch, kept for its tangent or backward sweep."""
 
     states: np.ndarray  # (k + 1, r, L)
     temperatures: np.ndarray | None  # (k, s, L) sampled temperatures of states 0..k-1
@@ -275,6 +275,17 @@ def objective(ops: RomOperators, problem: CalibrationProblem) -> float:
         return math.inf
 
 
+def _source_weights(f: _Folded, sweep: _Sweep, heat: np.ndarray) -> np.ndarray | None:
+    """w_j = R_j E_j (-exponent / T_j^2), (k, s, L); None without sampling operators.
+
+    The sampled source p1d (E_j * R_j) changes by p1d (w_j * (p2f v)) along a
+    state change v.
+    """
+    if f.p1d is None:
+        return None
+    return sweep.sources * (-f.exponent / sweep.temperatures ** 2) * heat[:, None, :]
+
+
 def _gradient(ev: _Evaluation, problem: CalibrationProblem) -> RomOperators:
     """One backward (adjoint) sweep per batch over the stored forward sweeps.
 
@@ -284,9 +295,9 @@ def _gradient(ev: _Evaluation, problem: CalibrationProblem) -> RomOperators:
         mu_j = 2 (s~_j - s_j) + (I + dt J(s~_j, R_j))^T mu_{j+1}
 
     where J is the state Jacobian of f, so (I + dt J)^T mu = ad^T mu +
-    p2f^T (w_j * (p1d^T mu)), with w_j = R_j E_j (-exponent / T_j^2) built
-    for all steps at once.  The mu_{j+1} are stored, so the gradient is one
-    contraction against the states: grad a = dt sum_j mu_{j+1} s~_j^T.
+    p2f^T (w_j * (p1d^T mu)), with the weights w_j of ``_source_weights``.
+    The mu_{j+1} are stored, so the gradient is one contraction against the
+    states: grad a = dt sum_j mu_{j+1} s~_j^T.
     """
     f, dt = ev.folded, problem.dt
     grad_a = np.zeros_like(ev.ops.a)
@@ -294,10 +305,7 @@ def _gradient(ev: _Evaluation, problem: CalibrationProblem) -> RomOperators:
         states = sweep.states
         k = states.shape[0] - 1
         twice = 2.0 * res
-        weights = None
-        if f.p1d is not None:
-            weights = sweep.sources * (-f.exponent / sweep.temperatures ** 2)
-            weights *= batch.heat[:, None, :]
+        weights = _source_weights(f, sweep, batch.heat)
         mus = np.empty((k,) + states.shape[1:])
         mus[k - 1] = twice[k]
         mu = mus[k - 1]
@@ -320,6 +328,41 @@ def adjoint_gradient(ops: RomOperators, problem: CalibrationProblem) -> RomOpera
     return _gradient(_Evaluation(ops, problem), problem)
 
 
+def _tangent(ev: _Evaluation, problem: CalibrationProblem):
+    """J^T J and J^T res from one forward tangent sweep per batch; J is never stored.
+
+    D_j = d s~_j / d vec(a) starts at D_0 = 0 and follows the differentiated
+    Euler step
+
+        D_{j+1} = ad D_j + p1d (w_j * (p2f D_j)) + dt (s~_j in row p of column (p, q)),
+
+    with the weights w_j of ``_source_weights``.  D_j is held as (r, L, r^2),
+    so the r^2 directions ride as extra columns of the state stack, and each
+    D_j is contracted with itself and with the residual of step j at once.
+    """
+    f, dt, r = ev.folded, problem.dt, ev.ops.r
+    rows = np.arange(r)
+    jtj = np.zeros((r * r, r * r))
+    jtr = np.zeros(r * r)
+    for sweep, res, batch in zip(ev.sweeps, ev.residuals, problem.batches):
+        states = sweep.states
+        width = states.shape[2]
+        weights = _source_weights(f, sweep, batch.heat)
+        d = np.zeros((r, width * r * r))
+        for j in range(states.shape[0] - 1):
+            nxt = f.ad @ d
+            if weights is not None:
+                t = (f.p2f @ d).reshape(-1, width, r * r) * weights[j][:, :, None]
+                nxt += f.p1d @ t.reshape(t.shape[0], -1)
+            d = nxt
+            # entry [p, trajectory, column p * r + q] gains dt s~_j[q, trajectory]
+            d.reshape(r, width, r, r)[rows, :, rows] += dt * states[j].T
+            jac = d.reshape(r * width, r * r)
+            jtj += jac.T @ jac
+            jtr += jac.T @ res[j + 1].ravel()
+    return jtj, jtr
+
+
 def calibrate(
     initial: RomOperators,
     problem: CalibrationProblem,
@@ -327,10 +370,10 @@ def calibrate(
 ):
     """Minimise the trajectory mismatch starting from ``initial``.
 
-    Returns the calibrated operators and a ConvergenceReport.  The accepted
-    objective values are non-increasing by construction of the Armijo line
-    search.  An infinite initial objective (diverging start) is refused with
-    a hint to regularise the starting operators more strongly.
+    Returns the calibrated operators and a ConvergenceReport.  Accepted
+    objective values strictly decrease; a candidate whose rollout fails is
+    rejected and logged at INFO.  An infinite initial objective (diverging
+    start) is refused with a hint to regularise the start more strongly.
     """
     opt = optimizer if optimizer is not None else OptimizerConfig()
     r = initial.r
@@ -343,11 +386,8 @@ def calibrate(
         try:
             return _Evaluation(RomOperators(a=vec.reshape(r, r)), problem)
         except NumericError as exc:
-            logger.warning("rollout failed during objective evaluation: %s", exc)
+            logger.info("candidate rejected, its rollout failed: %s", exc)
             return None
-
-    def gradient(ev):
-        return _gradient(ev, problem).a.ravel()
 
     x = initial.a.flatten()
     current = evaluate(x)
@@ -356,92 +396,47 @@ def calibrate(
             "initial operators already diverge on the training horizon; "
             "use a more strongly regularised starting point"
         )
-    f, g = current.value, gradient(current)
-    gnorm0 = float(np.linalg.norm(g))
-    history_s: list = []
-    history_y: list = []
+    f = current.value
+    jtj, jtr = _tangent(current, problem)
     objective_history = [f]
-    gradient_norms = [gnorm0]
-    step_lengths = [0.0]
+    gradient_norms = [2.0 * float(np.linalg.norm(jtr))]
+    dampings = [0.0]
+    damping = INITIAL_DAMPING
     status = "max_iterations"
 
     for _ in range(opt.max_iterations):
-        gnorm = gradient_norms[-1]
-        if gnorm <= opt.gradient_tolerance * gnorm0:
-            status = "converged"
+        if gradient_norms[-1] <= opt.gradient_tolerance * gradient_norms[0]:
             break
-
-        direction = _two_loop_direction(g, history_s, history_y)
-        descent = float(direction @ g)
-        if descent >= 0.0:
-            direction = -g
-            descent = -gnorm ** 2
-
-        step = INITIAL_STEP
-        if not history_s:
-            step = INITIAL_STEP / max(1.0, gnorm)
-        accepted = None
-        for _bt in range(LINE_SEARCH_MAX_BACKTRACKS):
-            candidate = x + step * direction
-            trial = evaluate(candidate)
-            if trial is not None and trial.value <= f + ARMIJO_CONSTANT * step * descent:
-                accepted = trial
+        # Marquardt's scaling; an entry of a that moves no state keeps unit scale.
+        scale = np.diag(jtj)
+        scale = np.where(scale > 0.0, scale, 1.0)
+        while True:
+            candidate = x + np.linalg.solve(jtj + np.diag(damping * scale), -jtr)
+            if np.array_equal(candidate, x):
+                status = "stalled"
                 break
-            step *= LINE_SEARCH_SHRINK
-        if accepted is None:
-            status = "line_search_failure"
-            logger.info("line search stalled at objective %.6e", f)
+            trial = evaluate(candidate)
+            if trial is not None and trial.value < f:
+                break
+            damping *= DAMPING_FACTOR
+        if status == "stalled":
             break
 
-        f_new, g_new = accepted.value, gradient(accepted)
-        s_vec = candidate - x
-        y_vec = g_new - g
-        curvature = float(s_vec @ y_vec)
-        if curvature > 1e-12 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
-            history_s.append(s_vec)
-            history_y.append(y_vec)
-            if len(history_s) > HISTORY_SIZE:
-                history_s.pop(0)
-                history_y.pop(0)
-
-        x, f, g = candidate, f_new, g_new
+        decrease = (f - trial.value) / f
+        x, f = candidate, trial.value
+        jtj, jtr = _tangent(trial, problem)
         objective_history.append(f)
-        gradient_norms.append(float(np.linalg.norm(g)))
-        step_lengths.append(step)
-    if status == "max_iterations" and gradient_norms[-1] <= opt.gradient_tolerance * gnorm0:
+        gradient_norms.append(2.0 * float(np.linalg.norm(jtr)))
+        dampings.append(damping)
+        damping /= DAMPING_FACTOR
+        if decrease < SMALL_DECREASE:
+            status = "small_decrease"
+            break
+    if gradient_norms[-1] <= opt.gradient_tolerance * gradient_norms[0]:
         status = "converged"
 
-    report = ConvergenceReport(
-        status=status,
-        objective_history=objective_history,
-        gradient_norms=gradient_norms,
-        step_lengths=step_lengths,
-        evaluations=evaluations,
-    )
+    report = ConvergenceReport(status, objective_history, gradient_norms, dampings, evaluations)
     return RomOperators(a=x.reshape(r, r)), report
-
-
-def _two_loop_direction(g, history_s, history_y):
-    """Standard two-loop recursion for the quasi-Newton direction."""
-    q = g.copy()
-    alphas = []
-    rhos = []
-    for s_vec, y_vec in zip(reversed(history_s), reversed(history_y)):
-        rho = 1.0 / float(y_vec @ s_vec)
-        alpha = rho * float(s_vec @ q)
-        q -= alpha * y_vec
-        alphas.append(alpha)
-        rhos.append(rho)
-    if history_s:
-        s_last, y_last = history_s[-1], history_y[-1]
-        gamma = float(s_last @ y_last) / float(y_last @ y_last)
-        q *= gamma
-    for (s_vec, y_vec), alpha, rho in zip(
-        zip(history_s, history_y), reversed(alphas), reversed(rhos)
-    ):
-        beta = rho * float(y_vec @ q)
-        q += s_vec * (alpha - beta)
-    return -q
 
 
 def build_calibration_problem(

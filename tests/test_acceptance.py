@@ -319,7 +319,7 @@ def test_criterion_7_optimizer_descends_and_recovers():
     _verdict(
         7,
         ok,
-        f"quasi-Newton iterations never increase the objective (monotone: "
+        f"Levenberg-Marquardt iterations never increase the objective (monotone: "
         f"{monotone}) and a perturbed realizable start is driven from "
         f"{f0:.3e} to {f1:.3e} ({f1 / f0:.1e} of the initial value, "
         f"threshold 1e-6)",

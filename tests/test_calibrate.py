@@ -1,6 +1,7 @@
-"""Rollout, objective, adjoint gradient, and the quasi-Newton loop."""
+"""Rollout, objective, adjoint gradient, tangent sweep, and the Levenberg-Marquardt loop."""
 
 import importlib
+import logging
 import math
 
 import numpy as np
@@ -237,13 +238,15 @@ def test_rollout_guards_name_the_failing_step():
 
 @pytest.fixture
 def sweep_counters(monkeypatch):
-    """Trajectories swept forward and backward, counted around the kernels.
+    """Trajectories swept forward, backward and by tangents, counted around the kernels.
 
     A forward sweep steps a stack of trajectories, one per column of its
-    start state; a gradient sweeps every training trajectory backward once.
+    start state; a gradient sweeps every training trajectory backward once,
+    and J^T J with J^T res sweeps every training trajectory's tangents once.
     """
-    counts = {"forward": 0, "backward": 0}
+    counts = {"forward": 0, "backward": 0, "tangent": 0}
     forward, gradient = calibrate_mod._forward, calibrate_mod._gradient
+    tangent = calibrate_mod._tangent
 
     def counting_forward(f, s0, heat):
         counts["forward"] += s0.shape[1]
@@ -253,12 +256,17 @@ def sweep_counters(monkeypatch):
         counts["backward"] += sum(batch.data.shape[2] for batch in problem.batches)
         return gradient(ev, problem)
 
+    def counting_tangent(ev, problem):
+        counts["tangent"] += sum(batch.data.shape[2] for batch in problem.batches)
+        return tangent(ev, problem)
+
     monkeypatch.setattr(calibrate_mod, "_forward", counting_forward)
     monkeypatch.setattr(calibrate_mod, "_gradient", counting_gradient)
+    monkeypatch.setattr(calibrate_mod, "_tangent", counting_tangent)
     return counts
 
 
-def test_calibrate_sweeps_forward_once_per_evaluation_and_backward_once_per_iterate(
+def test_calibrate_sweeps_forward_once_per_evaluation_and_tangent_once_per_iterate(
     rng, sweep_counters
 ):
     problem = _random_problem(rng, l=3)
@@ -267,7 +275,8 @@ def test_calibrate_sweeps_forward_once_per_evaluation_and_backward_once_per_iter
     assert report.iterations == 6 and report.evaluations >= report.iterations + 1
     assert sweep_counters == {
         "forward": 3 * report.evaluations,
-        "backward": 3 * (report.iterations + 1),
+        "backward": 0,
+        "tangent": 3 * (report.iterations + 1),
     }
 
 
@@ -275,14 +284,53 @@ def test_gradient_costs_one_forward_one_backward_per_trajectory(rng, sweep_count
     problem = _random_problem(rng, l=3)
     ops = _random_ops(rng)
     adjoint_gradient(ops, problem)
-    assert sweep_counters == {"forward": 3, "backward": 3}
+    assert sweep_counters == {"forward": 3, "backward": 3, "tangent": 0}
 
 
 def test_objective_costs_forward_sweeps_only(rng, sweep_counters):
     problem = _random_problem(rng, l=2)
     ops = _random_ops(rng)
     objective(ops, problem)
-    assert sweep_counters == {"forward": 2, "backward": 0}
+    assert sweep_counters == {"forward": 2, "backward": 0, "tangent": 0}
+
+
+def _ragged_problem(rng, r=4):
+    """Sampled source and two trajectory lengths, so two batches."""
+    trajectories, controls = [], []
+    for k in (30, 18, 30):
+        trajectories.append(0.2 * rng.standard_normal((r, k + 1)))
+        controls.append(rng.uniform(0.5, 1.5, k + 1))
+    return CalibrationProblem(
+        reduced_trajectories=trajectories, controls=controls, dt=0.05, deim=_deim_ops(rng, r)
+    )
+
+
+def test_tangent_sweep_gradient_equals_adjoint_gradient(rng):
+    problem = _ragged_problem(rng)
+    assert len(problem.batches) == 2
+    ops = _random_ops(rng, r=4)
+    _, jtr = calibrate_mod._tangent(calibrate_mod._Evaluation(ops, problem), problem)
+    want = adjoint_gradient(ops, problem).a.ravel()
+    assert np.linalg.norm(2.0 * jtr - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_tangent_sweep_normal_matrix_matches_finite_difference_jacobian(rng):
+    problem = _ragged_problem(rng, r=3)
+    ops = _random_ops(rng)
+
+    def residuals(a):
+        ev = calibrate_mod._Evaluation(RomOperators(a=a.reshape(3, 3)), problem)
+        return np.concatenate([res.ravel() for res in ev.residuals])
+
+    x = ops.a.ravel()
+    jac = np.empty((residuals(x).size, x.size))
+    for c in range(x.size):
+        h = np.zeros_like(x)
+        h[c] = 1e-6
+        jac[:, c] = (residuals(x + h) - residuals(x - h)) / 2e-6
+    jtj, _ = calibrate_mod._tangent(calibrate_mod._Evaluation(ops, problem), problem)
+    assert np.allclose(jtj, jtj.T, rtol=0.0, atol=1e-12 * np.abs(jtj).max())
+    assert np.linalg.norm(jtj - jac.T @ jac) <= 1e-6 * np.linalg.norm(jtj)
 
 
 def _self_consistent_problem(rng, r=2, k=30):
@@ -307,7 +355,66 @@ def test_calibrate_recovers_perturbed_operators(rng):
     )
     f1 = objective(fitted, problem)
     assert f1 < 1e-6 * f0
-    assert report.status in ("converged", "max_iterations", "line_search_failure")
+    assert report.status in ("converged", "max_iterations")
+
+
+def test_calibrate_stalls_when_the_damped_step_no_longer_moves(rng):
+    """A realizable fit with no gradient tolerance: at round-off no step decreases."""
+    true_ops, problem = _self_consistent_problem(rng)
+    start = RomOperators(a=true_ops.a + 0.05 * rng.standard_normal(true_ops.a.shape))
+    fitted, report = calibrate(
+        start, problem, OptimizerConfig(max_iterations=400, gradient_tolerance=0.0)
+    )
+    assert report.status == "stalled"
+    assert report.iterations < 400
+    assert report.objective_history[-1] < 1e-20 * report.objective_history[0]
+    assert np.all(np.diff(report.objective_history) < 0.0)
+    assert np.allclose(fitted.a, true_ops.a, rtol=0.0, atol=1e-10)
+    # Only rejected candidates raise the damping until the step vanishes.
+    assert report.evaluations > report.iterations + 1
+
+
+def test_calibrate_stops_on_a_small_decrease(rng):
+    """Noisy data leave a nonzero minimum that the steps approach ever more slowly."""
+    problem = _random_problem(rng, l=3)
+    _, report = calibrate(
+        _random_ops(rng), problem, OptimizerConfig(max_iterations=400, gradient_tolerance=0.0)
+    )
+    assert report.status == "small_decrease"
+    assert report.iterations < 400
+    f = report.objective_history
+    assert (f[-2] - f[-1]) < calibrate_mod.SMALL_DECREASE * f[-2]
+    assert all(a - b >= calibrate_mod.SMALL_DECREASE * a for a, b in zip(f[:-2], f[1:-1]))
+
+
+def test_calibrate_keeps_entries_that_move_no_state():
+    """A state component that is zero throughout gives zero columns in J."""
+    k = 20
+    data = np.zeros((2, k + 1))
+    data[0] = 0.9 ** np.arange(k + 1)
+    problem = CalibrationProblem(reduced_trajectories=[data], controls=[np.zeros(k + 1)], dt=1.0)
+    start = np.diag([-0.2, -0.3])
+    fitted, report = calibrate(_linear_ops(start), problem, OptimizerConfig(max_iterations=50))
+    assert report.status == "converged"
+    assert abs(fitted.a[0, 0] - (-0.1)) < 1e-10
+    assert np.array_equal(fitted.a[:, 1], start[:, 1]) and fitted.a[1, 0] == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_calibrate_logs_diverging_candidates_below_warning(caplog):
+    """The first damped steps of this exponential fit overflow the rollout."""
+    k = 200
+    states = forward_rollout(_linear_ops([[0.05]]), None, np.array([1.0]), np.zeros(k), 1.0, k)
+    problem = CalibrationProblem(reduced_trajectories=[states], controls=[np.zeros(k + 1)], dt=1.0)
+    with caplog.at_level(logging.DEBUG, logger="morcal.calibrate"):
+        fitted, report = calibrate(
+            _linear_ops([[-0.99]]), problem, OptimizerConfig(max_iterations=50)
+        )
+    failed = [rec for rec in caplog.records if "rollout failed" in rec.getMessage()]
+    assert failed and all(rec.levelno == logging.INFO for rec in failed)
+    assert not [rec for rec in caplog.records if rec.levelno >= logging.WARNING]
+    assert report.dampings[1] > calibrate_mod.INITIAL_DAMPING
+    assert abs(fitted.a[0, 0] - 0.05) < 1e-8
 
 
 def test_calibrate_descends_monotonically(rng):
@@ -373,11 +480,14 @@ def test_convergence_report_csv(tmp_path):
     _, report = calibrate(ops, problem, OptimizerConfig(max_iterations=5))
     report.write_csv(report_path)
     lines = report_path.read_text().splitlines()
-    assert lines[0] == "iteration,objective,gradient_norm,step_length"
+    assert lines[0] == "iteration,objective,gradient_norm,damping"
     assert len(lines) == len(report.objective_history) + 1
     first = lines[1].split(",")
     assert first[0] == "0"
     assert float(first[1]) == report.objective_history[0]
+    assert float(first[3]) == 0.0
+    assert [float(line.split(",")[3]) for line in lines[2:]] == report.dampings[1:]
+    assert all(mu > 0.0 for mu in report.dampings[1:])
 
 
 def test_optimizer_config_validation():
