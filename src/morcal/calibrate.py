@@ -191,12 +191,13 @@ class _Sweep:
     sources: np.ndarray | None  # (k, s, L) exp(exponent / temperatures)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _forward(f: _Folded, s0: np.ndarray, heat: np.ndarray) -> _Sweep:
     """Explicit Euler rollout of the state stack s0 (r, L) over len(heat) steps.
 
     Every step checks the sampled temperatures against MIN_TEMPERATURE and
     the new states for finiteness; either failure raises a NumericError
-    naming the step.
+    naming the step, so an overflow on the way raises no RuntimeWarning.
     """
     k, width = heat.shape
     states = np.empty((k + 1, s0.shape[0], width))
@@ -255,6 +256,7 @@ def forward_rollout(
 class _Evaluation:
     """Objective of one operator set, with the forward sweeps it came from."""
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, ops: RomOperators, problem: "CalibrationProblem"):
         self.ops = ops
         self.folded = _fold(ops, problem.deim, problem.dt)
@@ -446,11 +448,9 @@ def build_calibration_problem(
 ) -> CalibrationProblem:
     """Project a scaled snapshot set onto the basis, one trajectory at a time."""
     from morcal.pod import project
-    from morcal.snapshots import _uniform_dt
 
     if scaled_snapshots.scaling is None:
         raise DataError("calibration expects a scaled snapshot set")
-    dt = _uniform_dt(scaled_snapshots)
     trajectories = []
     controls = []
     for sl in scaled_snapshots.trajectory_slices():
@@ -459,6 +459,6 @@ def build_calibration_problem(
     return CalibrationProblem(
         reduced_trajectories=trajectories,
         controls=controls,
-        dt=dt,
+        dt=scaled_snapshots.dt,
         deim=deim_ops,
     )

@@ -90,10 +90,11 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
     raw = _load_training_set(cfg)
     if raw.derivatives is None:
         raise DataError("training snapshots carry no derivatives; regenerate them")
+    if np.diff(raw.trajectory_offsets).min() < 2:
+        raise DataError("a training trajectory of one snapshot has no snapshot spacing to step by")
 
     scaling = snap_mod.fit_scaling(raw)
     scaled = snap_mod.apply_scaling(raw, scaling)
-    dt = snap_mod._uniform_dt(scaled)
     basis = pod_mod.compute_pod(scaled.data, cfg.pod_rank, scaling=scaling)
     print(f"train: pod basis r={cfg.pod_rank} "
           f"(spectrum head {fmt_float(basis.singular_values[0])})")
@@ -116,7 +117,7 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
     reduced_derivs = pod_mod.project(basis, scaled.derivatives)
     design, target = assemble_regression(reduced_states, reduced_derivs, scaled.controls, deim_ops)
     operators = solve_opinf(design, target, cfg.tikhonov_lambda)
-    oi_model = rom_mod.RomModel(operators=operators, deim=deim_ops, basis=basis, dt=dt)
+    oi_model = rom_mod.RomModel(operators=operators, deim=deim_ops, basis=basis, dt=raw.dt)
     oi_path = os.path.join(cfg.output_dir, "rom_opinf.txt")
     rom_mod.save_rom(oi_model, oi_path)
     print(f"train: inferred operators -> {oi_path}")
@@ -137,7 +138,7 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
 
     problem = build_calibration_problem(scaled, basis, deim_ops)
     calibrated, report = calibrate(operators, problem, cfg.optimizer)
-    cal_model = rom_mod.RomModel(operators=calibrated, deim=deim_ops, basis=basis, dt=dt)
+    cal_model = rom_mod.RomModel(operators=calibrated, deim=deim_ops, basis=basis, dt=raw.dt)
     cal_path = os.path.join(cfg.output_dir, "rom_calibrated.txt")
     rom_mod.save_rom(cal_model, cal_path)
     report.write_csv(os.path.join(cfg.output_dir, "convergence.csv"))

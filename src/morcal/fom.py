@@ -316,10 +316,11 @@ def fom_integrate(cfg: FomConfig, signals, save_every: int = 1):
     ``save_every``-th step starting at t=0, together with the exact
     right-hand side at the saved state (``derivatives``, from ``fom_rhs``,
     which runs at saved states only) and the heat load at the saved times
-    (``controls``).  Refuses to run when dt exceeds the advection/diffusion
-    stability bound; a non-positive solid temperature or a non-finite state
-    aborts the whole stack with a NumericError naming the step and the
-    failing heat loads.
+    (``controls``); the sets' spacing is ``save_every * dt``.  Refuses to
+    run when dt exceeds the advection/diffusion stability bound, or when
+    t_end is shorter than one saved step; a non-positive solid temperature
+    or a non-finite state aborts the whole stack with a NumericError naming
+    the step and the failing heat loads.
     """
     signals = list(signals)
     if not signals or not all(isinstance(sig, ControlSignal) for sig in signals):
@@ -335,8 +336,9 @@ def fom_integrate(cfg: FomConfig, signals, save_every: int = 1):
         )
 
     n_steps = int(round(cfg.t_end / cfg.dt))
-    if n_steps < 1:
-        raise ConfigError("t_end must cover at least one step")
+    if n_steps < save_every:
+        raise ConfigError(f"t_end={cfg.t_end:g} s is shorter than one saved step, "
+                          f"save_every={save_every} x dt={cfg.dt:g} s")
 
     step_times = np.arange(n_steps + 1) * cfg.dt
     n_loads = len(signals)
@@ -351,23 +353,24 @@ def fom_integrate(cfg: FomConfig, signals, save_every: int = 1):
     step = _fold_step(cfg)
     state = np.full((n_loads, cfg.n), cfg.initial_temperature, dtype=float)
     state[:, 0] = cfg.inflow_temperature  # pinned inlet node
-    for j in range(n_steps + 1):
-        solid_t = step.solid_temperatures(state, j, cfg, controls[j])
-        if j % save_every == 0:
-            col = j // save_every
-            states[:, :, col] = state
-            derivs[:, :, col] = fom_rhs(state, controls[j], cfg)
-        if j < n_steps:
-            state = step.apply(state, solid_t, controls[j])
-            if not np.all(np.isfinite(state)):
-                bad = ~np.all(np.isfinite(state), axis=1)
-                raise _load_error("non-finite state", j + 1, cfg, bad, controls[j])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n_steps + 1):
+            solid_t = step.solid_temperatures(state, j, cfg, controls[j])
+            if j % save_every == 0:
+                col = j // save_every
+                states[:, :, col] = state
+                derivs[:, :, col] = fom_rhs(state, controls[j], cfg)
+            if j < n_steps:
+                state = step.apply(state, solid_t, controls[j])
+                if not np.all(np.isfinite(state)):
+                    bad = ~np.all(np.isfinite(state), axis=1)
+                    raise _load_error("non-finite state", j + 1, cfg, bad, controls[j])
 
     return [
         SnapshotSet(
             data=states[i],
             trajectory_offsets=np.array([0, k]),
-            times=[step_times[saved]],
+            dt=save_every * cfg.dt,
             controls=controls[saved, i],
             fields=cfg.fields(),
             derivatives=derivs[i],

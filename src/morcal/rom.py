@@ -129,11 +129,9 @@ def rom_vs_projected_error(model: RomModel, snapshots: SnapshotSet) -> ErrorRepo
     states = snapshots.data
     if states.shape[0] != model.basis.n:
         raise DataError("trajectory state size does not match the basis")
-    times = np.asarray(snapshots.times[0], dtype=float)
-    steps = np.diff(times)
-    if steps.size == 0:
+    if snapshots.m < 2:
         raise DataError("trajectory must contain at least two snapshots")
-    if not np.allclose(steps, model.dt, rtol=1e-9, atol=1e-12):
+    if not np.isclose(snapshots.dt, model.dt, rtol=1e-9, atol=1e-12):
         raise DataError("trajectory spacing does not match the model step size")
 
     scaled = model.basis.scaling.scale_array(states)
@@ -148,7 +146,7 @@ def rom_vs_projected_error(model: RomModel, snapshots: SnapshotSet) -> ErrorRepo
     outside = ~flags
     mean_outside = float(np.mean(errors[outside])) if np.any(outside) else float("nan")
     return ErrorReport(
-        times=times,
+        times=np.arange(snapshots.m) * snapshots.dt,
         step_errors=errors,
         switch_off=flags,
         mean_error=mean_outside,

@@ -1,10 +1,13 @@
 """The snapshot container, its scaling, and snapshot files.
 
 A snapshot set stacks one or more trajectories column-wise into an n x m
-matrix, keeping trajectory boundaries, the heat load of each column, and
-the field layout of the state vector.  Scaling standardises each field
-block by its mean and standard deviation; derivative columns are divided by
-the scale only, since shifting does not change a time derivative.
+matrix, keeping trajectory boundaries, the heat load of each column, the
+field layout of the state vector, and the spacing ``dt`` that all its
+trajectories share.  The full-order model refuses ``t_end < save_every*dt``,
+so each trajectory it writes holds at least two snapshots.  Scaling
+standardises each field block by its mean and standard deviation;
+derivative columns are divided by the scale only, since shifting does not
+change a time derivative.
 """
 
 from dataclasses import dataclass, field
@@ -110,7 +113,7 @@ class SnapshotSet:
 
     data: np.ndarray  # (n, m)
     trajectory_offsets: np.ndarray  # (l+1,) column offsets, first 0, last m
-    times: list  # per-trajectory time vectors
+    dt: float  # time between consecutive snapshots of every trajectory
     controls: np.ndarray  # (m,) heat load R per column
     fields: list  # (name, start, end)
     derivatives: np.ndarray | None = None
@@ -124,11 +127,8 @@ class SnapshotSet:
         off = self.trajectory_offsets
         if off[0] != 0 or off[-1] != m or np.any(np.diff(off) <= 0):
             raise DataError("trajectory offsets must increase from 0 to the column count")
-        if len(self.times) != off.size - 1:
-            raise DataError("one time vector per trajectory required")
-        for t, count in zip(self.times, np.diff(off)):
-            if np.asarray(t).shape != (count,):
-                raise DataError("time vector length must match the trajectory column count")
+        if not self.dt > 0.0:
+            raise DataError("snapshot spacing dt must be positive")
         if self.controls.shape != (m,):
             raise DataError("controls must hold one heat load per column")
         if self.derivatives is not None:
@@ -165,13 +165,14 @@ def concat_snapshot_sets(sets) -> SnapshotSet:
             raise DataError("cannot mix scaled and unscaled snapshot sets")
         if (s.derivatives is None) != (first.derivatives is None):
             raise DataError("cannot mix sets with and without derivatives")
+        if not np.isclose(s.dt, first.dt, rtol=1e-9, atol=1e-12):
+            raise DataError("all trajectories must share one snapshot spacing")
     counts = np.concatenate([np.diff(s.trajectory_offsets) for s in sets])
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    times = [t for s in sets for t in s.times]
     return SnapshotSet(
         data=np.hstack([s.data for s in sets]),
         trajectory_offsets=offsets,
-        times=times,
+        dt=first.dt,
         controls=np.concatenate([s.controls for s in sets]),
         fields=list(first.fields),
         derivatives=None
@@ -205,7 +206,7 @@ def apply_scaling(snapshots: SnapshotSet, spec: ScalingSpec) -> SnapshotSet:
     return SnapshotSet(
         data=spec.scale_array(snapshots.data),
         trajectory_offsets=snapshots.trajectory_offsets.copy(),
-        times=[t.copy() for t in snapshots.times],
+        dt=snapshots.dt,
         controls=snapshots.controls.copy(),
         fields=list(snapshots.fields),
         derivatives=None
@@ -215,25 +216,8 @@ def apply_scaling(snapshots: SnapshotSet, spec: ScalingSpec) -> SnapshotSet:
     )
 
 
-def _uniform_dt(snapshots: SnapshotSet) -> float:
-    dts = []
-    for times in snapshots.times:
-        steps = np.diff(times)
-        if steps.size == 0:
-            continue
-        if np.any(steps <= 0.0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-            raise DataError("snapshot file format requires uniform time spacing")
-        dts.append(float(steps[0]))
-    if not dts:
-        raise DataError("cannot determine snapshot spacing from single-column trajectories")
-    if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
-        raise DataError("all trajectories must share one snapshot spacing")
-    return dts[0]
-
-
 def save_snapshots(snapshots: SnapshotSet, path) -> None:
     """Write the set to a plain-text snapshot file (full precision)."""
-    dt = _uniform_dt(snapshots)
     off = ",".join(str(int(v)) for v in snapshots.trajectory_offsets)
     has_der = 1 if snapshots.derivatives is not None else 0
     with open(path, "w") as fh:
@@ -241,7 +225,7 @@ def save_snapshots(snapshots: SnapshotSet, path) -> None:
         fh.write(f"m={snapshots.m}\n")
         fh.write(f"l={snapshots.l}\n")
         fh.write(f"offsets={off}\n")
-        fh.write(f"dt={fmt_float(dt)}\n")
+        fh.write(f"dt={fmt_float(snapshots.dt)}\n")
         fh.write(f"fields={fmt_fields(snapshots.fields)}\n")
         fh.write(f"has_derivatives={has_der}\n")
         fh.write("data\n")
@@ -287,11 +271,10 @@ def load_snapshots(path) -> SnapshotSet:
             raise rd.error("expected 'controls' section")
         controls = rd.read_rows(m, 1, "control row")[:, 0]
 
-        times = [np.arange(int(c)) * dt for c in np.diff(offsets)]
         return SnapshotSet(
             data=data,
             trajectory_offsets=offsets,
-            times=times,
+            dt=dt,
             controls=controls,
             fields=fields,
             derivatives=derivatives,

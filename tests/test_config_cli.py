@@ -406,6 +406,19 @@ def test_cli_non_finite_rom_shift_is_a_data_error(tmp_path, capsys):
     assert "error (data)" in err and "non-finite" in err and f"line {row + 1}" in err
 
 
+def test_cli_generate_refuses_a_horizon_shorter_than_one_saved_step(tmp_path, capsys,
+                                                                     monkeypatch):
+    cfg = _write_tiny(tmp_path)
+    out = tmp_path / "out"
+    monkeypatch.setenv("MORCAL_T_END", "9.5")  # save_every * dt is 10 s
+    assert main(["--config", cfg, "--out", str(out), "generate"]) == 2
+    err = capsys.readouterr().err
+    assert "error (config)" in err and "t_end=9.5" in err and "save_every=20" in err
+    assert "dt=0.5" in err
+    assert not list(out.rglob("snapshots_*"))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_generate_writes_nothing_when_one_load_fails(tmp_path, capsys):
     # exp(1500 / T0) is just below overflow, so only the 1e12 load overflows.
     scenario = (
@@ -420,8 +433,7 @@ def test_cli_generate_writes_nothing_when_one_load_fails(tmp_path, capsys):
     path = tmp_path / "blowup.cfg"
     path.write_text(scenario)
     out = tmp_path / "out"
-    with np.errstate(over="ignore"):
-        assert main(["--config", str(path), "--out", str(out), "generate"]) == 4
+    assert main(["--config", str(path), "--out", str(out), "generate"]) == 4
     err = capsys.readouterr().err
     assert "error (numeric)" in err and "step 1 " in err and "heat load(s) 2 (R=1e+12)" in err
     assert os.listdir(out / "snapshots") == []

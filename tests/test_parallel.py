@@ -167,7 +167,7 @@ def test_worker_tasks_survive_pickling(tmp_path):
         pickle.dumps((cli._write_snapshot_file, (trajectory, str(tmp_path / "s.txt")))))
     assert copy_fn is cli._write_snapshot_file
     assert np.array_equal(copy_traj.data, trajectory.data)
-    assert copy_fn((copy_traj, path)) == trajectory.times[0].size
+    assert copy_fn((copy_traj, path)) == trajectory.m
     assert Path(path).read_bytes() == Path(cfg.snapshot_path(0.75)).read_bytes()
 
 

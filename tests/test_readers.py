@@ -28,7 +28,7 @@ def _snapshot_file(path):
     save_snapshots(SnapshotSet(
         data=500.0 + rng.standard_normal((N, M)),
         trajectory_offsets=np.array([0, M]),
-        times=[np.arange(M) * 2.0],
+        dt=2.0,
         controls=np.ones(M),
         fields=list(FIELDS),
         derivatives=rng.standard_normal((N, M)),

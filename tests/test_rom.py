@@ -74,12 +74,11 @@ def _trained_model(include_window=False):
     scaling = fit_scaling(traj)
     scaled = apply_scaling(traj, scaling)
     basis = compute_pod(scaled.data, 4, scaling=scaling)
-    dt = float(np.diff(traj.times[0])[0])
     model = RomModel(
         operators=RomOperators(a=np.zeros((4, 4))),
         deim=None,
         basis=basis,
-        dt=dt,
+        dt=traj.dt,
     )
     return model, traj, cfg
 
@@ -91,9 +90,16 @@ def test_error_report_zero_for_exact_reproduction():
     constant.data = np.tile(traj.data[:, :1], (1, traj.data.shape[1]))
     constant.derivatives = None
     report = rom_vs_projected_error(model, constant)
-    assert report.step_errors.shape == traj.times[0].shape
+    assert report.step_errors.shape == (traj.m,)
     assert np.all(report.step_errors < 1e-28)
     assert report.mean_error < 1e-28
+
+
+def test_error_report_refuses_a_trajectory_at_another_spacing():
+    model, traj, _ = _trained_model()
+    traj.dt = model.dt * (1.0 + 1e-6)
+    with pytest.raises(DataError, match="spacing does not match"):
+        rom_vs_projected_error(model, traj)
 
 
 def test_error_report_excludes_switch_off_window():

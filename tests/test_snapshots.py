@@ -19,17 +19,16 @@ from morcal.snapshots import (
 FIELDS = [("T_c", 0, 3), ("T_s", 3, 6)]
 
 
-def _toy_set(m=5, l=1, with_derivatives=True, seed=7):
+def _toy_set(m=5, l=1, with_derivatives=True, seed=7, dt=2.0):
     rng = np.random.default_rng(seed)
     data = 500.0 + 40.0 * rng.standard_normal((6, m * l))
     offsets = np.arange(l + 1) * m
-    times = [np.arange(m) * 2.0 for _ in range(l)]
     controls = np.ones(m * l)
     derivatives = rng.standard_normal((6, m * l)) if with_derivatives else None
     return SnapshotSet(
         data=data,
         trajectory_offsets=offsets,
-        times=times,
+        dt=dt,
         controls=controls,
         fields=list(FIELDS),
         derivatives=derivatives,
@@ -58,6 +57,19 @@ def test_assemble_rejects_mixed_derivative_presence(small_cfg, step_signal):
         concat_snapshot_sets([traj, bare])
 
 
+def test_snapshot_set_refuses_a_spacing_that_is_not_positive():
+    for dt in (0.0, -2.0, float("nan")):
+        with pytest.raises(DataError, match="spacing"):
+            _toy_set(dt=dt)
+
+
+def test_concat_refuses_sets_with_different_spacing():
+    # a spacing within rounding of the first set's joins it, and the first one is kept
+    assert concat_snapshot_sets([_toy_set(), _toy_set(dt=2.0 * (1.0 + 1e-12))]).dt == 2.0
+    with pytest.raises(DataError, match="one snapshot spacing"):
+        concat_snapshot_sets([_toy_set(), _toy_set(dt=2.0 * (1.0 + 1e-6))])
+
+
 def test_split_and_concat_round_trip(small_cfg, step_signal):
     signals = [step_signal,
                ControlSignal(heat_times=np.array([0.0]), heat_values=np.array([0.5])),
@@ -66,11 +78,11 @@ def test_split_and_concat_round_trip(small_cfg, step_signal):
     assert len(parts) == 3
     rebuilt = concat_snapshot_sets(parts)
     assert np.array_equal(rebuilt.trajectory_offsets, np.arange(4) * parts[0].m)
-    for part, sl, times in zip(parts, rebuilt.trajectory_slices(), rebuilt.times):
+    for part, sl in zip(parts, rebuilt.trajectory_slices()):
         assert np.array_equal(rebuilt.data[:, sl], part.data)
         assert np.array_equal(rebuilt.derivatives[:, sl], part.derivatives)
         assert np.array_equal(rebuilt.controls[sl], part.controls)
-        assert np.array_equal(times, part.times[0])
+        assert rebuilt.dt == part.dt
 
 
 def test_fit_scaling_matches_block_statistics():
@@ -125,8 +137,7 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.derivatives, s.derivatives)
     assert np.array_equal(loaded.controls, s.controls)
     assert loaded.fields == s.fields
-    for a, b in zip(loaded.times, s.times):
-        assert np.allclose(a, b, rtol=1e-15)
+    assert loaded.dt == s.dt
     # a second save of the loaded set reproduces the file byte for byte
     path2 = tmp_path / "snaps2.txt"
     save_snapshots(loaded, path2)
