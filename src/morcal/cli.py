@@ -41,10 +41,6 @@ def _ensure_outdir(cfg: PipelineConfig) -> None:
     os.makedirs(snap_dir, exist_ok=True)
 
 
-def _all_loads(cfg: PipelineConfig):
-    return list(cfg.train_loads) + list(cfg.validation_loads)
-
-
 def _write_snapshot_file(task) -> int:
     """Worker task of ``generate``: write one load's snapshot file, return its size m."""
     snapshots, path = task
@@ -55,7 +51,7 @@ def _write_snapshot_file(task) -> int:
 def cmd_generate(cfg: PipelineConfig) -> int:
     """Run the full-order model for all heat loads at once and write snapshot files."""
     _ensure_outdir(cfg)
-    loads = _all_loads(cfg)
+    loads = cfg.loads
     signals = [cfg.control_signal(load) for load in loads]
     snapshot_sets = fom_integrate(cfg.fom, signals, cfg.save_every)
     paths = [cfg.snapshot_path(load) for load in loads]
@@ -214,7 +210,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
 
     summary_rows = []
     aggregates = {name: [] for name in models}
-    cases = [(f"R{load:g}", cfg.snapshot_path(load)) for load in _all_loads(cfg)]
+    cases = [(cfg.case_name(load), cfg.snapshot_path(load)) for load in cfg.loads]
     tasks = [(models, reference_name, path, cfg.fom.solid_mask) for _, path in cases]
     results = ordered_map(_evaluate_case, tasks)
     for (errors_csv, stats_csv, means), (case, _) in zip(results, cases):

@@ -4,16 +4,21 @@ One file configures the whole pipeline: the physical scenario, the heating
 schedule, the training and validation heat loads, and the reduction and
 calibration settings.  Every key can be overridden through an environment
 variable named MORCAL_<KEY_IN_UPPER_CASE>.
+
+The keys and their defaults are declared once, as the fields of FomConfig,
+OptimizerConfig and PipelineConfig; the loader reads each field's key and
+converts its text by the type of the field's default.  The one key that is
+not a field, ``solid_span``, builds ``FomConfig.solid_mask``.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from morcal.calibrate import OptimizerConfig
 from morcal.errors import ConfigError
-from morcal.fom import ControlSignal, FomConfig
+from morcal.fom import SOLID_SPAN, ControlSignal, FomConfig, span_mask
 
 __all__ = [
     "PipelineConfig",
@@ -57,93 +62,94 @@ def apply_env_overrides(values: dict) -> dict:
     return out
 
 
-class _Reader:
-    """Typed access to the raw string map with uniform error messages."""
+# How a key's text is converted, by the type of its default, and what the
+# error says it must be; any other default (None or a string) keeps the text.
+_PARSERS = {int: (int, "be an integer"), float: (float, "be a number"),
+            tuple: (lambda text: tuple(map(float, text.replace(",", " ").split())),
+                    "list numbers")}
 
-    def __init__(self, values: dict, source: str):
+# Defaulted fields that are not keys: `solid_span` builds the mask; the loader sets the source.
+_NOT_KEYS = ("solid_mask", "source")
+
+
+class _Reader:
+    """Typed access to the raw string map; remembers which keys were read."""
+
+    def __init__(self, values: dict):
         self.values = values
-        self.source = source
         self.used = set()
 
-    def _raw(self, key, default):
+    def get(self, key, default):
+        """The key's text converted by the type of ``default``, or ``default`` if absent."""
         self.used.add(key)
-        if key in self.values:
-            return self.values[key]
-        if default is _REQUIRED:
-            raise ConfigError(f"{self.source}: missing required key {key!r}")
-        return default
-
-    def get_float(self, key, default=None):
-        raw = self._raw(key, default)
-        if isinstance(raw, float) or raw is None:
-            return raw
+        if key not in self.values:
+            return default
+        raw = self.values[key]
+        parse, expected = _PARSERS.get(type(default), (str, "be text"))
         try:
-            return float(raw)
+            return parse(raw)
         except ValueError:
-            raise ConfigError(f"{self.source}: key {key!r} must be a number, got {raw!r}") from None
+            raise ConfigError(f"key {key!r} must {expected}, got {raw!r}") from None
 
-    def get_int(self, key, default=None):
-        raw = self._raw(key, default)
-        if isinstance(raw, int) or raw is None:
-            return raw
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{self.source}: key {key!r} must be an integer, got {raw!r}") from None
-
-    def get_floats(self, key, default=None):
-        raw = self._raw(key, default)
-        if raw is None or isinstance(raw, tuple):
-            return raw
-        try:
-            return tuple(float(tok) for tok in str(raw).replace(",", " ").split())
-        except ValueError:
-            raise ConfigError(f"{self.source}: key {key!r} must list numbers, got {raw!r}") from None
-
-    def get_str(self, key, default=None):
-        return self._raw(key, default)
-
-    def warn_unknown(self):
+    def reject_unknown(self):
         unknown = set(self.values) - self.used
         if unknown:
-            names = ", ".join(sorted(unknown))
-            raise ConfigError(f"{self.source}: unknown configuration keys: {names}")
+            raise ConfigError(f"unknown configuration keys: {', '.join(sorted(unknown))}")
 
 
-_REQUIRED = object()
+def _read_fields(rd: _Reader, cls) -> dict:
+    """Every defaulted field of dataclass ``cls`` that is a key, read with its default."""
+    return {f.name: rd.get(f.name, f.default) for f in fields(cls)
+            if f.default is not MISSING and f.name not in _NOT_KEYS}
 
 
 @dataclass
 class PipelineConfig:
-    """Everything the CLI needs: scenario, schedule, reduction, calibration."""
+    """Everything the CLI needs; each defaulted field but ``source`` is a key."""
 
     fom: FomConfig
-    heat_times: tuple
-    heat_values: tuple
-    save_every: int
-    train_loads: tuple
-    validation_loads: tuple
-    pod_rank: int
-    deim_rank: int
-    tikhonov_lambda: float
     optimizer: OptimizerConfig
-    output_dir: str
-    snapshot_dir: str | None
+    heat_times: tuple = (0.0, 1500.0)
+    heat_values: tuple = (1.0, 0.0)
+    save_every: int = 100
+    train_loads: tuple = (0.5, 1.0, 1.5)
+    validation_loads: tuple = (0.75, 1.25)
+    pod_rank: int = 8
+    deim_rank: int = 8
+    tikhonov_lambda: float = 1.0
+    output_dir: str = "morcal_out"
+    snapshot_dir: str | None = None
     source: str = field(default="<config>", repr=False)
 
     def __post_init__(self):
+        if len(self.heat_times) != len(self.heat_values):
+            raise ConfigError("heat_times and heat_values must have equal length")
         if not self.train_loads:
             raise ConfigError("train_loads must not be empty")
         if not self.validation_loads:
             raise ConfigError("validation_loads must not be empty")
-        if set(self.train_loads) & set(self.validation_loads):
-            raise ConfigError("train_loads and validation_loads must be disjoint")
+        names = [self.case_name(load) for load in self.loads]
+        shared = [f"{load!r} ({name})" for load, name in zip(self.loads, names)
+                  if names.count(name) > 1]
+        if shared:
+            raise ConfigError(f"heat loads {', '.join(shared)} share a case name and snapshot "
+                              "file; train and validation loads must name distinct cases")
         if self.pod_rank < 1 or self.deim_rank < 1:
             raise ConfigError("pod_rank and deim_rank must be positive")
         if self.tikhonov_lambda < 0.0:
             raise ConfigError("tikhonov_lambda must be nonnegative")
         if self.save_every < 1:
             raise ConfigError("save_every must be a positive integer")
+
+    @property
+    def loads(self) -> list:
+        """Training, then validation heat loads: the order of the cases."""
+        return [*self.train_loads, *self.validation_loads]
+
+    @staticmethod
+    def case_name(load: float) -> str:
+        """Name of one heat load's case, in its snapshot and error file names."""
+        return f"R{load:g}"
 
     def control_signal(self, load: float) -> ControlSignal:
         """Heating schedule scaled by one case's heat load."""
@@ -154,11 +160,11 @@ class PipelineConfig:
 
     def snapshot_path(self, load: float) -> str:
         base = self.snapshot_dir if self.snapshot_dir else os.path.join(self.output_dir, "snapshots")
-        return os.path.join(base, f"snapshots_R{load:g}.txt")
+        return os.path.join(base, f"snapshots_{self.case_name(load)}.txt")
 
 
 def load_pipeline_config(path=None, output_override=None) -> PipelineConfig:
-    """Build a PipelineConfig from a file (default: the bundled scenario)."""
+    """Build a PipelineConfig from a file (default: the bundled scenario), naming it in errors."""
     if path is None:
         from importlib import resources
 
@@ -169,64 +175,18 @@ def load_pipeline_config(path=None, output_override=None) -> PipelineConfig:
     else:
         values = parse_config_file(path)
         source = str(path)
-    values = apply_env_overrides(values)
-    rd = _Reader(values, source)
-
-    grid_points = rd.get_int("grid_points", 200)
-    domain_length = rd.get_float("domain_length", 1.0)
-    span = rd.get_floats("solid_span", (0.25, 0.75))
-    if len(span) != 2 or not 0.0 <= span[0] < span[1] <= 1.0:
-        raise ConfigError(f"{source}: solid_span must be two fractions with 0 <= a < b <= 1")
-    x = np.linspace(0.0, 1.0, grid_points)
-    mask = ((x >= span[0]) & (x < span[1])).astype(float)
-
-    fom = FomConfig(
-        grid_points=grid_points,
-        domain_length=domain_length,
-        coolant_velocity=rd.get_float("coolant_velocity", 0.01),
-        rho_cp_coolant=rd.get_float("rho_cp_coolant", 723.0 * 2590.0),
-        rho_cp_solid=rd.get_float("rho_cp_solid", 3062.0 * 2000.0),
-        conductivity_coolant=rd.get_float("conductivity_coolant", 0.132),
-        conductivity_solid=rd.get_float("conductivity_solid", 0.2),
-        exchange_coefficient=rd.get_float("exchange_coefficient", 3.0e4),
-        arrhenius_prefactor=rd.get_float("arrhenius_prefactor", 5000.0),
-        arrhenius_exponent=rd.get_float("arrhenius_exponent", 1500.0),
-        inflow_temperature=rd.get_float("inflow_temperature", 533.15),
-        initial_temperature=rd.get_float("initial_temperature", 533.15),
-        dt=rd.get_float("dt", 0.15),
-        t_end=rd.get_float("t_end", 3000.0),
-        solid_mask=mask,
-    )
-    fom.validate()
-
-    heat_times = rd.get_floats("heat_times", (0.0, 1500.0))
-    heat_values = rd.get_floats("heat_values", (1.0, 0.0))
-    if len(heat_times) != len(heat_values):
-        raise ConfigError(f"{source}: heat_times and heat_values must have equal length")
-
-    optimizer = OptimizerConfig(
-        max_iterations=rd.get_int("max_iterations", 500),
-        gradient_tolerance=rd.get_float("gradient_tolerance", 1e-8),
-    )
-
-    output_dir = rd.get_str("output_dir", "morcal_out")
-    if output_override is not None:
-        output_dir = output_override
-
-    cfg = PipelineConfig(
-        fom=fom,
-        heat_times=heat_times,
-        heat_values=heat_values,
-        save_every=rd.get_int("save_every", 100),
-        train_loads=rd.get_floats("train_loads", (0.5, 1.0, 1.5)),
-        validation_loads=rd.get_floats("validation_loads", (0.75, 1.25)),
-        pod_rank=rd.get_int("pod_rank", 8),
-        deim_rank=rd.get_int("deim_rank", 8),
-        tikhonov_lambda=rd.get_float("tikhonov_lambda", 1.0),
-        optimizer=optimizer,
-        output_dir=output_dir,
-        snapshot_dir=rd.get_str("snapshot_dir", None),
-        source=source,
-    )
-    rd.warn_unknown()
+    rd = _Reader(apply_env_overrides(values))
+    try:
+        scenario = _read_fields(rd, FomConfig)
+        mask = span_mask(scenario["grid_points"], rd.get("solid_span", SOLID_SPAN))
+        fom = FomConfig(**scenario, solid_mask=mask)
+        fom.validate()
+        optimizer = OptimizerConfig(**_read_fields(rd, OptimizerConfig))
+        pipeline = _read_fields(rd, PipelineConfig)
+        if output_override is not None:
+            pipeline["output_dir"] = output_override
+        cfg = PipelineConfig(fom=fom, optimizer=optimizer, source=source, **pipeline)
+        rd.reject_unknown()
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
     return cfg

@@ -27,6 +27,8 @@ from morcal.snapshots import SnapshotSet
 
 __all__ = [
     "FomConfig",
+    "SOLID_SPAN",
+    "span_mask",
     "ControlSignal",
     "arrhenius_source",
     "fom_rhs",
@@ -34,6 +36,16 @@ __all__ = [
 ]
 
 _NON_POSITIVE = "non-positive solid temperature inside the reaction zone"
+
+SOLID_SPAN = (0.25, 0.75)  # default solid region (a, b), as fractions of the channel
+
+
+def span_mask(grid_points: int, span=SOLID_SPAN) -> np.ndarray:
+    """0/1 indicator of the grid points at channel fractions x with a <= x < b."""
+    if len(span) != 2 or not 0.0 <= span[0] < span[1] <= 1.0:
+        raise ConfigError("solid_span must be two fractions with 0 <= a < b <= 1")
+    x = np.linspace(0.0, 1.0, max(grid_points, 0))  # validate() refuses grid_points < 3
+    return ((x >= span[0]) & (x < span[1])).astype(float)
 
 
 @dataclass
@@ -54,16 +66,13 @@ class FomConfig:
     initial_temperature: float = 533.15  # [K]
     dt: float = 0.15  # [s]
     t_end: float = 3000.0  # [s]
-    # 0/1 indicator per grid point marking where solid material exists;
-    # defaults to the middle half of the channel.
+    # 0/1 per grid point, marking where solid material exists; defaults to SOLID_SPAN.
     solid_mask: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.solid_mask is None:
-            x = np.linspace(0.0, 1.0, self.grid_points) if self.grid_points > 1 else np.zeros(1)
-            self.solid_mask = ((x >= 0.25) & (x < 0.75)).astype(float)
-        else:
-            self.solid_mask = np.asarray(self.solid_mask, dtype=float)
+            self.solid_mask = span_mask(self.grid_points)
+        self.solid_mask = np.asarray(self.solid_mask, dtype=float)
 
     @property
     def n(self) -> int:

@@ -241,7 +241,7 @@ def save_snapshots(snapshots: SnapshotSet, path) -> None:
 
 
 def load_snapshots(path) -> SnapshotSet:
-    """Read a snapshot file written by save_snapshots."""
+    """Read a snapshot file written by save_snapshots; every DataError names the file."""
     with TextReader(path) as rd:
         n = parse_int(rd.expect_kv("n"), rd, "n")
         m = parse_int(rd.expect_kv("m"), rd, "m")
@@ -271,6 +271,7 @@ def load_snapshots(path) -> SnapshotSet:
             raise rd.error("expected 'controls' section")
         controls = rd.read_rows(m, 1, "control row")[:, 0]
 
+    try:
         return SnapshotSet(
             data=data,
             trajectory_offsets=offsets,
@@ -279,3 +280,5 @@ def load_snapshots(path) -> SnapshotSet:
             fields=fields,
             derivatives=derivatives,
         )
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

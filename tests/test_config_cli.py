@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import morcal
+from morcal import config as config_mod
 from morcal.cli import main
 from morcal.config import apply_env_overrides, load_pipeline_config, parse_config_file
 from morcal.errors import ConfigError
@@ -132,15 +133,33 @@ def test_star_import_finds_every_exported_name(module):
     exec(f"from {module} import *", {})
 
 
-def test_readme_lists_exactly_the_bundled_config_keys():
-    """README's "Configuration keys" names every key the bundled scenario sets, and no other."""
+def _readme_config_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Configuration keys\n", 1)[1].split("\n## ", 1)[0]
-    documented = set(re.findall(r"`([a-z_]+)`", section))
+    return set(re.findall(r"`([a-z_]+)`", section))
+
+
+def test_readme_lists_exactly_the_bundled_config_keys():
+    """README's "Configuration keys" names every key the bundled scenario sets, and no other."""
     bundled = resources.files("morcal").joinpath("data/reactor.cfg")
     with resources.as_file(bundled) as path:
         keys = set(parse_config_file(path))
-    assert documented == keys | {"snapshot_dir"}
+    assert _readme_config_keys() == keys | {"snapshot_dir"}
+
+
+def test_readme_lists_exactly_the_keys_the_loader_reads(monkeypatch):
+    """A new dataclass field is a new key, and README's "Configuration keys" must name it."""
+    read = []
+    get = config_mod._Reader.get
+
+    def spy(self, key, default):
+        read.append(key)
+        return get(self, key, default)
+
+    monkeypatch.setattr(config_mod._Reader, "get", spy)
+    load_pipeline_config(None)
+    assert len(read) == len(set(read))  # each key is declared, and read, once
+    assert _readme_config_keys() == set(read)
 
 
 def test_load_pipeline_config_rejects_overlapping_loads(tmp_path):
@@ -148,6 +167,42 @@ def test_load_pipeline_config_rejects_overlapping_loads(tmp_path):
     path.write_text("train_loads = 1.0, 2.0\nvalidation_loads = 2.0\n")
     with pytest.raises(ConfigError):
         load_pipeline_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "train, validation, shared",
+    [
+        ("0.5, 1.0000001, 1.0000002", "1.5", "1.0000001 (R1), 1.0000002 (R1)"),
+        ("0.5, 0.5", "1.5", "0.5 (R0.5), 0.5 (R0.5)"),
+        ("0.5, 1.0", "1.0000001", "1.0 (R1), 1.0000001 (R1)"),
+    ],
+)
+def test_cli_refuses_loads_that_share_a_case_name(tmp_path, capsys, train, validation, shared):
+    """Loads named alike would write, train on and score one snapshot file twice."""
+    path = tmp_path / "c.cfg"
+    path.write_text(TINY_SCENARIO.replace("train_loads = 0.5, 1.0", f"train_loads = {train}")
+                    .replace("validation_loads = 1.5", f"validation_loads = {validation}"))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "generate"]) == 2
+    err = capsys.readouterr().err
+    assert f"error (config): {path}: heat loads {shared} share a case name" in err
+    assert not list(tmp_path.rglob("snapshots_*"))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("DT", "-1", "dt must be positive"),  # FomConfig.validate
+        ("GRID_POINTS", "-3", "grid_points must be at least 3"),  # before the mask is built
+        ("POD_RANK", "0", "pod_rank and deim_rank must be positive"),  # PipelineConfig
+    ],
+)
+def test_config_validation_errors_name_their_source(tmp_path, monkeypatch, key, value, message):
+    monkeypatch.setenv(f"MORCAL_{key}", value)
+    path = _write_tiny(tmp_path)
+    for source, name in ((None, "bundled reactor scenario"), (path, path)):
+        with pytest.raises(ConfigError) as err:
+            load_pipeline_config(source)
+        assert str(err.value) == f"{name}: {message}"
 
 
 def test_control_signal_scales_heat_values(tmp_path):
@@ -321,6 +376,31 @@ def test_cli_scaling_and_basis_row_mismatch_is_a_data_error(tmp_path, capsys):
         assert f"{model}: " in err
 
 
+def test_cli_snapshot_offsets_error_names_the_snapshot_file(tmp_path, capsys):
+    cfg = _write_tiny(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["--config", cfg, "--out", out, "generate"]) == 0
+    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
+    path = tmp_path / "out" / "snapshots" / "snapshots_R1.5.txt"
+    _edit_line(path, "offsets", f"0,{load_snapshots(path).m - 1}")
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", out, "evaluate"]) == 3
+    err = capsys.readouterr().err
+    assert f"error (data): {path}: trajectory offsets must increase from 0" in err
+
+
+def test_cli_snapshot_fields_error_names_the_snapshot_file(tmp_path, capsys):
+    cfg = _write_tiny(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["--config", cfg, "--out", out, "generate"]) == 0
+    path = tmp_path / "out" / "snapshots" / "snapshots_R0.5.txt"
+    _edit_line(path, "fields", "T_c:0:16,T_s:16:31")
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", out, "train"]) == 3
+    err = capsys.readouterr().err
+    assert f"error (data): {path}: field ranges cover 31 rows, state has 32" in err
+
+
 def test_cli_model_value_errors_name_the_model_file(tmp_path, capsys):
     cfg = _write_tiny(tmp_path)
     out = str(tmp_path / "out")
@@ -418,7 +498,6 @@ def test_cli_generate_refuses_a_horizon_shorter_than_one_saved_step(tmp_path, ca
     assert not list(out.rglob("snapshots_*"))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_generate_writes_nothing_when_one_load_fails(tmp_path, capsys):
     # exp(1500 / T0) is just below overflow, so only the 1e12 load overflows.
     scenario = (
