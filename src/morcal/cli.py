@@ -35,12 +35,6 @@ FIXTURE_STEPS_ON = 60
 FIXTURE_STEPS_OFF = 30
 
 
-def _ensure_outdir(cfg: PipelineConfig) -> None:
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    snap_dir = cfg.snapshot_dir if cfg.snapshot_dir else os.path.join(cfg.output_dir, "snapshots")
-    os.makedirs(snap_dir, exist_ok=True)
-
-
 def _write_snapshot_file(task) -> int:
     """Worker task of ``generate``: write one load's snapshot file, return its size m."""
     snapshots, path = task
@@ -50,11 +44,12 @@ def _write_snapshot_file(task) -> int:
 
 def cmd_generate(cfg: PipelineConfig) -> int:
     """Run the full-order model for all heat loads at once and write snapshot files."""
-    _ensure_outdir(cfg)
     loads = cfg.loads
+    paths = [cfg.snapshot_path(load) for load in loads]
+    for path in paths:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
     signals = [cfg.control_signal(load) for load in loads]
     snapshot_sets = fom_integrate(cfg.fom, signals, cfg.save_every)
-    paths = [cfg.snapshot_path(load) for load in loads]
     counts = ordered_map(_write_snapshot_file, zip(snapshot_sets, paths))
     for m, load, path in zip(counts, loads, paths):
         print(f"generate: R={load:g} -> {path} ({m} snapshots)")
@@ -71,18 +66,9 @@ def _load_training_set(cfg: PipelineConfig):
     return snap_mod.concat_snapshot_sets(sets)
 
 
-def _source_gain(cfg: PipelineConfig, scaling) -> np.ndarray:
-    """Per-row factor turning raw source values into scaled-state derivatives."""
-    gain = np.zeros(cfg.fom.n)
-    npts = cfg.fom.grid_points
-    solid_rows = npts + np.nonzero(cfg.fom.solid_mask > 0.0)[0]
-    gain[solid_rows] = 1.0 / (cfg.fom.rho_cp_solid * scaling.row_scale[solid_rows])
-    return gain
-
-
 def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
     """Fit basis, sampling operators, and reduced operators on training data."""
-    _ensure_outdir(cfg)
+    os.makedirs(cfg.output_dir, exist_ok=True)
     raw = _load_training_set(cfg)
     if raw.derivatives is None:
         raise DataError("training snapshots carry no derivatives; regenerate them")
@@ -98,15 +84,7 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
     source = deim_mod.nonlinearity_snapshots(raw, cfg.fom)
     u_n, source_spectrum = deim_mod.nonlinearity_basis(source, cfg.deim_rank)
     indices = deim_mod.deim_points(u_n)
-    deim_ops = deim_mod.build_deim_operators(
-        basis,
-        u_n,
-        indices,
-        scaling=scaling,
-        source_gain=_source_gain(cfg, scaling),
-        arrhenius_prefactor=cfg.fom.arrhenius_prefactor,
-        arrhenius_exponent=cfg.fom.arrhenius_exponent,
-    )
+    deim_ops = deim_mod.build_deim_operators(basis, u_n, indices, cfg.fom)
     print(f"train: deim rank s={cfg.deim_rank}, sample rows {list(map(int, indices))}")
 
     reduced_states = pod_mod.project(basis, scaled.data)
@@ -194,7 +172,7 @@ def _evaluate_case(task):
 
 def cmd_evaluate(cfg: PipelineConfig) -> int:
     """Roll out the trained models against every case and write error CSVs."""
-    _ensure_outdir(cfg)
+    os.makedirs(cfg.output_dir, exist_ok=True)
     oi_path = os.path.join(cfg.output_dir, "rom_opinf.txt")
     if not os.path.exists(oi_path):
         raise DataError(f"missing {oi_path}; run 'train' first")
@@ -247,7 +225,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
 
 def cmd_export_rom(cfg: PipelineConfig, source: str | None = None) -> int:
     """Write a compact operator file (no basis) next to the trained models."""
-    _ensure_outdir(cfg)
+    os.makedirs(cfg.output_dir, exist_ok=True)
     if source is None:
         for candidate in ("rom_calibrated.txt", "rom_opinf.txt"):
             path = os.path.join(cfg.output_dir, candidate)

@@ -11,8 +11,9 @@ converts its text by the type of the field's default.  The one key that is
 not a field, ``solid_span``, builds ``FomConfig.solid_mask``.
 """
 
+import math
 import os
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -62,14 +63,22 @@ def apply_env_overrides(values: dict) -> dict:
     return out
 
 
+def _number(text: str) -> float:
+    """float(text), refusing nan and the infinities with a ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 # How a key's text is converted, by the type of its default, and what the
 # error says it must be; any other default (None or a string) keeps the text.
-_PARSERS = {int: (int, "be an integer"), float: (float, "be a number"),
-            tuple: (lambda text: tuple(map(float, text.replace(",", " ").split())),
+_PARSERS = {int: (int, "be an integer"), float: (_number, "be a number"),
+            tuple: (lambda text: tuple(map(_number, text.replace(",", " ").split())),
                     "list numbers")}
 
-# Defaulted fields that are not keys: `solid_span` builds the mask; the loader sets the source.
-_NOT_KEYS = ("solid_mask", "source")
+# The defaulted field that is not a key: `solid_span` builds the mask.
+_NOT_KEYS = ("solid_mask",)
 
 
 class _Reader:
@@ -105,7 +114,7 @@ def _read_fields(rd: _Reader, cls) -> dict:
 
 @dataclass
 class PipelineConfig:
-    """Everything the CLI needs; each defaulted field but ``source`` is a key."""
+    """Everything the CLI needs; each defaulted field is a key."""
 
     fom: FomConfig
     optimizer: OptimizerConfig
@@ -119,7 +128,6 @@ class PipelineConfig:
     tikhonov_lambda: float = 1.0
     output_dir: str = "morcal_out"
     snapshot_dir: str | None = None
-    source: str = field(default="<config>", repr=False)
 
     def __post_init__(self):
         if len(self.heat_times) != len(self.heat_values):
@@ -178,14 +186,17 @@ def load_pipeline_config(path=None, output_override=None) -> PipelineConfig:
     rd = _Reader(apply_env_overrides(values))
     try:
         scenario = _read_fields(rd, FomConfig)
-        mask = span_mask(scenario["grid_points"], rd.get("solid_span", SOLID_SPAN))
-        fom = FomConfig(**scenario, solid_mask=mask)
+        span = rd.get("solid_span", SOLID_SPAN)
+        fom = FomConfig(**scenario, solid_mask=span_mask(scenario["grid_points"], span))
         fom.validate()
+        if fom.solid_rows.size == 0:
+            raise ConfigError(f"solid_span {span[0]:g}, {span[1]:g} covers none of the "
+                              f"{fom.grid_points} grid points")
         optimizer = OptimizerConfig(**_read_fields(rd, OptimizerConfig))
         pipeline = _read_fields(rd, PipelineConfig)
         if output_override is not None:
             pipeline["output_dir"] = output_override
-        cfg = PipelineConfig(fom=fom, optimizer=optimizer, source=source, **pipeline)
+        cfg = PipelineConfig(fom=fom, optimizer=optimizer, **pipeline)
         rd.reject_unknown()
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from None

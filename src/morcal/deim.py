@@ -2,9 +2,11 @@
 
 The source nonlinearity is sampled at a handful of grid points chosen by
 the classic greedy recursion, and the reduced evaluation maps those samples
-back into reduced coordinates with two small matrices.  Because snapshots
-are standardised before projection, the operators keep an affine unscale
-map so the exponential always sees physical temperatures.
+back into reduced coordinates with two small matrices.  Which rows hold
+the source, its gain and the Arrhenius constants come from the FomConfig
+(``solid_rows``); because snapshots are standardised before projection, the
+operators also keep the basis's affine unscale map at the sample rows so the
+exponential always sees physical temperatures.
 """
 
 import logging
@@ -91,21 +93,20 @@ def nonlinearity_snapshots(snapshots: SnapshotSet, cfg: FomConfig) -> np.ndarray
     """Pointwise heat-source values for every snapshot column.
 
     Columns live in the full state layout: the source is evaluated on the
-    physical solid-temperature block where solid material exists and is zero
-    everywhere else.  A scaled snapshot set is unscaled first.
+    physical temperatures of ``cfg.solid_rows`` and is zero everywhere else.
+    A scaled snapshot set is unscaled first.
     """
     if snapshots.n != cfg.n:
         raise DataError("snapshot set does not match the model state size")
     data = snapshots.data
     if snapshots.scaling is not None:
         data = snapshots.scaling.unscale_array(data)
-    npts = cfg.grid_points
-    mask = cfg.solid_mask > 0.0
-    ts = data[npts:, :]
-    if np.any(ts[mask, :] <= 0.0):
+    rows = cfg.solid_rows
+    ts = data[rows, :]
+    if np.any(ts <= 0.0):
         raise NumericError("non-positive solid temperature in the snapshot data")
     out = np.zeros_like(data)
-    out[npts:, :][mask, :] = arrhenius_source(ts[mask, :], snapshots.controls[None, :], cfg)
+    out[rows, :] = arrhenius_source(ts, snapshots.controls[None, :], cfg)
     return out
 
 
@@ -147,24 +148,20 @@ def deim_points(u_n: np.ndarray) -> np.ndarray:
     return np.array(indices, dtype=int)
 
 
-def build_deim_operators(
-    basis: PodBasis,
-    u_n: np.ndarray,
-    indices: np.ndarray,
-    scaling=None,
-    source_gain: np.ndarray | None = None,
-    arrhenius_prefactor: float = 5000.0,
-    arrhenius_exponent: float = 1500.0,
-) -> DeimOperators:
+def build_deim_operators(basis: PodBasis, u_n: np.ndarray, indices: np.ndarray,
+                         cfg: FomConfig) -> DeimOperators:
     """Assemble the reduced source operators from basis and sample points.
 
-    ``source_gain`` is an optional per-row factor converting raw source
-    values into state-derivative contributions (for the reactor model:
-    1 / (rho_cp_solid * scale) on solid rows, zero elsewhere).  Without it,
-    p1 is exactly U^T U_N (U_N restricted to the sample rows)^{-1}.
-    Prefactor and exponent should come from the model configuration; the
-    defaults match FomConfig.
+    ``p1`` folds in the gain 1 / (rho_cp_solid * scale) that turns a raw
+    source value on ``cfg.solid_rows`` into a scaled-state derivative (zero
+    on every other row), and the unscale pair comes from the basis's own
+    scaling, which it must carry.  The Arrhenius constants are ``cfg``'s.
     """
+    scaling = basis.scaling
+    if scaling is None:
+        raise DataError("the basis carries no scaling; the sampled source needs it to unscale")
+    if basis.n != cfg.n:
+        raise DataError(f"basis has {basis.n} rows, the model state {cfg.n}")
     u_n = np.asarray(u_n, dtype=float)
     indices = np.asarray(indices, dtype=int)
     s = indices.size
@@ -176,31 +173,23 @@ def build_deim_operators(
         raise NumericError("interpolation block is singular")
     logger.info("deim interpolation block condition number: %.3e", cond)
 
-    weighted = u_n if source_gain is None else np.asarray(source_gain, dtype=float)[:, None] * u_n
-    # p1 = U^T * weighted * block^{-1}, computed via a solve on the right.
+    rows = cfg.solid_rows
+    gain = np.zeros(cfg.n)
+    gain[rows] = 1.0 / (cfg.rho_cp_solid * scaling.row_scale[rows])
+    # p1 = U^T * diag(gain) * U_N * block^{-1}, computed via a solve on the right.
     try:
-        p1 = np.linalg.solve(block.T, (basis.basis.T @ weighted).T).T
+        p1 = np.linalg.solve(block.T, (basis.basis.T @ (gain[:, None] * u_n)).T).T
     except np.linalg.LinAlgError:
         raise NumericError("interpolation block is singular") from None
-    p2 = basis.basis[indices, :]
-
-    if scaling is not None:
-        row_scale = scaling.row_scale
-        row_shift = scaling.row_shift
-        unscale_scale = row_scale[indices]
-        unscale_shift = row_shift[indices]
-    else:
-        unscale_scale = np.ones(s)
-        unscale_shift = np.zeros(s)
 
     return DeimOperators(
         indices=indices,
         p1=p1,
-        p2=p2,
-        arrhenius_prefactor=arrhenius_prefactor,
-        arrhenius_exponent=arrhenius_exponent,
-        unscale_scale=unscale_scale,
-        unscale_shift=unscale_shift,
+        p2=basis.basis[indices, :],
+        arrhenius_prefactor=cfg.arrhenius_prefactor,
+        arrhenius_exponent=cfg.arrhenius_exponent,
+        unscale_scale=scaling.row_scale[indices],
+        unscale_shift=scaling.row_shift[indices],
     )
 
 

@@ -83,6 +83,11 @@ class FomConfig:
     def dx(self) -> float:
         return self.domain_length / (self.grid_points - 1)
 
+    @property
+    def solid_rows(self) -> np.ndarray:
+        """Rows of the stacked state that hold solid material: where the source acts."""
+        return self.grid_points + np.flatnonzero(self.solid_mask > 0.0)
+
     def fields(self):
         """Name and index range of each field block in the stacked state."""
         n = self.grid_points
@@ -308,7 +313,7 @@ def _fold_step(cfg: FomConfig) -> _FoldedStep:
         lower=cfg.dt * left[1:],
         upper=cfg.dt * right[:-1],
         exchange=cfg.dt * exchange,
-        solid=npts + np.flatnonzero(cfg.solid_mask > 0.0),
+        solid=cfg.solid_rows,
         source_gain=cfg.dt * cfg.arrhenius_prefactor / cfg.rho_cp_solid,
         exponent=cfg.arrhenius_exponent,
     )

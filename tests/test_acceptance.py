@@ -188,7 +188,7 @@ def test_criterion_4_sampled_source_matches_galerkin_projection():
     gain = np.zeros(cfg.n)
     solid_rows = cfg.grid_points + np.nonzero(cfg.solid_mask > 0.0)[0]
     gain[solid_rows] = 1.0 / (cfg.rho_cp_solid * scaling.row_scale[solid_rows])
-    ops = build_deim_operators(basis, u_n, indices, scaling=scaling, source_gain=gain)
+    ops = build_deim_operators(basis, u_n, indices, cfg)
 
     worst = 0.0
     for j in range(source.shape[1]):

@@ -205,6 +205,36 @@ def test_config_validation_errors_name_their_source(tmp_path, monkeypatch, key, 
         assert str(err.value) == f"{name}: {message}"
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("DT", "nan", "key 'dt' must be a number, got 'nan'"),
+        ("TIKHONOV_LAMBDA", "nan", "key 'tikhonov_lambda' must be a number, got 'nan'"),
+        ("GRADIENT_TOLERANCE", "inf", "key 'gradient_tolerance' must be a number, got 'inf'"),
+        ("TRAIN_LOADS", "nan, 1", "key 'train_loads' must list numbers, got 'nan, 1'"),
+        ("HEAT_TIMES", "0, -inf", "key 'heat_times' must list numbers, got '0, -inf'"),
+    ],
+)
+def test_cli_refuses_non_finite_numbers(tmp_path, monkeypatch, capsys, key, value, message):
+    monkeypatch.setenv(f"MORCAL_{key}", value)
+    path = _write_tiny(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "generate"]) == 2
+    assert f"error (config): {path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_refuses_a_solid_span_that_covers_no_grid_point(tmp_path, monkeypatch, capsys):
+    """Without solid rows the model has no source to sample, and evaluation has no statistics."""
+    monkeypatch.setenv("MORCAL_SOLID_SPAN", "0.1, 0.2")
+    monkeypatch.setenv("MORCAL_GRID_POINTS", "5")
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "generate"]) == 2
+    assert ("error (config): bundled reactor scenario: solid_span 0.1, 0.2 covers none of "
+            "the 5 grid points") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_control_signal_scales_heat_values(tmp_path):
     cfg = load_pipeline_config(_write_tiny(tmp_path))
     sig = cfg.control_signal(0.5)

@@ -14,7 +14,7 @@ from morcal.deim import (
 from morcal.errors import DataError, NumericError
 from morcal.fom import FomConfig, fom_integrate
 from morcal.pod import compute_pod
-from morcal.snapshots import apply_scaling, fit_scaling
+from morcal.snapshots import ScalingSpec, apply_scaling, fit_scaling
 from oracles import arrhenius_jacobian
 
 
@@ -47,18 +47,35 @@ def test_deim_points_are_distinct(rng):
 
 
 def test_interpolation_is_exact_on_the_nonlinearity_span(rng):
-    """The sampled operator reproduces U^T f exactly for f in span(U_N)."""
+    """The sampled operator reproduces U^T (gain * f) exactly for f in span(U_N)."""
     n, r, s = 36, 5, 7
     u = np.linalg.qr(rng.standard_normal((n, r)))[0]
     u_n = np.linalg.qr(rng.standard_normal((n, s)))[0]
     idx = deim_points(u_n)
     from morcal.pod import PodBasis
 
-    basis = PodBasis(basis=u, singular_values=np.ones(r))
-    ops = build_deim_operators(basis, u_n, idx)
+    unit = ScalingSpec(fields=[("T_c", 0, n // 2), ("T_s", n // 2, n)], shift=[0.0, 0.0],
+                       scale=[1.0, 1.0])
+    basis = PodBasis(basis=u, singular_values=np.ones(r), scaling=unit)
+    # A unit heat capacity makes the gain 1 on the solid rows and 0 elsewhere.
+    cfg = FomConfig(grid_points=n // 2, rho_cp_solid=1.0)
+    gain = np.zeros(n)
+    gain[n // 2 + np.flatnonzero(cfg.solid_mask)] = 1.0
+    ops = build_deim_operators(basis, u_n, idx, cfg)
     for _ in range(4):
         f = u_n @ rng.standard_normal(s)
-        assert np.allclose(ops.p1 @ f[idx], u.T @ f, rtol=1e-10, atol=1e-12)
+        assert np.allclose(ops.p1 @ f[idx], u.T @ (gain * f), rtol=1e-10, atol=1e-12)
+
+
+def test_build_operators_refuse_a_basis_without_scaling(rng):
+    n, r, s = 36, 5, 7
+    u = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    u_n = np.linalg.qr(rng.standard_normal((n, s)))[0]
+    from morcal.pod import PodBasis
+
+    basis = PodBasis(basis=u, singular_values=np.ones(r))
+    with pytest.raises(DataError, match="no scaling"):
+        build_deim_operators(basis, u_n, deim_points(u_n), FomConfig(grid_points=n // 2))
 
 
 def test_sample_temperatures_affine_map(rng):
@@ -176,8 +193,10 @@ def test_build_operators_fold_in_gain_and_scaling(rng):
     source = nonlinearity_snapshots(snaps, cfg)
     u_n, _ = nonlinearity_basis(source, 4)
     idx = deim_points(u_n)
-    gain = rng.uniform(0.5, 2.0, size=cfg.n)
-    ops = build_deim_operators(basis, u_n, idx, scaling=scaling, source_gain=gain)
+    gain = np.zeros(cfg.n)
+    solid_rows = cfg.grid_points + np.flatnonzero(cfg.solid_mask)
+    gain[solid_rows] = 1.0 / (cfg.rho_cp_solid * scaling.row_scale[solid_rows])
+    ops = build_deim_operators(basis, u_n, idx, cfg)
     f = u_n @ rng.standard_normal(4)
     want = basis.basis.T @ (gain * f)
     assert np.allclose(ops.p1 @ f[idx], want, rtol=1e-8, atol=1e-10)

@@ -116,6 +116,16 @@ def test_rhs_source_acts_only_on_solid_rows(small_cfg):
     assert np.all(diff[npts:][~solid] == 0.0)
 
 
+def test_solid_rows_are_where_the_heat_load_acts():
+    mask = np.zeros(12)
+    mask[[0, 1, 4, 7, 8, 9]] = 1.0  # non-contiguous, includes grid point 0
+    cfg = FomConfig(grid_points=12, solid_mask=mask)
+    state = 533.15 + np.linspace(0.0, 25.0, cfg.n)
+    moved = np.flatnonzero(fom_rhs(state, 1.0, cfg) != fom_rhs(state, 0.0, cfg))
+    assert np.array_equal(cfg.solid_rows, moved)
+    assert np.array_equal(cfg.solid_rows, [12, 13, 16, 19, 20, 21])
+
+
 def test_rhs_rejects_wrong_state_size(small_cfg):
     with pytest.raises(DataError):
         fom_rhs(np.zeros(small_cfg.n + 1), 1.0, small_cfg)
