@@ -62,7 +62,10 @@ def _load_training_set(cfg: PipelineConfig):
         path = cfg.snapshot_path(load)
         if not os.path.exists(path):
             raise DataError(f"missing snapshot file {path}; run 'generate' first")
-        sets.append(snap_mod.load_snapshots(path))
+        snapshots = snap_mod.load_snapshots(path)
+        if snapshots.derivatives is None:
+            raise DataError(f"{path}: training snapshots carry no derivatives; regenerate them")
+        sets.append(snapshots)
     return snap_mod.concat_snapshot_sets(sets)
 
 
@@ -70,8 +73,6 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
     """Fit basis, sampling operators, and reduced operators on training data."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     raw = _load_training_set(cfg)
-    if raw.derivatives is None:
-        raise DataError("training snapshots carry no derivatives; regenerate them")
     if np.diff(raw.trajectory_offsets).min() < 2:
         raise DataError("a training trajectory of one snapshot has no snapshot spacing to step by")
 
@@ -128,13 +129,16 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
 def _evaluate_case(task):
     """Worker task of ``evaluate``: roll every model out against one snapshot file.
 
+    The file's derivative section is checked for its marker and line count
+    only; evaluation never uses the derivatives, so their numbers are not parsed.
+
     Returns the text of the case's error and statistics CSVs and, per model
     name, its mean errors (outside the switch-off window, over all steps).
     """
     models, reference_name, path, solid_mask = task
     if not os.path.exists(path):
         raise DataError(f"missing snapshot file {path}; run 'generate' first")
-    snapshots = snap_mod.load_snapshots(path)
+    snapshots = snap_mod.load_snapshots(path, derivatives=False)
     try:
         reports = {name: rom_mod.rom_vs_projected_error(model, snapshots)
                    for name, model in models.items()}

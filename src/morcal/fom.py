@@ -331,10 +331,11 @@ def fom_integrate(cfg: FomConfig, signals, save_every: int = 1):
     right-hand side at the saved state (``derivatives``, from ``fom_rhs``,
     which runs at saved states only) and the heat load at the saved times
     (``controls``); the sets' spacing is ``save_every * dt``.  Refuses to
-    run when dt exceeds the advection/diffusion stability bound, or when
-    t_end is shorter than one saved step; a non-positive solid temperature
-    or a non-finite state aborts the whole stack with a NumericError naming
-    the step and the failing heat loads.
+    run when dt exceeds the advection/diffusion stability bound, when t_end
+    is shorter than one saved step, or when its step count cannot be
+    allocated; a non-positive solid temperature or a non-finite state
+    aborts the whole stack with a NumericError naming the step and the
+    failing heat loads.
     """
     signals = list(signals)
     if not signals or not all(isinstance(sig, ControlSignal) for sig in signals):
@@ -354,15 +355,18 @@ def fom_integrate(cfg: FomConfig, signals, save_every: int = 1):
         raise ConfigError(f"t_end={cfg.t_end:g} s is shorter than one saved step, "
                           f"save_every={save_every} x dt={cfg.dt:g} s")
 
-    step_times = np.arange(n_steps + 1) * cfg.dt
     n_loads = len(signals)
-    # (step, load) block: row j is the heat load of every load at step j.
-    controls = np.column_stack([sig.heat_load(step_times) for sig in signals])
-    saved = np.arange(0, n_steps + 1, save_every)
-    k = saved.size
-
-    states = np.empty((n_loads, cfg.n, k))
-    derivs = np.empty((n_loads, cfg.n, k))
+    try:
+        step_times = np.arange(n_steps + 1) * cfg.dt
+        # (step, load) block: row j is the heat load of every load at step j.
+        controls = np.column_stack([sig.heat_load(step_times) for sig in signals])
+        saved = np.arange(0, n_steps + 1, save_every)
+        k = saved.size
+        states = np.empty((n_loads, cfg.n, k))
+        derivs = np.empty((n_loads, cfg.n, k))
+    except (ValueError, MemoryError):  # NumPy's "Maximum allowed size exceeded" is a ValueError
+        raise ConfigError(f"t_end={cfg.t_end:g} s / dt={cfg.dt:g} s is {n_steps:.3g} steps, "
+                          f"more than can be allocated") from None
 
     step = _fold_step(cfg)
     state = np.full((n_loads, cfg.n), cfg.initial_temperature, dtype=float)

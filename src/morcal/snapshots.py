@@ -240,8 +240,13 @@ def save_snapshots(snapshots: SnapshotSet, path) -> None:
             fh.write(fmt_float(load) + "\n")
 
 
-def load_snapshots(path) -> SnapshotSet:
-    """Read a snapshot file written by save_snapshots; every DataError names the file."""
+def load_snapshots(path, derivatives=True) -> SnapshotSet:
+    """Read a snapshot file written by save_snapshots; every DataError names the file.
+
+    With ``derivatives=False`` the derivative section's marker and line
+    count are checked but its numbers are not parsed, and the returned set
+    has no derivatives; everything else is read and checked as in a full load.
+    """
     with TextReader(path) as rd:
         n = parse_int(rd.expect_kv("n"), rd, "n")
         m = parse_int(rd.expect_kv("m"), rd, "m")
@@ -262,11 +267,14 @@ def load_snapshots(path) -> SnapshotSet:
             raise rd.error("expected 'data' section")
         # Rows on disk are snapshot columns; keep the (n, m) matrix C-contiguous.
         data = np.ascontiguousarray(rd.read_rows(m, n, "data row").T)
-        derivatives = None
+        derivs = None
         if has_der:
             if rd.next_line("'derivatives' marker").strip() != "derivatives":
                 raise rd.error("expected 'derivatives' section")
-            derivatives = np.ascontiguousarray(rd.read_rows(m, n, "derivative row").T)
+            if derivatives:
+                derivs = np.ascontiguousarray(rd.read_rows(m, n, "derivative row").T)
+            else:
+                rd.skip_rows(m, "derivative row")
         if rd.next_line("'controls' marker").strip() != "controls":
             raise rd.error("expected 'controls' section")
         controls = rd.read_rows(m, 1, "control row")[:, 0]
@@ -278,7 +286,7 @@ def load_snapshots(path) -> SnapshotSet:
             dt=dt,
             controls=controls,
             fields=fields,
-            derivatives=derivatives,
+            derivatives=derivs,
         )
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

@@ -102,6 +102,25 @@ class TextReader:
         """One line of exactly ``count`` finite numbers."""
         return self._read_block(1, count, lambda i: what)[0]
 
+    def skip_rows(self, rows, what="row") -> None:
+        """Step over the next ``rows`` lines without parsing them.
+
+        Only the line count is checked: a file that ends first raises the
+        end-of-file DataError naming the first missing line, with row ``i``
+        called ``"{what} {i}"`` as in ``read_rows``.
+        """
+        if rows < 0:
+            raise self.error(f"negative row count {rows} for {what} 0")
+        if rows == 0:
+            return
+        if self._next is None:
+            raise self._eof_error(f"{what} 0")
+        present = 1 + sum(1 for _ in itertools.islice(self._lines, rows - 1))
+        if present < rows:
+            raise self._eof_error(f"{what} {present}", self._pos + present + 1)
+        self._pos += rows
+        self._advance()
+
     def _read_block(self, rows, cols, name_row) -> np.ndarray:
         if rows < 0 or cols < 0:
             raise self.error(f"negative size {rows} x {cols} for {name_row(0)}")

@@ -546,3 +546,78 @@ def test_cli_generate_writes_nothing_when_one_load_fails(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error (numeric)" in err and "step 1 " in err and "heat load(s) 2 (R=1e+12)" in err
     assert os.listdir(out / "snapshots") == []
+
+
+def test_cli_generate_refuses_a_step_count_that_cannot_be_allocated(tmp_path, capsys,
+                                                                     monkeypatch):
+    """1 s at dt=1e-300 is 1e300 steps; the refusal comes before any array is allocated."""
+    monkeypatch.setenv("MORCAL_DT", "1e-300")
+    monkeypatch.setenv("MORCAL_T_END", "1")
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "generate"]) == 2
+    err = capsys.readouterr().err
+    assert ("error (config): t_end=1 s / dt=1e-300 s is 1e+300 steps, "
+            "more than can be allocated") in err
+    assert not list(out.rglob("snapshots_*"))
+
+
+def test_cli_train_refuses_a_derivative_free_file_naming_it(tmp_path, capsys):
+    cfg = _write_tiny(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["--config", cfg, "--out", out, "generate"]) == 0
+    path = tmp_path / "out" / "snapshots" / "snapshots_R1.txt"
+    save_snapshots(load_snapshots(path, derivatives=False), path)
+    assert "has_derivatives=0" in path.read_text()
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", out, "train"]) == 3
+    err = capsys.readouterr().err
+    assert f"error (data): {path}: training snapshots carry no derivatives" in err
+
+
+def _trained_tiny(tmp_path):
+    """The tiny scenario, generated and trained; returns the config path and output folder."""
+    cfg = _write_tiny(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["--config", cfg, "--out", out, "generate"]) == 0
+    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
+    return cfg, out
+
+
+def test_cli_evaluate_counts_the_derivative_lines(tmp_path, capsys):
+    cfg, out = _trained_tiny(tmp_path)
+    path = tmp_path / "out" / "snapshots" / "snapshots_R1.5.txt"
+    lines = path.read_text().splitlines()
+    del lines[lines.index("derivatives") + 1]
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", out, "evaluate"]) == 3
+    err = capsys.readouterr().err
+    assert f"error (data): {path}, line " in err and "'controls'" in err
+
+
+def test_cli_evaluate_checks_the_derivatives_marker(tmp_path, capsys):
+    cfg, out = _trained_tiny(tmp_path)
+    path = tmp_path / "out" / "snapshots" / "snapshots_R1.5.txt"
+    lines = path.read_text().splitlines()
+    row = lines.index("derivatives")
+    lines[row] = "derivative"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", out, "evaluate"]) == 3
+    err = capsys.readouterr().err
+    assert f"error (data): {path}, line {row + 1}: expected 'derivatives' section" in err
+
+
+def test_cli_only_train_parses_the_derivative_numbers(tmp_path, capsys):
+    """evaluate never uses the derivatives, so a bad number there stops train alone."""
+    cfg, out = _trained_tiny(tmp_path)
+    path = tmp_path / "out" / "snapshots" / "snapshots_R0.5.txt"
+    lines = path.read_text().splitlines()
+    row = lines.index("derivatives") + 2
+    lines[row] = "x " + lines[row].split(" ", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", out, "evaluate"]) == 0
+    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 3
+    err = capsys.readouterr().err
+    assert f"error (data): {path}, line {row + 1}: bad number in derivative row 1" in err

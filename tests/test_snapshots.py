@@ -152,6 +152,31 @@ def test_save_load_without_derivatives(tmp_path):
     assert loaded.derivatives is None
 
 
+@pytest.mark.parametrize("with_derivatives", [True, False])
+def test_load_without_derivatives_matches_the_full_load(tmp_path, with_derivatives):
+    path = tmp_path / "snaps.txt"
+    save_snapshots(_toy_set(m=7, l=2, with_derivatives=with_derivatives), path)
+    full = load_snapshots(path)
+    bare = load_snapshots(path, derivatives=False)
+    assert bare.derivatives is None
+    for name in ("data", "controls", "trajectory_offsets"):
+        a, b = getattr(full, name), getattr(bare, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert bare.dt == full.dt and bare.fields == full.fields
+
+
+def test_load_without_derivatives_still_counts_their_lines(tmp_path):
+    path = tmp_path / "snaps.txt"
+    save_snapshots(_toy_set(m=4), path)
+    lines = path.read_text().splitlines()
+    marker = lines.index("derivatives")
+    short = tmp_path / "short.txt"
+    short.write_text("\n".join(lines[:marker + 3]) + "\n")  # two of four derivative rows
+    with pytest.raises(DataError, match=f"short.txt, line {marker + 4}: unexpected end of file "
+                                        "while reading derivative row 2$"):
+        load_snapshots(short, derivatives=False)
+
+
 def test_load_rejects_truncated_file(tmp_path):
     s = _toy_set(m=4)
     path = tmp_path / "snaps.txt"

@@ -119,6 +119,28 @@ def test_read_rows_names_the_line_missing_at_end_of_file(tmp_path):
             rd.read_rows(3, 3, "row")
 
 
+def test_skip_rows_steps_over_the_block_unparsed(tmp_path):
+    with _section(tmp_path, ["1 x", "", "nan", "tail"]) as rd:
+        rd.skip_rows(3, "row")
+        assert rd.next_line() == "tail"
+        assert rd.at_end()
+    with _section(tmp_path, [GOOD_ROW]) as rd:
+        rd.skip_rows(0, "row")
+        assert rd.next_line() == GOOD_ROW
+
+
+def test_skip_rows_names_the_line_missing_at_end_of_file(tmp_path):
+    with _section(tmp_path, [GOOD_ROW, GOOD_ROW]) as rd:
+        with pytest.raises(DataError, match="line 4: unexpected end of file while reading row 2"):
+            rd.skip_rows(3, "row")
+    with _section(tmp_path, []) as rd:
+        with pytest.raises(DataError, match="line 2: unexpected end of file while reading row 0"):
+            rd.skip_rows(1, "row")
+    with _section(tmp_path, [GOOD_ROW]) as rd:
+        with pytest.raises(DataError, match="line 1: negative row count -1 for row 0"):
+            rd.skip_rows(-1, "row")
+
+
 def test_read_floats_is_the_one_row_case(tmp_path):
     with _section(tmp_path, ["1 nan"]) as rd:
         with pytest.raises(DataError, match="line 2: non-finite number in singular values$"):
