@@ -64,7 +64,7 @@ class CalibrationProblem:
     reduced_trajectories: list  # each (r, k_i + 1)
     controls: list  # each (k_i + 1,) heat load R per state
     dt: float
-    deim: DeimOperators | None = field(default=None, repr=False)
+    deim: DeimOperators = field(repr=False)
     batches: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -137,23 +137,20 @@ class _Folded:
     """
 
     ad: np.ndarray  # I + dt a
-    # The sampled source; all None without sampling operators.
-    p1d: np.ndarray | None = None  # dt prefactor p1
-    p2f: np.ndarray | None = None  # unscale_scale p2
-    shift: np.ndarray | None = None  # (s, 1) unscale_shift
-    exponent: float = 0.0
+    p1d: np.ndarray  # dt prefactor p1
+    p2f: np.ndarray  # unscale_scale p2
+    shift: np.ndarray  # (s, 1) unscale_shift
+    exponent: float
 
 
-def _fold(ops: RomOperators, deim_ops: DeimOperators | None, dt: float) -> _Folded:
-    source = {}
-    if deim_ops is not None:
-        source = dict(
-            p1d=(dt * deim_ops.arrhenius_prefactor) * deim_ops.p1,
-            p2f=deim_ops.unscale_scale[:, None] * deim_ops.p2,
-            shift=deim_ops.unscale_shift[:, None],
-            exponent=deim_ops.arrhenius_exponent,
-        )
-    return _Folded(ad=np.eye(ops.r) + dt * ops.a, **source)
+def _fold(ops: RomOperators, deim_ops: DeimOperators, dt: float) -> _Folded:
+    return _Folded(
+        ad=np.eye(ops.r) + dt * ops.a,
+        p1d=(dt * deim_ops.arrhenius_prefactor) * deim_ops.p1,
+        p2f=deim_ops.unscale_scale[:, None] * deim_ops.p2,
+        shift=deim_ops.unscale_shift[:, None],
+        exponent=deim_ops.arrhenius_exponent,
+    )
 
 
 @dataclass
@@ -187,8 +184,8 @@ class _Sweep:
     """A forward sweep of one batch, kept for its tangent or backward sweep."""
 
     states: np.ndarray  # (k + 1, r, L)
-    temperatures: np.ndarray | None  # (k, s, L) sampled temperatures of states 0..k-1
-    sources: np.ndarray | None  # (k, s, L) exp(exponent / temperatures)
+    temperatures: np.ndarray  # (k, s, L) sampled temperatures of states 0..k-1
+    sources: np.ndarray  # (k, s, L) exp(exponent / temperatures)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -202,25 +199,22 @@ def _forward(f: _Folded, s0: np.ndarray, heat: np.ndarray) -> _Sweep:
     k, width = heat.shape
     states = np.empty((k + 1, s0.shape[0], width))
     states[0] = s0
-    temperatures = sources = None
-    if f.p1d is not None:
-        temperatures = np.empty((k, f.p2f.shape[0], width))
-        sources = np.empty_like(temperatures)
+    temperatures = np.empty((k, f.p2f.shape[0], width))
+    sources = np.empty_like(temperatures)
     for j in range(k):
         s, nxt = states[j], states[j + 1]
         np.matmul(f.ad, s, out=nxt)
-        if f.p1d is not None:
-            t = np.matmul(f.p2f, s, out=temperatures[j])
-            t += f.shift
-            if not t.min() > MIN_TEMPERATURE:
-                raise NumericError(
-                    f"sampled temperature dropped to {float(t.min()):.3g} K at rollout step "
-                    f"{j + 1} (limit {MIN_TEMPERATURE:g} K); the reduced trajectory left "
-                    "the trusted range"
-                )
-            e = np.divide(f.exponent, t, out=sources[j])
-            np.exp(e, out=e)
-            nxt += f.p1d @ (e * heat[j])
+        t = np.matmul(f.p2f, s, out=temperatures[j])
+        t += f.shift
+        if not t.min() > MIN_TEMPERATURE:
+            raise NumericError(
+                f"sampled temperature dropped to {float(t.min()):.3g} K at rollout step "
+                f"{j + 1} (limit {MIN_TEMPERATURE:g} K); the reduced trajectory left "
+                "the trusted range"
+            )
+        e = np.divide(f.exponent, t, out=sources[j])
+        np.exp(e, out=e)
+        nxt += f.p1d @ (e * heat[j])
         if not math.isfinite(float(nxt.sum())):
             raise NumericError(f"non-finite reduced state at rollout step {j + 1}")
     return _Sweep(states=states, temperatures=temperatures, sources=sources)
@@ -228,7 +222,7 @@ def _forward(f: _Folded, s0: np.ndarray, heat: np.ndarray) -> _Sweep:
 
 def forward_rollout(
     ops: RomOperators,
-    deim_ops: DeimOperators | None,
+    deim_ops: DeimOperators,
     s0: np.ndarray,
     controls: np.ndarray,
     dt: float,
@@ -277,14 +271,12 @@ def objective(ops: RomOperators, problem: CalibrationProblem) -> float:
         return math.inf
 
 
-def _source_weights(f: _Folded, sweep: _Sweep, heat: np.ndarray) -> np.ndarray | None:
-    """w_j = R_j E_j (-exponent / T_j^2), (k, s, L); None without sampling operators.
+def _source_weights(f: _Folded, sweep: _Sweep, heat: np.ndarray) -> np.ndarray:
+    """w_j = R_j E_j (-exponent / T_j^2), (k, s, L).
 
     The sampled source p1d (E_j * R_j) changes by p1d (w_j * (p2f v)) along a
     state change v.
     """
-    if f.p1d is None:
-        return None
     return sweep.sources * (-f.exponent / sweep.temperatures ** 2) * heat[:, None, :]
 
 
@@ -314,8 +306,7 @@ def _gradient(ev: _Evaluation, problem: CalibrationProblem) -> RomOperators:
         for j in range(k - 1, 0, -1):
             nxt = np.matmul(f.ad.T, mu, out=mus[j - 1])
             nxt += twice[j]
-            if weights is not None:
-                nxt += f.p2f.T @ (weights[j] * (f.p1d.T @ mu))
+            nxt += f.p2f.T @ (weights[j] * (f.p1d.T @ mu))
             mu = nxt
 
         grad_a += dt * np.tensordot(mus, states[:k], axes=([0, 2], [0, 2]))
@@ -352,11 +343,9 @@ def _tangent(ev: _Evaluation, problem: CalibrationProblem):
         weights = _source_weights(f, sweep, batch.heat)
         d = np.zeros((r, width * r * r))
         for j in range(states.shape[0] - 1):
-            nxt = f.ad @ d
-            if weights is not None:
-                t = (f.p2f @ d).reshape(-1, width, r * r) * weights[j][:, :, None]
-                nxt += f.p1d @ t.reshape(t.shape[0], -1)
-            d = nxt
+            t = (f.p2f @ d).reshape(-1, width, r * r) * weights[j][:, :, None]
+            d = f.ad @ d
+            d += f.p1d @ t.reshape(t.shape[0], -1)
             # entry [p, trajectory, column p * r + q] gains dt s~_j[q, trajectory]
             d.reshape(r, width, r, r)[rows, :, rows] += dt * states[j].T
             jac = d.reshape(r * width, r * r)
@@ -444,7 +433,7 @@ def calibrate(
 def build_calibration_problem(
     scaled_snapshots,
     basis,
-    deim_ops: DeimOperators | None,
+    deim_ops: DeimOperators,
 ) -> CalibrationProblem:
     """Project a scaled snapshot set onto the basis, one trajectory at a time."""
     from morcal.pod import project

@@ -45,11 +45,11 @@ def _write_snapshot_file(task) -> int:
 def cmd_generate(cfg: PipelineConfig) -> int:
     """Run the full-order model for all heat loads at once and write snapshot files."""
     loads = cfg.loads
+    signals = [cfg.control_signal(load) for load in loads]
+    snapshot_sets = fom_integrate(cfg.fom, signals, cfg.save_every)
     paths = [cfg.snapshot_path(load) for load in loads]
     for path in paths:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-    signals = [cfg.control_signal(load) for load in loads]
-    snapshot_sets = fom_integrate(cfg.fom, signals, cfg.save_every)
     counts = ordered_map(_write_snapshot_file, zip(snapshot_sets, paths))
     for m, load, path in zip(counts, loads, paths):
         print(f"generate: R={load:g} -> {path} ({m} snapshots)")
@@ -71,7 +71,6 @@ def _load_training_set(cfg: PipelineConfig):
 
 def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
     """Fit basis, sampling operators, and reduced operators on training data."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
     raw = _load_training_set(cfg)
     if np.diff(raw.trajectory_offsets).min() < 2:
         raise DataError("a training trajectory of one snapshot has no snapshot spacing to step by")
@@ -94,6 +93,7 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
     operators = solve_opinf(design, target, cfg.tikhonov_lambda)
     oi_model = rom_mod.RomModel(operators=operators, deim=deim_ops, basis=basis, dt=raw.dt)
     oi_path = os.path.join(cfg.output_dir, "rom_opinf.txt")
+    os.makedirs(cfg.output_dir, exist_ok=True)
     rom_mod.save_rom(oi_model, oi_path)
     print(f"train: inferred operators -> {oi_path}")
 
@@ -135,7 +135,7 @@ def _evaluate_case(task):
     Returns the text of the case's error and statistics CSVs and, per model
     name, its mean errors (outside the switch-off window, over all steps).
     """
-    models, reference_name, path, solid_mask = task
+    models, reference_name, path, solid_rows = task
     if not os.path.exists(path):
         raise DataError(f"missing snapshot file {path}; run 'generate' first")
     snapshots = snap_mod.load_snapshots(path, derivatives=False)
@@ -154,9 +154,9 @@ def _evaluate_case(task):
         errors.append(",".join(row))
 
     rom_stats = rom_mod.field_statistics(
-        models[reference_name], reports[reference_name].rollout, solid_mask=solid_mask
+        models[reference_name], reports[reference_name].rollout, solid_rows
     )
-    fom_stats = rom_mod.state_statistics(snapshots.data, snapshots.fields, solid_mask=solid_mask)
+    fom_stats = rom_mod.state_statistics(snapshots.data, snapshots.fields, solid_rows)
     field_names = [name for name, _, _ in snapshots.fields]
     header = ["step", "time"]
     for name in field_names:
@@ -176,24 +176,27 @@ def _evaluate_case(task):
 
 def cmd_evaluate(cfg: PipelineConfig) -> int:
     """Roll out the trained models against every case and write error CSVs."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    oi_path = os.path.join(cfg.output_dir, "rom_opinf.txt")
-    if not os.path.exists(oi_path):
-        raise DataError(f"missing {oi_path}; run 'train' first")
-    models = {"opinf": rom_mod.load_rom(oi_path)}
+    paths = {"opinf": os.path.join(cfg.output_dir, "rom_opinf.txt")}
+    if not os.path.exists(paths["opinf"]):
+        raise DataError(f"missing {paths['opinf']}; run 'train' first")
     cal_path = os.path.join(cfg.output_dir, "rom_calibrated.txt")
     if os.path.exists(cal_path):
-        models["calibrated"] = rom_mod.load_rom(cal_path)
+        paths["calibrated"] = cal_path
+    models = {}
+    for name, path in paths.items():
+        model = models[name] = rom_mod.load_rom(path)
+        if model.basis is None or model.basis.scaling is None:
+            raise DataError(f"{path}: error evaluation needs a model with basis and scaling")
+        if model.basis.n != cfg.fom.n:
+            raise DataError(f"{path}: the model has n={model.basis.n} states, the "
+                            f"configured grid has n={cfg.fom.n}")
 
     reference_name = "calibrated" if "calibrated" in models else "opinf"
-    reference = models[reference_name]
-    if reference.basis is None:
-        raise DataError("stored model lacks basis and scaling; cannot evaluate")
 
     summary_rows = []
     aggregates = {name: [] for name in models}
     cases = [(cfg.case_name(load), cfg.snapshot_path(load)) for load in cfg.loads]
-    tasks = [(models, reference_name, path, cfg.fom.solid_mask) for _, path in cases]
+    tasks = [(models, reference_name, path, cfg.fom.solid_rows) for _, path in cases]
     results = ordered_map(_evaluate_case, tasks)
     for (errors_csv, stats_csv, means), (case, _) in zip(results, cases):
         with open(os.path.join(cfg.output_dir, f"errors_{case}.csv"), "w") as fh:
@@ -229,7 +232,6 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
 
 def cmd_export_rom(cfg: PipelineConfig, source: str | None = None) -> int:
     """Write a compact operator file (no basis) next to the trained models."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
     if source is None:
         for candidate in ("rom_calibrated.txt", "rom_opinf.txt"):
             path = os.path.join(cfg.output_dir, candidate)
@@ -240,6 +242,7 @@ def cmd_export_rom(cfg: PipelineConfig, source: str | None = None) -> int:
         raise DataError("no trained model found to export; run 'train' first")
     model = rom_mod.load_rom(source)
     out_path = os.path.join(cfg.output_dir, "rom_compact.txt")
+    os.makedirs(cfg.output_dir, exist_ok=True)
     rom_mod.save_rom(model, out_path, include_basis=False)
     print(f"export-rom: {source} -> {out_path}")
     return EXIT_OK
@@ -258,7 +261,6 @@ def cmd_fixture_check() -> int:
     deim_ops = model.deim
     check("operator shapes 8x8 / 8x8 / 8x8",
           ops.a.shape == (8, 8)
-          and deim_ops is not None
           and deim_ops.p1.shape == (8, 8)
           and deim_ops.p2.shape == (8, 8))
     check("P1[1,1] = -0.840 (scale factor 10)", abs(deim_ops.p1[0, 0] - (-0.840)) < 1e-12)

@@ -41,7 +41,7 @@ def assemble_regression(
     reduced_states: np.ndarray,
     reduced_derivatives: np.ndarray,
     controls: np.ndarray,
-    deim_ops: DeimOperators | None,
+    deim_ops: DeimOperators,
 ):
     """Build the least-squares system (design, target) for operator fitting.
 
@@ -51,7 +51,7 @@ def assemble_regression(
     reduced_derivatives : (r, m) reduced time derivatives per column.
     controls : (m,) heat load R per column.
     deim_ops : sampled source operators whose contribution is subtracted
-        from the derivatives, or None when no source term is present.
+        from the derivatives.
 
     Returns
     -------
@@ -72,10 +72,7 @@ def assemble_regression(
     if controls.shape != (m,):
         raise DataError("controls must hold one heat load per column")
 
-    target = d.T.copy()
-    if deim_ops is not None:
-        target -= reduced_arrhenius(deim_ops, s, controls).T
-    return s.T, target
+    return s.T, d.T - reduced_arrhenius(deim_ops, s, controls).T
 
 
 def solve_opinf(design: np.ndarray, target: np.ndarray, tikhonov_lambda: float) -> RomOperators:

@@ -57,14 +57,14 @@ class RomModel:
     """Everything needed to roll out and lift a reduced model."""
 
     operators: RomOperators
-    deim: DeimOperators | None
+    deim: DeimOperators
     basis: PodBasis | None
     dt: float
 
     def __post_init__(self):
         if self.dt <= 0.0:
             raise DataError("dt must be positive")
-        if self.deim is not None and self.deim.r != self.operators.r:
+        if self.deim.r != self.operators.r:
             raise DataError("deim operators and reduced operators disagree on r")
         if self.basis is not None and self.basis.r != self.operators.r:
             raise DataError("basis and reduced operators disagree on r")
@@ -155,35 +155,32 @@ def rom_vs_projected_error(model: RomModel, snapshots: SnapshotSet) -> ErrorRepo
     )
 
 
-def state_statistics(states: np.ndarray, fields, solid_mask=None) -> dict:
+def state_statistics(states: np.ndarray, fields, solid_rows: np.ndarray) -> dict:
     """Per-column (min, mean, max) of each field block of physical states.
 
     ``states`` is (n, k+1) and ``fields`` its (name, start, end) blocks.
-    Returns a dict mapping field name to a (k+1, 3) array.  When a solid
-    mask is given, the statistics of the second (solid) field are restricted
-    to the masked cells.
+    Returns a dict mapping field name to a (k+1, 3) array.  A field block
+    that holds any of ``solid_rows`` (``FomConfig.solid_rows``) is summarised
+    over those rows only.
     """
     out = {}
-    for i, (name, start, end) in enumerate(fields):
-        block = states[start:end, :]
-        if solid_mask is not None and i == 1:
-            mask = np.asarray(solid_mask, dtype=float) > 0.0
-            if mask.shape[0] != end - start:
-                raise DataError("solid mask length does not match the field block")
-            block = block[mask, :]
+    for name, start, end in fields:
+        rows = solid_rows[(solid_rows >= start) & (solid_rows < end)]
+        block = states[rows, :] if rows.size else states[start:end, :]
         out[name] = np.column_stack(
             [np.min(block, axis=0), np.mean(block, axis=0), np.max(block, axis=0)]
         )
     return out
 
 
-def field_statistics(model: RomModel, reduced_trajectory: np.ndarray, solid_mask=None) -> dict:
+def field_statistics(model: RomModel, reduced_trajectory: np.ndarray,
+                     solid_rows: np.ndarray) -> dict:
     """state_statistics of a reduced rollout lifted to the physical grid."""
     if model.basis is None or model.basis.scaling is None:
         raise DataError("field statistics need a model with basis and scaling")
     reduced = np.asarray(reduced_trajectory, dtype=float)
     lifted = model.basis.scaling.unscale_array(model.basis.basis @ reduced)
-    return state_statistics(lifted, model.basis.scaling.fields, solid_mask)
+    return state_statistics(lifted, model.basis.scaling.fields, solid_rows)
 
 
 def _write_matrix(fh, name, matrix, scale=1.0):
@@ -226,27 +223,20 @@ def save_rom(model: RomModel, path, include_basis: bool = True) -> None:
         fh.write("[meta]\n")
         fh.write(f"version={ROM_FORMAT_VERSION}\n")
         fh.write(f"r={ops.r}\n")
-        fh.write(f"s={0 if model.deim is None else model.deim.s}\n")
+        fh.write(f"s={model.deim.s}\n")
         fh.write("p=0\n")  # no input operator; kept for format version 1
         fh.write(f"dt={fmt_float(model.dt)}\n")
         _write_matrix(fh, "A", ops.a)
         for name in UNSUPPORTED_OPERATORS:
             _write_matrix(fh, name, None)
-        _write_matrix(fh, "P1", None if model.deim is None else model.deim.p1)
-        _write_matrix(fh, "P2", None if model.deim is None else model.deim.p2)
+        _write_matrix(fh, "P1", model.deim.p1)
+        _write_matrix(fh, "P2", model.deim.p2)
         fh.write("[deim]\n")
-        if model.deim is None:
-            fh.write("arrhenius_prefactor=0\n")
-            fh.write("arrhenius_exponent=0\n")
-            fh.write("indices=\n")
-            fh.write("unscale_scale=\n")
-            fh.write("unscale_shift=\n")
-        else:
-            fh.write(f"arrhenius_prefactor={fmt_float(model.deim.arrhenius_prefactor)}\n")
-            fh.write(f"arrhenius_exponent={fmt_float(model.deim.arrhenius_exponent)}\n")
-            fh.write("indices=" + ",".join(str(int(i)) for i in model.deim.indices) + "\n")
-            fh.write("unscale_scale=" + fmt_row(model.deim.unscale_scale) + "\n")
-            fh.write("unscale_shift=" + fmt_row(model.deim.unscale_shift) + "\n")
+        fh.write(f"arrhenius_prefactor={fmt_float(model.deim.arrhenius_prefactor)}\n")
+        fh.write(f"arrhenius_exponent={fmt_float(model.deim.arrhenius_exponent)}\n")
+        fh.write("indices=" + ",".join(str(int(i)) for i in model.deim.indices) + "\n")
+        fh.write("unscale_scale=" + fmt_row(model.deim.unscale_scale) + "\n")
+        fh.write("unscale_shift=" + fmt_row(model.deim.unscale_shift) + "\n")
         scaling = None if model.basis is None else model.basis.scaling
         if include_basis and model.basis is not None and scaling is not None:
             fh.write("[scaling]\n")
@@ -294,11 +284,11 @@ def load_rom(path) -> RomModel:
                            dtype=int)
         unscale_scale = parse_list(rd.expect_kv("unscale_scale"), rd, "unscale_scale")
         unscale_shift = parse_list(rd.expect_kv("unscale_shift"), rd, "unscale_shift")
-        if p1 is not None or p2 is not None:
-            if p1 is None or p2 is None:
-                raise DataError(f"{path}: P1 and P2 must both be present")
-            if p1.shape != (r, s) or p2.shape != (s, r):
-                raise DataError(f"{path}: P1/P2 shapes disagree with the meta section")
+        if p1 is None or p2 is None:
+            raise DataError(f"{path}: a model needs its sampled source; [P1] and [P2] "
+                            "must not be empty")
+        if p1.shape != (r, s) or p2.shape != (s, r):
+            raise DataError(f"{path}: P1/P2 shapes disagree with the meta section")
 
         fields = None
         if not rd.at_end() and rd.peek().strip() == "[scaling]":
@@ -314,17 +304,15 @@ def load_rom(path) -> RomModel:
             singular_values = parse_list(rd.next_line("singular values"), rd, "singular values")
 
     try:
-        deim_ops = None
-        if p1 is not None:
-            deim_ops = DeimOperators(
-                indices=indices,
-                p1=p1,
-                p2=p2,
-                arrhenius_prefactor=prefactor,
-                arrhenius_exponent=exponent,
-                unscale_scale=np.array(unscale_scale) if unscale_scale else np.ones(s),
-                unscale_shift=np.array(unscale_shift) if unscale_shift else np.zeros(s),
-            )
+        deim_ops = DeimOperators(
+            indices=indices,
+            p1=p1,
+            p2=p2,
+            arrhenius_prefactor=prefactor,
+            arrhenius_exponent=exponent,
+            unscale_scale=np.array(unscale_scale) if unscale_scale else np.ones(s),
+            unscale_shift=np.array(unscale_shift) if unscale_shift else np.zeros(s),
+        )
         basis = None
         if fields is not None:
             basis = PodBasis(basis=basis_matrix, singular_values=np.array(singular_values),

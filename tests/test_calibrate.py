@@ -18,7 +18,7 @@ from morcal.calibrate import (
 from morcal.deim import DeimOperators
 from morcal.errors import ConfigError, DataError, NumericError
 from morcal.opinf import RomOperators
-from oracles import arrhenius_jacobian, theta
+from oracles import arrhenius_jacobian, no_source, theta
 
 # The module itself: the package attribute ``morcal.calibrate`` is the function.
 calibrate_mod = importlib.import_module("morcal.calibrate")
@@ -48,10 +48,22 @@ def _deim_ops(rng, r, s=3):
 
 def test_rollout_matches_geometric_closed_form():
     alpha, dt, k = -0.3, 0.05, 10
-    out = forward_rollout(_linear_ops([[alpha]]), None, np.array([2.0]), np.zeros(k), dt, k)
+    out = forward_rollout(_linear_ops([[alpha]]), no_source(1), np.array([2.0]), np.zeros(k), dt, k)
     assert out.shape == (1, k + 1)
     want = 2.0 * (1.0 + dt * alpha) ** np.arange(k + 1)
     assert np.allclose(out[0, :], want, rtol=1e-13)
+
+
+def test_rollout_without_source_is_the_linear_euler_step(rng):
+    """no_source adds exactly zero: each step is (I + dt a) s, bit for bit."""
+    r, dt, k = 3, 0.05, 12
+    ops = _random_ops(rng, r)
+    s = rng.standard_normal(r)
+    want = [s]
+    for _ in range(k):
+        want.append((np.eye(r) + dt * ops.a) @ want[-1])
+    out = forward_rollout(ops, no_source(r), s, rng.uniform(0.5, 1.5, k), dt, k)
+    assert np.array_equal(out, np.column_stack(want))
 
 
 def test_rollout_uses_left_endpoint_controls(rng):
@@ -78,7 +90,7 @@ def test_rollout_uses_left_endpoint_controls(rng):
 def test_rollout_aborts_on_blowup():
     ops = _linear_ops([[1e8]])
     with pytest.raises(NumericError) as err:
-        forward_rollout(ops, None, np.array([1e300]), np.zeros(5), 1.0, 5)
+        forward_rollout(ops, no_source(1), np.array([1e300]), np.zeros(5), 1.0, 5)
     assert "step" in str(err.value)
 
 
@@ -99,6 +111,7 @@ def test_objective_hand_computed_value():
         reduced_trajectories=[np.array([[1.0, 1.2, 1.1]])],
         controls=[np.zeros(3)],
         dt=0.1,
+        deim=no_source(1),
     )
     got = objective(_linear_ops([[0.5]]), problem)
     assert math.isclose(got, HAND_OBJECTIVE, rel_tol=1e-14)
@@ -109,12 +122,13 @@ def test_objective_is_infinite_when_rollout_fails():
         reduced_trajectories=[np.array([[1e300, 1.0, 1.0]])],
         controls=[np.zeros(3)],
         dt=1.0,
+        deim=no_source(1),
     )
     assert objective(_linear_ops([[1e8]]), problem) == math.inf
 
 
 def _random_problem(rng, r=3, k=40, l=2, with_deim=True):
-    deim = _deim_ops(rng, r) if with_deim else None
+    deim = _deim_ops(rng, r) if with_deim else no_source(r)
     trajectories = []
     controls = []
     for _ in range(l):
@@ -230,7 +244,7 @@ def test_rollout_guards_name_the_failing_step():
         forward_rollout(_linear_ops([[-1.0]]), deim, np.array([8.0]), np.ones(6), 0.5, 6)
     # States 1e250, 1e300, inf: the third step leaves the finite range.
     with pytest.raises(NumericError, match="non-finite reduced state at rollout step 3$"):
-        forward_rollout(_linear_ops([[1e50]]), None, np.array([1e200]), np.zeros(5), 1.0, 5)
+        forward_rollout(_linear_ops([[1e50]]), no_source(1), np.array([1e200]), np.zeros(5), 1.0, 5)
 
 
 @pytest.fixture
@@ -334,11 +348,12 @@ def _self_consistent_problem(rng, r=2, k=30):
     """Data generated by known operators, so the optimum has zero residual."""
     true_ops = RomOperators(a=np.array([[-0.4, 0.2], [0.1, -0.5]]))
     controls = np.ones(k + 1)
-    states = forward_rollout(true_ops, None, np.array([1.0, -0.5]), controls, 0.1, k)
+    states = forward_rollout(true_ops, no_source(r), np.array([1.0, -0.5]), controls, 0.1, k)
     problem = CalibrationProblem(
         reduced_trajectories=[states],
         controls=[controls],
         dt=0.1,
+        deim=no_source(r),
     )
     return true_ops, problem
 
@@ -389,7 +404,9 @@ def test_calibrate_keeps_entries_that_move_no_state():
     k = 20
     data = np.zeros((2, k + 1))
     data[0] = 0.9 ** np.arange(k + 1)
-    problem = CalibrationProblem(reduced_trajectories=[data], controls=[np.zeros(k + 1)], dt=1.0)
+    problem = CalibrationProblem(
+        reduced_trajectories=[data], controls=[np.zeros(k + 1)], dt=1.0, deim=no_source(2)
+    )
     start = np.diag([-0.2, -0.3])
     fitted, report = calibrate(_linear_ops(start), problem, OptimizerConfig(max_iterations=50))
     assert report.status == "converged"
@@ -400,8 +417,12 @@ def test_calibrate_keeps_entries_that_move_no_state():
 def test_calibrate_logs_diverging_candidates_below_warning(caplog):
     """The first damped steps of this exponential fit overflow the rollout."""
     k = 200
-    states = forward_rollout(_linear_ops([[0.05]]), None, np.array([1.0]), np.zeros(k), 1.0, k)
-    problem = CalibrationProblem(reduced_trajectories=[states], controls=[np.zeros(k + 1)], dt=1.0)
+    states = forward_rollout(
+        _linear_ops([[0.05]]), no_source(1), np.array([1.0]), np.zeros(k), 1.0, k
+    )
+    problem = CalibrationProblem(
+        reduced_trajectories=[states], controls=[np.zeros(k + 1)], dt=1.0, deim=no_source(1)
+    )
     with caplog.at_level(logging.DEBUG, logger="morcal.calibrate"):
         fitted, report = calibrate(
             _linear_ops([[-0.99]]), problem, OptimizerConfig(max_iterations=50)
@@ -424,11 +445,12 @@ def test_calibrate_descends_monotonically(rng):
 def test_calibrate_stops_immediately_at_a_minimum():
     """Data already generated by the starting operators: gradient is zero."""
     ops = _linear_ops([[-0.2]])
-    states = forward_rollout(ops, None, np.array([1.0]), np.zeros(10), 0.1, 10)
+    states = forward_rollout(ops, no_source(1), np.array([1.0]), np.zeros(10), 0.1, 10)
     problem = CalibrationProblem(
         reduced_trajectories=[states],
         controls=[np.zeros(11)],
         dt=0.1,
+        deim=no_source(1),
     )
     fitted, report = calibrate(ops, problem, OptimizerConfig(max_iterations=50))
     assert report.status == "converged"
@@ -440,11 +462,12 @@ def test_calibrate_stops_immediately_at_a_minimum():
 def test_calibrate_without_iterations_converges_only_at_a_zero_gradient(offset, status):
     """max_iterations = 0 returns the start; only a zero gradient there is converged."""
     ops = _linear_ops([[-0.2]])
-    states = forward_rollout(ops, None, np.array([1.0]), np.zeros(10), 0.1, 10)
+    states = forward_rollout(ops, no_source(1), np.array([1.0]), np.zeros(10), 0.1, 10)
     problem = CalibrationProblem(
         reduced_trajectories=[states + offset],
         controls=[np.zeros(11)],
         dt=0.1,
+        deim=no_source(1),
     )
     fitted, report = calibrate(ops, problem, OptimizerConfig(max_iterations=0))
     assert (report.gradient_norms[0] == 0.0) == (offset == 0.0)
@@ -458,6 +481,7 @@ def test_calibrate_rejects_non_finite_start():
         reduced_trajectories=[np.array([[1e300, 1.0, 1.0]])],
         controls=[np.zeros(3)],
         dt=1.0,
+        deim=no_source(1),
     )
     with pytest.raises(NumericError):
         calibrate(_linear_ops([[1e8]]), problem)
@@ -466,11 +490,12 @@ def test_calibrate_rejects_non_finite_start():
 def test_convergence_report_csv(tmp_path):
     report_path = tmp_path / "conv.csv"
     ops = _linear_ops([[-0.2]])
-    states = forward_rollout(ops, None, np.array([1.0]), np.zeros(10), 0.1, 10)
+    states = forward_rollout(ops, no_source(1), np.array([1.0]), np.zeros(10), 0.1, 10)
     problem = CalibrationProblem(
         reduced_trajectories=[states + 0.01],
         controls=[np.zeros(11)],
         dt=0.1,
+        deim=no_source(1),
     )
     _, report = calibrate(ops, problem, OptimizerConfig(max_iterations=5))
     report.write_csv(report_path)
@@ -494,16 +519,18 @@ def test_optimizer_config_validation():
 
 def test_problem_validation():
     with pytest.raises(DataError):
-        CalibrationProblem(reduced_trajectories=[], controls=[], dt=1.0)
+        CalibrationProblem(reduced_trajectories=[], controls=[], dt=1.0, deim=no_source(2))
     with pytest.raises(DataError):
         CalibrationProblem(
             reduced_trajectories=[np.zeros((2, 5))],
             controls=[np.zeros(4)],
             dt=1.0,
+            deim=no_source(2),
         )
     with pytest.raises(DataError):
         CalibrationProblem(
             reduced_trajectories=[np.zeros((2, 5))],
             controls=[np.zeros((5, 2))],
             dt=1.0,
+            deim=no_source(2),
         )

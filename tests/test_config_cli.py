@@ -255,6 +255,24 @@ def test_cli_exit_codes_for_bad_inputs(tmp_path, capsys):
     assert main(["--config", cfg, "--out", out, "export-rom"]) == 3
 
 
+@pytest.mark.parametrize(
+    "command, env, code",
+    [
+        ("generate", {"MORCAL_T_END": "1"}, 2),  # shorter than one saved step
+        ("train", {}, 3),  # no snapshots
+        ("evaluate", {}, 3),  # no model
+        ("export-rom", {}, 3),  # no model
+    ],
+)
+def test_cli_refused_command_leaves_no_output_folder(tmp_path, monkeypatch, capsys, command,
+                                                     env, code):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    out = tmp_path / "out"
+    assert main(["--config", _write_tiny(tmp_path), "--out", str(out), command]) == code
+    assert not out.exists()
+
+
 def test_cli_generate_writes_loadable_snapshots(tmp_path):
     cfg = _write_tiny(tmp_path)
     out = str(tmp_path / "out")
@@ -350,6 +368,22 @@ def test_cli_non_empty_input_operator_is_a_data_error(tmp_path, capsys, section)
     assert main(["--config", cfg, "--out", out, "evaluate"]) == 3
     err = capsys.readouterr().err
     assert "error (data)" in err and f"[{section}]" in err
+
+
+def test_cli_model_without_sampled_source_is_a_data_error(tmp_path, capsys):
+    """Every model carries its sampled source; empty [P1]/[P2] sections are refused."""
+    cfg, out = _trained_tiny(tmp_path)
+    model = tmp_path / "out" / "rom_opinf.txt"
+    text, count = re.subn(r"\[P1\]\n.*?(?=\[deim\]\n)",
+                          "[P1]\nrows=0 cols=0 scale=1\n[P2]\nrows=0 cols=0 scale=1\n",
+                          model.read_text(), flags=re.S)
+    assert count == 1
+    model.write_text(text)
+    capsys.readouterr()
+    for command in ("evaluate", "export-rom"):
+        assert main(["--config", cfg, "--out", out, command]) == 3
+        assert (f"error (data): {model}: a model needs its sampled source; [P1] and [P2] "
+                "must not be empty") in capsys.readouterr().err
 
 
 def test_cli_one_snapshot_training_files_are_a_data_error(tmp_path, capsys):
@@ -545,7 +579,7 @@ def test_cli_generate_writes_nothing_when_one_load_fails(tmp_path, capsys):
     assert main(["--config", str(path), "--out", str(out), "generate"]) == 4
     err = capsys.readouterr().err
     assert "error (numeric)" in err and "step 1 " in err and "heat load(s) 2 (R=1e+12)" in err
-    assert os.listdir(out / "snapshots") == []
+    assert not out.exists()
 
 
 def test_cli_generate_refuses_a_step_count_that_cannot_be_allocated(tmp_path, capsys,
@@ -621,3 +655,27 @@ def test_cli_only_train_parses_the_derivative_numbers(tmp_path, capsys):
     assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 3
     err = capsys.readouterr().err
     assert f"error (data): {path}, line {row + 1}: bad number in derivative row 1" in err
+
+
+def test_cli_evaluate_names_the_model_file_without_basis(tmp_path, capsys):
+    """A compact export next to a full model is named before any case is scored."""
+    cfg, out = _trained_tiny(tmp_path)
+    assert main(["--config", cfg, "--out", out, "export-rom"]) == 0
+    folder = tmp_path / "out"
+    os.replace(folder / "rom_opinf.txt", folder / "rom_calibrated.txt")
+    os.replace(folder / "rom_compact.txt", folder / "rom_opinf.txt")
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", out, "evaluate"]) == 3
+    assert (f"error (data): {folder / 'rom_opinf.txt'}: error evaluation needs a model with "
+            "basis and scaling") in capsys.readouterr().err
+    assert not list(folder.glob("errors_*.csv"))
+
+
+def test_cli_evaluate_names_a_model_trained_on_another_grid(tmp_path, monkeypatch, capsys):
+    cfg, out = _trained_tiny(tmp_path)
+    monkeypatch.setenv("MORCAL_GRID_POINTS", "12")
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", out, "evaluate"]) == 3
+    model = tmp_path / "out" / "rom_opinf.txt"
+    assert (f"error (data): {model}: the model has n=32 states, the configured grid "
+            "has n=24") in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 
 from morcal.errors import ConfigError, DataError, NumericError
 from morcal.opinf import RomOperators, assemble_regression, solve_opinf
+from oracles import no_source
 
 
 def test_single_parameter_ridge_closed_form():
@@ -20,7 +21,7 @@ def test_zero_regularisation_reproduces_least_squares(rng):
     states = rng.standard_normal((r, m))
     a_true = rng.standard_normal((r, r))
     derivs = a_true @ states
-    design, target = assemble_regression(states, derivs, np.zeros(m), None)
+    design, target = assemble_regression(states, derivs, np.zeros(m), no_source(r))
     ops = solve_opinf(design, target, 0.0)
     assert np.allclose(ops.a, a_true, rtol=1e-10, atol=1e-12)
 
@@ -29,7 +30,7 @@ def test_regularisation_shrinks_coefficients(rng):
     m, r = 30, 3
     states = rng.standard_normal((r, m))
     derivs = rng.standard_normal((r, m))
-    design, target = assemble_regression(states, derivs, np.zeros(m), None)
+    design, target = assemble_regression(states, derivs, np.zeros(m), no_source(r))
     loose = solve_opinf(design, target, 1e-8)
     tight = solve_opinf(design, target, 1e4)
     assert np.linalg.norm(tight.a) < 1e-2 * np.linalg.norm(loose.a)
@@ -52,20 +53,20 @@ def test_source_term_is_subtracted_from_target(rng):
     derivs = rng.standard_normal((r, m))
     controls = rng.uniform(0.5, 1.5, m)
     _, target_with = assemble_regression(states, derivs, controls, ops)
-    _, target_without = assemble_regression(states, derivs, controls, None)
+    _, target_without = assemble_regression(states, derivs, controls, no_source(r))
     source = reduced_arrhenius(ops, states, controls)
     assert np.allclose(target_without - target_with, source.T, rtol=1e-12)
 
 
 def test_missing_derivatives_is_a_data_error(rng):
     with pytest.raises(DataError):
-        assemble_regression(rng.standard_normal((3, 5)), None, np.zeros(5), None)
+        assemble_regression(rng.standard_normal((3, 5)), None, np.zeros(5), no_source(3))
 
 
 def test_rank_deficient_without_regularisation_raises(rng):
     states = np.zeros((3, 12))
     states[0, :] = rng.standard_normal(12)  # two silent directions
-    design, target = assemble_regression(states, np.zeros((3, 12)), np.zeros(12), None)
+    design, target = assemble_regression(states, np.zeros((3, 12)), np.zeros(12), no_source(3))
     with pytest.raises(NumericError):
         solve_opinf(design, target, 0.0)
 
@@ -75,14 +76,14 @@ def test_design_with_more_or_fewer_than_r_columns_is_refused(rng):
     r, m = 3, 25
     states = rng.standard_normal((r, m))
     derivs = rng.standard_normal((r, m))
-    design, target = assemble_regression(states, derivs, np.ones(m), None)
+    design, target = assemble_regression(states, derivs, np.ones(m), no_source(r))
     assert design.shape == (m, r)
     assert solve_opinf(design, target, 0.5).a.shape == (r, r)
     for cols in (design[:, :-1], np.hstack([design, design[:, :1] ** 2])):
         with pytest.raises(DataError):
             solve_opinf(cols, target, 0.5)
     with pytest.raises(DataError):
-        assemble_regression(states, derivs, np.ones((m, 2)), None)
+        assemble_regression(states, derivs, np.ones((m, 2)), no_source(r))
 
 
 def test_operator_container_validation(rng):

@@ -157,7 +157,7 @@ def test_worker_tasks_survive_pickling(tmp_path):
     cfg = load_pipeline_config(config, output_override=str(out))
     models = {"opinf": load_rom(out / "rom_opinf.txt"),
               "calibrated": load_rom(out / "rom_calibrated.txt")}
-    task = (models, "calibrated", cfg.snapshot_path(0.75), cfg.fom.solid_mask)
+    task = (models, "calibrated", cfg.snapshot_path(0.75), cfg.fom.solid_rows)
     copy_fn, copy_task = pickle.loads(pickle.dumps((cli._evaluate_case, task)))
     assert copy_fn is cli._evaluate_case
     assert copy_fn(copy_task) == cli._evaluate_case(task)

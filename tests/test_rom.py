@@ -19,6 +19,7 @@ from morcal.rom import (
     field_statistics,
 )
 from morcal.snapshots import apply_scaling, fit_scaling
+from oracles import no_source
 
 
 def test_switch_off_window_flags_steps_around_discontinuities():
@@ -43,7 +44,7 @@ def _static_model(r=3):
     """Zero dynamics: the rollout stays at the initial reduced state."""
     return RomModel(
         operators=RomOperators(a=np.zeros((r, r))),
-        deim=None,
+        deim=no_source(r),
         basis=None,
         dt=1.0,
     )
@@ -76,7 +77,7 @@ def _trained_model(include_window=False):
     basis = compute_pod(scaled.data, 4, scaling=scaling)
     model = RomModel(
         operators=RomOperators(a=np.zeros((4, 4))),
-        deim=None,
+        deim=no_source(4),
         basis=basis,
         dt=traj.dt,
     )
@@ -116,7 +117,7 @@ def test_field_statistics_solid_mask_restriction():
     model, traj, cfg = _trained_model()
     scaled = model.basis.scaling.scale_array(traj.data)
     reduced = model.basis.basis.T @ scaled
-    stats = field_statistics(model, reduced, solid_mask=cfg.solid_mask)
+    stats = field_statistics(model, reduced, cfg.solid_rows)
     assert set(stats) == {"T_c", "T_s"}
     assert stats["T_c"].shape == (reduced.shape[1], 3)
     # min <= mean <= max at every step
@@ -210,6 +211,6 @@ def test_model_consistency_checks(rng):
 
     basis = PodBasis(basis=basis_mat, singular_values=np.ones(4))
     with pytest.raises(DataError):
-        RomModel(operators=ops, deim=None, basis=basis, dt=1.0)  # r mismatch
+        RomModel(operators=ops, deim=no_source(3), basis=basis, dt=1.0)  # r mismatch
     with pytest.raises(DataError):
-        RomModel(operators=ops, deim=None, basis=None, dt=0.0)
+        RomModel(operators=ops, deim=no_source(3), basis=None, dt=0.0)
