@@ -38,7 +38,6 @@ from morcal.opinf import RomOperators, assemble_regression, solve_opinf
 from morcal.pod import (
     PodBasis,
     compute_pod,
-    load_basis,
     project,
     save_basis,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "fom_rhs",
     "forward_rollout",
     "load_reference_fixture",
-    "load_basis",
     "load_pipeline_config",
     "load_rom",
     "load_snapshots",

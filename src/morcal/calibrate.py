@@ -37,6 +37,8 @@ import numpy as np
 from morcal.deim import MIN_TEMPERATURE, DeimOperators
 from morcal.errors import ConfigError, DataError, NumericError
 from morcal.opinf import RomOperators
+from morcal.pod import PodBasis, project
+from morcal.snapshots import SnapshotSet, apply_scaling
 from morcal.textio import fmt_float
 
 __all__ = [
@@ -431,23 +433,17 @@ def calibrate(
 
 
 def build_calibration_problem(
-    scaled_snapshots,
-    basis,
+    snapshots: SnapshotSet,
+    basis: PodBasis,
     deim_ops: DeimOperators,
 ) -> CalibrationProblem:
-    """Project a scaled snapshot set onto the basis, one trajectory at a time."""
-    from morcal.pod import project
-
-    if scaled_snapshots.scaling is None:
-        raise DataError("calibration expects a scaled snapshot set")
-    trajectories = []
-    controls = []
-    for sl in scaled_snapshots.trajectory_slices():
-        trajectories.append(project(basis, scaled_snapshots.data[:, sl]))
-        controls.append(scaled_snapshots.controls[sl])
+    """Standardise a physical snapshot set with the basis's scaling and
+    project it onto the basis, one trajectory at a time."""
+    states = apply_scaling(snapshots, basis.scaling)
+    slices = snapshots.trajectory_slices()
     return CalibrationProblem(
-        reduced_trajectories=trajectories,
-        controls=controls,
-        dt=scaled_snapshots.dt,
+        reduced_trajectories=[project(basis, states[:, sl]) for sl in slices],
+        controls=[snapshots.controls[sl] for sl in slices],
+        dt=snapshots.dt,
         deim=deim_ops,
     )

@@ -76,8 +76,8 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
         raise DataError("a training trajectory of one snapshot has no snapshot spacing to step by")
 
     scaling = snap_mod.fit_scaling(raw)
-    scaled = snap_mod.apply_scaling(raw, scaling)
-    basis = pod_mod.compute_pod(scaled.data, cfg.pod_rank, scaling=scaling)
+    states = snap_mod.apply_scaling(raw, scaling)
+    basis = pod_mod.compute_pod(states, cfg.pod_rank, scaling=scaling)
     print(f"train: pod basis r={cfg.pod_rank} "
           f"(spectrum head {fmt_float(basis.singular_values[0])})")
 
@@ -87,14 +87,17 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
     deim_ops = deim_mod.build_deim_operators(basis, u_n, indices, cfg.fom)
     print(f"train: deim rank s={cfg.deim_rank}, sample rows {list(map(int, indices))}")
 
-    reduced_states = pod_mod.project(basis, scaled.data)
-    reduced_derivs = pod_mod.project(basis, scaled.derivatives)
-    design, target = assemble_regression(reduced_states, reduced_derivs, scaled.controls, deim_ops)
+    reduced_states = pod_mod.project(basis, states)
+    reduced_derivs = pod_mod.project(basis, scaling.scale_derivative_array(raw.derivatives))
+    design, target = assemble_regression(reduced_states, reduced_derivs, raw.controls, deim_ops)
     operators = solve_opinf(design, target, cfg.tikhonov_lambda)
     oi_model = rom_mod.RomModel(operators=operators, deim=deim_ops, basis=basis, dt=raw.dt)
     oi_path = os.path.join(cfg.output_dir, "rom_opinf.txt")
     os.makedirs(cfg.output_dir, exist_ok=True)
     rom_mod.save_rom(oi_model, oi_path)
+    for stale in ("rom_calibrated.txt", "convergence.csv"):  # an earlier run's calibration
+        if os.path.exists(path := os.path.join(cfg.output_dir, stale)):
+            os.remove(path)
     print(f"train: inferred operators -> {oi_path}")
 
     def write_spectrum(name, values):
@@ -111,7 +114,7 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
         print("train: calibration skipped on request")
         return EXIT_OK
 
-    problem = build_calibration_problem(scaled, basis, deim_ops)
+    problem = build_calibration_problem(raw, basis, deim_ops)
     calibrated, report = calibrate(operators, problem, cfg.optimizer)
     cal_model = rom_mod.RomModel(operators=calibrated, deim=deim_ops, basis=basis, dt=raw.dt)
     cal_path = os.path.join(cfg.output_dir, "rom_calibrated.txt")
@@ -185,7 +188,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
     models = {}
     for name, path in paths.items():
         model = models[name] = rom_mod.load_rom(path)
-        if model.basis is None or model.basis.scaling is None:
+        if model.basis is None:
             raise DataError(f"{path}: error evaluation needs a model with basis and scaling")
         if model.basis.n != cfg.fom.n:
             raise DataError(f"{path}: the model has n={model.basis.n} states, the "

@@ -94,13 +94,10 @@ def nonlinearity_snapshots(snapshots: SnapshotSet, cfg: FomConfig) -> np.ndarray
 
     Columns live in the full state layout: the source is evaluated on the
     physical temperatures of ``cfg.solid_rows`` and is zero everywhere else.
-    A scaled snapshot set is unscaled first.
     """
     if snapshots.n != cfg.n:
         raise DataError("snapshot set does not match the model state size")
     data = snapshots.data
-    if snapshots.scaling is not None:
-        data = snapshots.scaling.unscale_array(data)
     rows = cfg.solid_rows
     ts = data[rows, :]
     if np.any(ts <= 0.0):
@@ -111,11 +108,20 @@ def nonlinearity_snapshots(snapshots: SnapshotSet, cfg: FomConfig) -> np.ndarray
 
 
 def nonlinearity_basis(source_snapshots: np.ndarray, s: int):
-    """Rank-s left singular basis of the source snapshot matrix."""
+    """Rank-s left singular basis of the source snapshot matrix.
+
+    ``s`` may not exceed the matrix's numerical rank (NumPy's ``matrix_rank``
+    tolerance): the columns beyond it are rounding noise, and the sample
+    points picked from them would fall on rows without a source.
+    """
     mat = np.asarray(source_snapshots, dtype=float)
     if not 1 <= s <= min(mat.shape):
         raise ConfigError(f"deim rank must satisfy 1 <= s <= {min(mat.shape)}, got {s}")
     u, sigma, _ = np.linalg.svd(mat, full_matrices=False)
+    rank = int(np.count_nonzero(sigma > sigma[0] * max(mat.shape) * np.finfo(float).eps))
+    if s > rank:
+        raise ConfigError(f"deim rank s={s} exceeds the numerical rank {rank} of the "
+                          "source snapshots")
     return u[:, :s], sigma
 
 
@@ -155,11 +161,9 @@ def build_deim_operators(basis: PodBasis, u_n: np.ndarray, indices: np.ndarray,
     ``p1`` folds in the gain 1 / (rho_cp_solid * scale) that turns a raw
     source value on ``cfg.solid_rows`` into a scaled-state derivative (zero
     on every other row), and the unscale pair comes from the basis's own
-    scaling, which it must carry.  The Arrhenius constants are ``cfg``'s.
+    scaling.  The Arrhenius constants are ``cfg``'s.
     """
     scaling = basis.scaling
-    if scaling is None:
-        raise DataError("the basis carries no scaling; the sampled source needs it to unscale")
     if basis.n != cfg.n:
         raise DataError(f"basis has {basis.n} rows, the model state {cfg.n}")
     u_n = np.asarray(u_n, dtype=float)

@@ -1,8 +1,9 @@
 """Proper orthogonal decomposition of snapshot matrices.
 
-The basis comes from a thin SVD of the (scaled) snapshot matrix.  Column
-signs are fixed so the entry of largest magnitude in each mode is positive,
-which keeps the output deterministic across repeated runs.
+The basis comes from a thin SVD of the standardised snapshot matrix and
+carries the ScalingSpec that standardised it.  Column signs are fixed so
+the entry of largest magnitude in each mode is positive, which keeps the
+output deterministic across repeated runs.
 """
 
 from dataclasses import dataclass, field
@@ -11,24 +12,23 @@ import numpy as np
 
 from morcal.errors import ConfigError, DataError, NumericError
 from morcal.snapshots import ScalingSpec
-from morcal.textio import TextReader, fmt_row, parse_int
+from morcal.textio import fmt_row
 
 __all__ = [
     "PodBasis",
     "compute_pod",
     "project",
     "save_basis",
-    "load_basis",
 ]
 
 
 @dataclass
 class PodBasis:
-    """Orthonormal reduced basis with the full singular spectrum."""
+    """Orthonormal reduced basis with the full singular spectrum and its scaling."""
 
     basis: np.ndarray  # (n, r), orthonormal columns
     singular_values: np.ndarray  # all min(n, m) values, descending
-    scaling: ScalingSpec | None = field(default=None, repr=False)
+    scaling: ScalingSpec = field(repr=False)
 
     def __post_init__(self):
         self.basis = np.asarray(self.basis, dtype=float)
@@ -40,7 +40,7 @@ class PodBasis:
             raise NumericError("basis columns are not orthonormal")
         if np.any(np.diff(self.singular_values) > 1e-12):
             raise DataError("singular values must be sorted in descending order")
-        if self.scaling is not None and self.scaling.n != self.n:
+        if self.scaling.n != self.n:
             raise DataError(f"scaling covers {self.scaling.n} rows, the basis has {self.n}")
 
     @property
@@ -59,14 +59,14 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
     return u * signs
 
 
-def compute_pod(snapshot_matrix: np.ndarray, r: int, scaling: ScalingSpec | None = None) -> PodBasis:
+def compute_pod(snapshot_matrix: np.ndarray, r: int, scaling: ScalingSpec) -> PodBasis:
     """Thin SVD basis of rank r.
 
     Parameters
     ----------
-    snapshot_matrix : (n, m) array, already scaled if scaling is used.
+    snapshot_matrix : (n, m) array, already standardised by ``scaling``.
     r : number of modes to keep, 1 <= r <= min(n, m).
-    scaling : optional ScalingSpec recorded on the basis for later lifting.
+    scaling : the ScalingSpec recorded on the basis for later lifting.
     """
     s = np.asarray(snapshot_matrix, dtype=float)
     if s.ndim != 2:
@@ -87,23 +87,14 @@ def project(basis: PodBasis, x: np.ndarray) -> np.ndarray:
 
 
 def save_basis(basis: PodBasis, path) -> None:
-    """Write the basis to a text file: header, one mode per line, spectrum."""
+    """Write the basis to a text file: header, one mode per line, spectrum.
+
+    Nothing reads the file back: the model file's [basis] and
+    [singular_values] sections hold the same numbers.
+    """
     with open(path, "w") as fh:
         fh.write(f"n={basis.n} r={basis.r}\n")
         for j in range(basis.r):
             fh.write(fmt_row(basis.basis[:, j]) + "\n")
         fh.write(fmt_row(basis.singular_values) + "\n")
 
-
-def load_basis(path) -> PodBasis:
-    with TextReader(path) as rd:
-        header = rd.next_line("header").split()
-        if len(header) != 2 or not header[0].startswith("n=") or not header[1].startswith("r="):
-            raise rd.error("expected header 'n=<int> r=<int>'")
-        n = parse_int(header[0][2:], rd, "n")
-        r = parse_int(header[1][2:], rd, "r")
-        # One mode per line; keep the (n, r) basis C-contiguous.
-        basis = np.ascontiguousarray(rd.read_rows(r, n, "mode").T)
-        count = len((rd.peek() or "").split())
-        sigma = rd.read_floats(count, "singular values") if count else np.zeros(0)
-        return PodBasis(basis=basis, singular_values=sigma)

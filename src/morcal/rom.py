@@ -15,7 +15,7 @@ from morcal.deim import DeimOperators
 from morcal.errors import DataError
 from morcal.opinf import RomOperators
 from morcal.pod import PodBasis
-from morcal.snapshots import ScalingSpec, SnapshotSet
+from morcal.snapshots import ScalingSpec, SnapshotSet, apply_scaling
 from morcal.textio import (
     TextReader,
     fmt_fields,
@@ -121,20 +121,17 @@ def rom_vs_projected_error(model: RomModel, snapshots: SnapshotSet) -> ErrorRepo
     heat loads.  Steps inside the switch-off window are excluded from the
     aggregate mean (they remain in the per-step curve).
     """
-    if model.basis is None or model.basis.scaling is None:
+    if model.basis is None:
         raise DataError("error evaluation needs a model with basis and scaling")
     if snapshots.l != 1:
         raise DataError(f"error evaluation needs one trajectory per snapshot set, "
                         f"found {snapshots.l}")
-    states = snapshots.data
-    if states.shape[0] != model.basis.n:
-        raise DataError("trajectory state size does not match the basis")
+    scaled = apply_scaling(snapshots, model.basis.scaling)
     if snapshots.m < 2:
         raise DataError("trajectory must contain at least two snapshots")
     if not np.isclose(snapshots.dt, model.dt, rtol=1e-9, atol=1e-12):
         raise DataError("trajectory spacing does not match the model step size")
 
-    scaled = model.basis.scaling.scale_array(states)
     projected = model.basis.basis.T @ scaled
     k = projected.shape[1] - 1
     rolled = simulate_rom(model, projected[:, 0], snapshots.controls, k)
@@ -176,7 +173,7 @@ def state_statistics(states: np.ndarray, fields, solid_rows: np.ndarray) -> dict
 def field_statistics(model: RomModel, reduced_trajectory: np.ndarray,
                      solid_rows: np.ndarray) -> dict:
     """state_statistics of a reduced rollout lifted to the physical grid."""
-    if model.basis is None or model.basis.scaling is None:
+    if model.basis is None:
         raise DataError("field statistics need a model with basis and scaling")
     reduced = np.asarray(reduced_trajectory, dtype=float)
     lifted = model.basis.scaling.unscale_array(model.basis.basis @ reduced)
@@ -237,8 +234,8 @@ def save_rom(model: RomModel, path, include_basis: bool = True) -> None:
         fh.write("indices=" + ",".join(str(int(i)) for i in model.deim.indices) + "\n")
         fh.write("unscale_scale=" + fmt_row(model.deim.unscale_scale) + "\n")
         fh.write("unscale_shift=" + fmt_row(model.deim.unscale_shift) + "\n")
-        scaling = None if model.basis is None else model.basis.scaling
-        if include_basis and model.basis is not None and scaling is not None:
+        if include_basis and model.basis is not None:
+            scaling = model.basis.scaling
             fh.write("[scaling]\n")
             fh.write(f"fields={fmt_fields(scaling.fields)}\n")
             fh.write("shift=" + fmt_row(scaling.shift) + "\n")

@@ -3,14 +3,14 @@
 A snapshot set stacks one or more trajectories column-wise into an n x m
 matrix, keeping trajectory boundaries, the heat load of each column, the
 field layout of the state vector, and the spacing ``dt`` that all its
-trajectories share.  The full-order model refuses ``t_end < save_every*dt``,
-so each trajectory it writes holds at least two snapshots.  Scaling
-standardises each field block by its mean and standard deviation;
-derivative columns are divided by the scale only, since shifting does not
-change a time derivative.
+trajectories share, always in physical units.  The full-order model refuses
+``t_end < save_every*dt``, so each trajectory it writes holds at least two
+snapshots.  Scaling standardises each field block by its mean and standard
+deviation; derivative columns are divided by the scale only, since shifting
+does not change a time derivative.  The basis carries the ScalingSpec.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,7 +117,6 @@ class SnapshotSet:
     controls: np.ndarray  # (m,) heat load R per column
     fields: list  # (name, start, end)
     derivatives: np.ndarray | None = None
-    scaling: ScalingSpec | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -154,15 +153,13 @@ class SnapshotSet:
 
 
 def concat_snapshot_sets(sets) -> SnapshotSet:
-    """Concatenate snapshot sets that share layout and scaling state."""
+    """Concatenate snapshot sets that share field layout and snapshot spacing."""
     if not sets:
         raise DataError("no snapshot sets given")
     first = sets[0]
     for s in sets:
         if s.fields != first.fields:
             raise DataError("snapshot sets disagree on field layout")
-        if (s.scaling is None) != (first.scaling is None):
-            raise DataError("cannot mix scaled and unscaled snapshot sets")
         if (s.derivatives is None) != (first.derivatives is None):
             raise DataError("cannot mix sets with and without derivatives")
         if not np.isclose(s.dt, first.dt, rtol=1e-9, atol=1e-12):
@@ -178,7 +175,6 @@ def concat_snapshot_sets(sets) -> SnapshotSet:
         derivatives=None
         if first.derivatives is None
         else np.hstack([s.derivatives for s in sets]),
-        scaling=first.scaling,
     )
 
 
@@ -197,23 +193,11 @@ def fit_scaling(snapshots: SnapshotSet) -> ScalingSpec:
     return ScalingSpec(fields=list(snapshots.fields), shift=np.array(shift), scale=np.array(scale))
 
 
-def apply_scaling(snapshots: SnapshotSet, spec: ScalingSpec) -> SnapshotSet:
-    """Return a new set with standardised data (derivatives divided by scale)."""
-    if snapshots.scaling is not None:
-        raise DataError("snapshot set is already scaled")
+def apply_scaling(snapshots: SnapshotSet, spec: ScalingSpec) -> np.ndarray:
+    """The set's states standardised by ``spec``, as a new (n, m) array."""
     if spec.fields != snapshots.fields:
         raise DataError("scaling spec does not match the snapshot field layout")
-    return SnapshotSet(
-        data=spec.scale_array(snapshots.data),
-        trajectory_offsets=snapshots.trajectory_offsets.copy(),
-        dt=snapshots.dt,
-        controls=snapshots.controls.copy(),
-        fields=list(snapshots.fields),
-        derivatives=None
-        if snapshots.derivatives is None
-        else spec.scale_derivative_array(snapshots.derivatives),
-        scaling=spec,
-    )
+    return spec.scale_array(snapshots.data)
 
 
 def save_snapshots(snapshots: SnapshotSet, path) -> None:

@@ -98,10 +98,6 @@ class TextReader:
         """
         return self._read_block(rows, cols, lambda i: f"{what} {i}")
 
-    def read_floats(self, count, what="row") -> np.ndarray:
-        """One line of exactly ``count`` finite numbers."""
-        return self._read_block(1, count, lambda i: what)[0]
-
     def skip_rows(self, rows, what="row") -> None:
         """Step over the next ``rows`` lines without parsing them.
 

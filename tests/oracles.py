@@ -2,14 +2,16 @@
 
 The reduced right-hand side and its state Jacobian, written term by term
 for a single state, so that the batched rollout and adjoint kernels in
-``morcal.calibrate`` can be checked against a plain reference; and the
-source operators that make a reduced model linear.
+``morcal.calibrate`` can be checked against a plain reference; the
+source operators that make a reduced model linear; and the identity
+scaling that a basis of a plain test matrix carries.
 """
 
 import numpy as np
 
 from morcal.deim import MIN_TEMPERATURE, DeimOperators, reduced_arrhenius
 from morcal.errors import NumericError
+from morcal.snapshots import ScalingSpec
 
 
 def no_source(r, s=1):
@@ -27,6 +29,11 @@ def no_source(r, s=1):
         unscale_scale=np.ones(s),
         unscale_shift=np.full(s, 2.0 * MIN_TEMPERATURE),
     )
+
+
+def unit_scaling(n):
+    """The identity standardisation of an n-row state: one field, shift 0, scale 1."""
+    return ScalingSpec(fields=[("x", 0, n)], shift=0.0, scale=1.0)
 
 
 def theta(ops, deim_ops, s, heat_load):

@@ -36,7 +36,7 @@ from morcal.opinf import RomOperators, assemble_regression, solve_opinf
 from morcal.pod import compute_pod
 from morcal.rom import load_reference_fixture, simulate_rom
 from morcal.snapshots import apply_scaling, fit_scaling
-from oracles import no_source
+from oracles import no_source, unit_scaling
 
 RESULT_LINES = []
 
@@ -114,7 +114,7 @@ def test_criterion_2_pod_truncation_is_optimal():
         x = rng.standard_normal((n, m)) @ np.diag(np.logspace(0, -6, m))
         sv = np.linalg.svd(x, compute_uv=False)
         for r in (1, 3, min(n, m) // 2, min(n, m) - 1):
-            basis = compute_pod(x, r)
+            basis = compute_pod(x, r, unit_scaling(n))
             residual = np.linalg.norm(x - basis.basis @ (basis.basis.T @ x))
             optimal = math.sqrt(float(np.sum(sv[r:] ** 2)))
             worst = max(worst, abs(residual - optimal) / np.linalg.norm(x))
@@ -179,7 +179,7 @@ def test_criterion_4_sampled_source_matches_galerkin_projection():
     snaps = fom_integrate(cfg, [signal], save_every=25)[0]
     scaling = fit_scaling(snaps)
     scaled = apply_scaling(snaps, scaling)
-    basis = compute_pod(scaled.data, 6, scaling=scaling)
+    basis = compute_pod(scaled, 6, scaling=scaling)
 
     source = nonlinearity_snapshots(snaps, cfg)
     sv = np.linalg.svd(source, compute_uv=False)

@@ -1,5 +1,7 @@
 """Configuration parsing, environment overrides, and the pipeline commands."""
 
+import importlib
+import importlib.util
 import os
 import pkgutil
 import re
@@ -13,7 +15,8 @@ import morcal
 from morcal import config as config_mod
 from morcal.cli import main
 from morcal.config import apply_env_overrides, load_pipeline_config, parse_config_file
-from morcal.errors import ConfigError
+from morcal.errors import ConfigError, NumericError
+from morcal.rom import load_rom
 from morcal.snapshots import concat_snapshot_sets, load_snapshots, save_snapshots
 
 TINY_SCENARIO = """
@@ -131,6 +134,18 @@ def test_cli_has_no_seed_flag(capsys):
 def test_star_import_finds_every_exported_name(module):
     """``from <module> import *`` fails on an ``__all__`` entry that does not exist."""
     exec(f"from {module} import *", {})
+
+
+def test_every_function_the_benchmark_traces_exists():
+    """perfbench/tracing.py wraps morcal functions by name and skips a missing one."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, functions in tracing.LAYER_FUNCTIONS.items():
+        module = importlib.import_module(f"morcal.{module_name}")
+        for name in functions:
+            assert callable(getattr(module, name, None)), f"morcal.{module_name}.{name}"
 
 
 def _readme_config_keys():
@@ -292,6 +307,12 @@ def test_cli_full_tiny_pipeline(tmp_path):
     for name in ("rom_opinf.txt", "rom_calibrated.txt", "convergence.csv",
                  "pod_basis.txt", "pod_spectrum.csv"):
         assert os.path.exists(os.path.join(out, name)), name
+    # pod_basis.txt is write-only: it holds the model file's basis and spectrum
+    basis = load_rom(os.path.join(out, "rom_opinf.txt")).basis
+    lines = (tmp_path / "out" / "pod_basis.txt").read_text().splitlines()
+    assert lines[0] == f"n={basis.n} r={basis.r}"
+    assert np.array_equal(np.loadtxt(lines[1:-1], ndmin=2), basis.basis.T)
+    assert np.array_equal(np.loadtxt(lines[-1:], ndmin=1), basis.singular_values)
     assert main(["--config", cfg, "--out", out, "evaluate"]) == 0
     for name in ("summary.csv", "errors_R0.5.csv", "errors_R1.5.csv", "stats_R1.csv"):
         assert os.path.exists(os.path.join(out, name)), name
@@ -319,6 +340,50 @@ def test_cli_skip_calibration_after_the_subcommand(tmp_path):
     assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
     assert os.path.exists(os.path.join(out, "rom_opinf.txt"))
     assert not os.path.exists(os.path.join(out, "rom_calibrated.txt"))
+
+
+def test_cli_retrain_leaves_no_calibrated_model_of_an_earlier_run(tmp_path, monkeypatch):
+    """Only a train that calibrates leaves rom_calibrated.txt; a refused one touches nothing."""
+    cfg = _write_tiny(tmp_path)
+    out = str(tmp_path / "out")
+    folder = tmp_path / "out"
+    stale = [folder / "rom_calibrated.txt", folder / "convergence.csv"]
+    assert main(["--config", cfg, "--out", out, "generate"]) == 0
+    assert main(["--config", cfg, "--out", out, "train"]) == 0
+    snapshot = folder / "snapshots" / "snapshots_R1.txt"
+    os.replace(snapshot, tmp_path / "aside.txt")
+    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 3
+    assert all(path.exists() for path in stale)
+    os.replace(tmp_path / "aside.txt", snapshot)
+
+    def assert_no_calibrated_model():
+        assert not any(path.exists() for path in stale)
+        assert main(["--config", cfg, "--out", out, "evaluate"]) == 0
+        assert "calibrated" not in (folder / "summary.csv").read_text()
+
+    def fail(*args):
+        raise NumericError("calibration diverged")
+
+    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
+    assert_no_calibrated_model()
+    assert main(["--config", cfg, "--out", out, "train"]) == 0
+    monkeypatch.setattr(morcal.cli, "calibrate", fail)
+    assert main(["--config", cfg, "--out", out, "train"]) == 4
+    assert_no_calibrated_model()
+
+
+def test_cli_refuses_a_deim_rank_above_the_source_rank(tmp_path, monkeypatch, capsys):
+    """The tiny scenario's source snapshots have numerical rank 8, one per solid row."""
+    cfg = _write_tiny(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["--config", cfg, "--out", out, "generate"]) == 0
+    monkeypatch.setenv("MORCAL_DEIM_RANK", "8")
+    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
+    monkeypatch.setenv("MORCAL_DEIM_RANK", "9")
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 2
+    assert ("error (config): deim rank s=9 exceeds the numerical rank 8 of the source "
+            "snapshots") in capsys.readouterr().err
 
 
 def test_cli_non_finite_snapshot_value_is_a_data_error(tmp_path, capsys):

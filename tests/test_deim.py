@@ -67,17 +67,6 @@ def test_interpolation_is_exact_on_the_nonlinearity_span(rng):
         assert np.allclose(ops.p1 @ f[idx], u.T @ (gain * f), rtol=1e-10, atol=1e-12)
 
 
-def test_build_operators_refuse_a_basis_without_scaling(rng):
-    n, r, s = 36, 5, 7
-    u = np.linalg.qr(rng.standard_normal((n, r)))[0]
-    u_n = np.linalg.qr(rng.standard_normal((n, s)))[0]
-    from morcal.pod import PodBasis
-
-    basis = PodBasis(basis=u, singular_values=np.ones(r))
-    with pytest.raises(DataError, match="no scaling"):
-        build_deim_operators(basis, u_n, deim_points(u_n), FomConfig(grid_points=n // 2))
-
-
 def test_sample_temperatures_affine_map(rng):
     r, s = 4, 3
     ops = DeimOperators(
@@ -176,20 +165,12 @@ def test_nonlinearity_snapshots_shape_and_support():
     assert np.allclose(source[npts:, :][solid, :], want, rtol=1e-13)
 
 
-def test_nonlinearity_snapshots_unscale_scaled_input():
-    cfg, snaps = _small_snapshot_set()
-    direct = nonlinearity_snapshots(snaps, cfg)
-    scaled = apply_scaling(snaps, fit_scaling(snaps))
-    via_scaled = nonlinearity_snapshots(scaled, cfg)
-    assert np.allclose(direct, via_scaled, rtol=1e-10)
-
-
 def test_build_operators_fold_in_gain_and_scaling(rng):
     """p1 applied to raw samples equals the projected, gain-weighted source."""
     cfg, snaps = _small_snapshot_set()
     scaling = fit_scaling(snaps)
     scaled = apply_scaling(snaps, scaling)
-    basis = compute_pod(scaled.data, 4, scaling=scaling)
+    basis = compute_pod(scaled, 4, scaling=scaling)
     source = nonlinearity_snapshots(snaps, cfg)
     u_n, _ = nonlinearity_basis(source, 4)
     idx = deim_points(u_n)
@@ -201,7 +182,7 @@ def test_build_operators_fold_in_gain_and_scaling(rng):
     want = basis.basis.T @ (gain * f)
     assert np.allclose(ops.p1 @ f[idx], want, rtol=1e-8, atol=1e-10)
     # unscale map reproduces the physical temperatures at the sample rows
-    col = scaled.data[:, 3]
+    col = scaled[:, 3]
     t_samples = ops.sample_temperatures(basis.basis.T @ col)
     full = scaling.unscale_array(basis.basis @ (basis.basis.T @ col))
     assert np.allclose(t_samples, full[idx], rtol=1e-12)

@@ -1,4 +1,4 @@
-"""Property tests of the snapshot, ROM and basis readers on corrupted files.
+"""Property tests of the snapshot and ROM readers on corrupted files.
 
 Each example takes a valid file, corrupts one row (or cuts the file at
 one), and checks that loading raises DataError naming that line, and
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from morcal.deim import DeimOperators
 from morcal.errors import DataError
 from morcal.opinf import RomOperators
-from morcal.pod import PodBasis, load_basis, save_basis
+from morcal.pod import PodBasis
 from morcal.rom import RomModel, load_rom, save_rom
 from morcal.snapshots import ScalingSpec, SnapshotSet, load_snapshots, save_snapshots
 
@@ -46,12 +46,6 @@ def _basis(rng):
     return PodBasis(basis=q, singular_values=np.array([9.0, 4.0, 1.0, 0.5]), scaling=scaling)
 
 
-def _basis_file(path):
-    save_basis(_basis(np.random.default_rng(2)), path)
-    matrix_rows = list(range(1, R + 1))
-    return matrix_rows, matrix_rows + [R + 1]
-
-
 def _rom_file(path):
     rng = np.random.default_rng(3)
     save_rom(RomModel(
@@ -74,7 +68,6 @@ def _rom_file(path):
 
 FORMATS = {
     "snapshots": (_snapshot_file, load_snapshots),
-    "basis": (_basis_file, load_basis),
     "rom": (_rom_file, load_rom),
 }
 

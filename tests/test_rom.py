@@ -19,7 +19,7 @@ from morcal.rom import (
     field_statistics,
 )
 from morcal.snapshots import apply_scaling, fit_scaling
-from oracles import no_source
+from oracles import no_source, unit_scaling
 
 
 def test_switch_off_window_flags_steps_around_discontinuities():
@@ -74,7 +74,7 @@ def _trained_model(include_window=False):
     traj = fom_integrate(cfg, [signal], save_every=25)[0]
     scaling = fit_scaling(traj)
     scaled = apply_scaling(traj, scaling)
-    basis = compute_pod(scaled.data, 4, scaling=scaling)
+    basis = compute_pod(scaled, 4, scaling=scaling)
     model = RomModel(
         operators=RomOperators(a=np.zeros((4, 4))),
         deim=no_source(4),
@@ -100,6 +100,13 @@ def test_error_report_refuses_a_trajectory_at_another_spacing():
     model, traj, _ = _trained_model()
     traj.dt = model.dt * (1.0 + 1e-6)
     with pytest.raises(DataError, match="spacing does not match"):
+        rom_vs_projected_error(model, traj)
+
+
+def test_error_report_refuses_a_trajectory_of_another_field_layout():
+    model, traj, _ = _trained_model()
+    traj.fields = [("T", 0, traj.n)]
+    with pytest.raises(DataError, match="field layout"):
         rom_vs_projected_error(model, traj)
 
 
@@ -209,7 +216,7 @@ def test_model_consistency_checks(rng):
     basis_mat = np.linalg.qr(rng.standard_normal((10, 4)))[0]
     from morcal.pod import PodBasis
 
-    basis = PodBasis(basis=basis_mat, singular_values=np.ones(4))
+    basis = PodBasis(basis=basis_mat, singular_values=np.ones(4), scaling=unit_scaling(10))
     with pytest.raises(DataError):
         RomModel(operators=ops, deim=no_source(3), basis=basis, dt=1.0)  # r mismatch
     with pytest.raises(DataError):

@@ -84,7 +84,7 @@ def test_read_rows_is_bit_identical_to_float(tmp_path):
     assert block.shape == want.shape and block.flags.c_contiguous
     assert block.tobytes() == want.tobytes()  # sign of -0 included
     with _section(tmp_path, rows[:1]) as rd:
-        assert rd.read_floats(len(tokens), "row").tobytes() == want[0].tobytes()
+        assert rd.read_rows(1, len(tokens), "row")[0].tobytes() == want[0].tobytes()
     with _section(tmp_path, []) as rd:
         assert rd.read_rows(0, 3, "row").shape == (0, 3)
 
@@ -139,15 +139,6 @@ def test_skip_rows_names_the_line_missing_at_end_of_file(tmp_path):
     with _section(tmp_path, [GOOD_ROW]) as rd:
         with pytest.raises(DataError, match="line 1: negative row count -1 for row 0"):
             rd.skip_rows(-1, "row")
-
-
-def test_read_floats_is_the_one_row_case(tmp_path):
-    with _section(tmp_path, ["1 nan"]) as rd:
-        with pytest.raises(DataError, match="line 2: non-finite number in singular values$"):
-            rd.read_floats(2, "singular values")
-    with _section(tmp_path, [GOOD_ROW]) as rd:
-        with pytest.raises(DataError, match="line 2: expected 2 values in v, found 3"):
-            rd.read_floats(2, "v")
 
 
 def test_read_rows_rejects_a_negative_size(tmp_path):
