@@ -38,7 +38,7 @@ from morcal.deim import MIN_TEMPERATURE, DeimOperators
 from morcal.errors import ConfigError, DataError, NumericError
 from morcal.opinf import RomOperators
 from morcal.pod import PodBasis, project
-from morcal.snapshots import SnapshotSet, apply_scaling
+from morcal.snapshots import SnapshotSet
 from morcal.textio import fmt_float
 
 __all__ = [
@@ -434,12 +434,12 @@ def calibrate(
 
 def build_calibration_problem(
     snapshots: SnapshotSet,
+    states: np.ndarray,
     basis: PodBasis,
     deim_ops: DeimOperators,
 ) -> CalibrationProblem:
-    """Standardise a physical snapshot set with the basis's scaling and
-    project it onto the basis, one trajectory at a time."""
-    states = apply_scaling(snapshots, basis.scaling)
+    """Project ``states``, the snapshot set standardised with the basis's
+    scaling, onto the basis, one trajectory at a time."""
     slices = snapshots.trajectory_slices()
     return CalibrationProblem(
         reduced_trajectories=[project(basis, states[:, sl]) for sl in slices],

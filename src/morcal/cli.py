@@ -114,7 +114,7 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
         print("train: calibration skipped on request")
         return EXIT_OK
 
-    problem = build_calibration_problem(raw, basis, deim_ops)
+    problem = build_calibration_problem(raw, states, basis, deim_ops)
     calibrated, report = calibrate(operators, problem, cfg.optimizer)
     cal_model = rom_mod.RomModel(operators=calibrated, deim=deim_ops, basis=basis, dt=raw.dt)
     cal_path = os.path.join(cfg.output_dir, "rom_calibrated.txt")
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error (config): {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # an OSError's message names its path
         print(f"error (data): {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

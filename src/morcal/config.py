@@ -7,8 +7,9 @@ variable named MORCAL_<KEY_IN_UPPER_CASE>.
 
 The keys and their defaults are declared once, as the fields of FomConfig,
 OptimizerConfig and PipelineConfig; the loader reads each field's key and
-converts its text by the type of the field's default.  The one key that is
-not a field, ``solid_span``, builds ``FomConfig.solid_mask``.
+converts its text by the type of the field's default.  Every key is such a
+field, ``solid_span`` included: ``FomConfig`` derives the solid region's
+mask and rows from it.
 """
 
 import math
@@ -19,7 +20,7 @@ import numpy as np
 
 from morcal.calibrate import OptimizerConfig
 from morcal.errors import ConfigError
-from morcal.fom import SOLID_SPAN, ControlSignal, FomConfig, span_mask
+from morcal.fom import ControlSignal, FomConfig
 
 __all__ = [
     "PipelineConfig",
@@ -37,7 +38,7 @@ def parse_config_file(path) -> dict:
     try:
         with open(path, "r") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -77,9 +78,6 @@ _PARSERS = {int: (int, "be an integer"), float: (_number, "be a number"),
             tuple: (lambda text: tuple(map(_number, text.replace(",", " ").split())),
                     "list numbers")}
 
-# The defaulted field that is not a key: `solid_span` builds the mask.
-_NOT_KEYS = ("solid_mask",)
-
 
 class _Reader:
     """Typed access to the raw string map; remembers which keys were read."""
@@ -107,9 +105,8 @@ class _Reader:
 
 
 def _read_fields(rd: _Reader, cls) -> dict:
-    """Every defaulted field of dataclass ``cls`` that is a key, read with its default."""
-    return {f.name: rd.get(f.name, f.default) for f in fields(cls)
-            if f.default is not MISSING and f.name not in _NOT_KEYS}
+    """Every defaulted field of dataclass ``cls``, read as a key with its default."""
+    return {f.name: rd.get(f.name, f.default) for f in fields(cls) if f.default is not MISSING}
 
 
 @dataclass
@@ -185,13 +182,8 @@ def load_pipeline_config(path=None, output_override=None) -> PipelineConfig:
         source = str(path)
     rd = _Reader(apply_env_overrides(values))
     try:
-        scenario = _read_fields(rd, FomConfig)
-        span = rd.get("solid_span", SOLID_SPAN)
-        fom = FomConfig(**scenario, solid_mask=span_mask(scenario["grid_points"], span))
+        fom = FomConfig(**_read_fields(rd, FomConfig))
         fom.validate()
-        if fom.solid_rows.size == 0:
-            raise ConfigError(f"solid_span {span[0]:g}, {span[1]:g} covers none of the "
-                              f"{fom.grid_points} grid points")
         optimizer = OptimizerConfig(**_read_fields(rd, OptimizerConfig))
         pipeline = _read_fields(rd, PipelineConfig)
         if output_override is not None:

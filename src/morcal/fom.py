@@ -18,7 +18,7 @@ solid rows.  ``fom_rhs`` evaluates the exact right-hand side; the integrator
 calls it only at the saved states, which is where snapshots need it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from morcal.snapshots import SnapshotSet
 
 __all__ = [
     "FomConfig",
-    "SOLID_SPAN",
-    "span_mask",
     "ControlSignal",
     "arrhenius_source",
     "fom_rhs",
@@ -36,17 +34,6 @@ __all__ = [
 ]
 
 _NON_POSITIVE = "non-positive solid temperature inside the reaction zone"
-
-SOLID_SPAN = (0.25, 0.75)  # default solid region (a, b), as fractions of the channel
-
-
-def span_mask(grid_points: int, span=SOLID_SPAN) -> np.ndarray:
-    """0/1 indicator of the grid points at channel fractions x with a <= x < b."""
-    if len(span) != 2 or not 0.0 <= span[0] < span[1] <= 1.0:
-        raise ConfigError("solid_span must be two fractions with 0 <= a < b <= 1")
-    x = np.linspace(0.0, 1.0, max(grid_points, 0))  # validate() refuses grid_points < 3
-    return ((x >= span[0]) & (x < span[1])).astype(float)
-
 
 @dataclass
 class FomConfig:
@@ -66,13 +53,7 @@ class FomConfig:
     initial_temperature: float = 533.15  # [K]
     dt: float = 0.15  # [s]
     t_end: float = 3000.0  # [s]
-    # 0/1 per grid point, marking where solid material exists; defaults to SOLID_SPAN.
-    solid_mask: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.solid_mask is None:
-            self.solid_mask = span_mask(self.grid_points)
-        self.solid_mask = np.asarray(self.solid_mask, dtype=float)
+    solid_span: tuple = (0.25, 0.75)  # solid region [a, b), as fractions of the channel
 
     @property
     def n(self) -> int:
@@ -82,6 +63,12 @@ class FomConfig:
     @property
     def dx(self) -> float:
         return self.domain_length / (self.grid_points - 1)
+
+    @property
+    def solid_mask(self) -> np.ndarray:
+        """0/1 per grid point: 1 at the channel fractions x with a <= x < b of solid_span."""
+        x = np.linspace(0.0, 1.0, self.grid_points)
+        return ((x >= self.solid_span[0]) & (x < self.solid_span[1])).astype(float)
 
     @property
     def solid_rows(self) -> np.ndarray:
@@ -106,10 +93,17 @@ class FomConfig:
                      "arrhenius_prefactor"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name} must be nonnegative")
-        if self.solid_mask.shape != (self.grid_points,):
-            raise ConfigError("solid_mask length must equal grid_points")
-        if not np.all(np.isin(self.solid_mask, (0.0, 1.0))):
-            raise ConfigError("solid_mask entries must be 0 or 1")
+        span = self.solid_span
+        if len(span) != 2 or not 0.0 <= span[0] < span[1] <= 1.0:
+            raise ConfigError("solid_span must be two fractions with 0 <= a < b <= 1")
+        try:
+            solid = self.solid_mask
+        except (ValueError, IndexError, MemoryError):  # NumPy's refusals of a huge linspace
+            raise ConfigError(f"grid_points={self.grid_points} is more than can be "
+                              "allocated") from None
+        if not solid.any():
+            raise ConfigError(f"solid_span {span[0]:g}, {span[1]:g} covers none of the "
+                              f"{self.grid_points} grid points")
 
     def stability_limit(self) -> float:
         """Largest admissible explicit Euler step for this configuration."""

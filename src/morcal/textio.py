@@ -33,6 +33,18 @@ def fmt_row(values) -> str:
     return _row_format(len(row)) % tuple(row)
 
 
+def _decoded_lines(fh, path):
+    """The lines of text file ``fh``; bytes it cannot decode close ``fh`` and raise a
+    DataError naming ``path``, but no line: the file is decoded in chunks, ahead of
+    the line read."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        fh.close()
+        raise DataError(f"{path}: cannot decode the file as {exc.encoding} text "
+                        f"({exc.reason})") from None
+
+
 class TextReader:
     """Sequential line reader that reports the line number on errors.
 
@@ -44,7 +56,7 @@ class TextReader:
     def __init__(self, path):
         self.path = str(path)
         self._fh = open(path, "r")
-        self._lines = iter(self._fh)
+        self._lines = _decoded_lines(self._fh, self.path)
         self._pos = 0
         self._advance()
 

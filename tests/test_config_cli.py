@@ -744,3 +744,86 @@ def test_cli_evaluate_names_a_model_trained_on_another_grid(tmp_path, monkeypatc
     model = tmp_path / "out" / "rom_opinf.txt"
     assert (f"error (data): {model}: the model has n=32 states, the configured grid "
             "has n=24") in capsys.readouterr().err
+
+
+def _spoil_one_byte(path):
+    """Start the middle line of ``path`` with a byte that no UTF-8 text holds."""
+    lines = path.read_bytes().split(b"\n")
+    lines[len(lines) // 2] = b"\xff" + lines[len(lines) // 2]
+    path.write_bytes(b"\n".join(lines))
+
+
+def _out_is_a_file(tmp_path, monkeypatch):
+    (tmp_path / "afile").write_text("")
+    return ["--out", str(tmp_path / "afile"), "generate"], f"Not a directory: '{tmp_path}/afile/"
+
+
+def _snapshot_path_is_a_folder(tmp_path, monkeypatch):
+    path = tmp_path / "out" / "snapshots" / "snapshots_R0.5.txt"
+    path.mkdir(parents=True)
+    return ["--out", str(tmp_path / "out"), "train"], f"Is a directory: '{path}'"
+
+
+def _export_a_folder(tmp_path, monkeypatch):
+    return ["--out", str(tmp_path / "out"), "export-rom", str(tmp_path)], f"'{tmp_path}'"
+
+
+def _undecodable_snapshot_file(tmp_path, monkeypatch):
+    assert main(["--config", _write_tiny(tmp_path), "--out", str(tmp_path / "out"),
+                 "generate"]) == 0
+    path = tmp_path / "out" / "snapshots" / "snapshots_R1.txt"
+    _spoil_one_byte(path)
+    return ["--out", str(tmp_path / "out"), "train"], f"{path}: cannot decode the file as "
+
+
+def _undecodable_model_file(tmp_path, monkeypatch):
+    _, out = _trained_tiny(tmp_path)
+    path = tmp_path / "out" / "rom_opinf.txt"
+    _spoil_one_byte(path)
+    return ["--out", out, "evaluate"], f"{path}: cannot decode the file as "
+
+
+def _undecodable_config_file(tmp_path, monkeypatch):
+    path = Path(_write_tiny(tmp_path))
+    path.write_bytes(path.read_bytes() + b"# \xff\n")
+    return ["--out", str(tmp_path / "out"), "generate"], f"cannot read config file {path}: "
+
+
+def _grid_points(value):
+    def prepare(tmp_path, monkeypatch):
+        monkeypatch.setenv("MORCAL_GRID_POINTS", value)
+        return (["--out", str(tmp_path / "out"), "generate"],
+                f"grid_points={value} is more than can be allocated")
+    return prepare
+
+
+@pytest.mark.parametrize(
+    "prepare, code",
+    [
+        (_out_is_a_file, 3),
+        (_snapshot_path_is_a_folder, 3),
+        (_export_a_folder, 3),
+        (_undecodable_snapshot_file, 3),
+        (_undecodable_model_file, 3),
+        (_undecodable_config_file, 2),
+        # NumPy refuses both sizes before it allocates: one exceeds its size
+        # limit, the other wraps its arange to an empty array.
+        (_grid_points("100000000000000000000"), 2),
+        (_grid_points(str(2 ** 63)), 2),
+    ],
+    ids=["out-is-a-file", "snapshot-path-is-a-folder", "export-a-folder",
+         "undecodable-snapshot-file", "undecodable-model-file", "undecodable-config-file",
+         "grid-beyond-numpy-size-limit", "grid-beyond-int64"],
+)
+def test_cli_boundary_inputs_end_in_one_error_line(tmp_path, monkeypatch, capsys, prepare, code):
+    """Unreadable paths, undecodable files and unallocatable grids end in an exit code."""
+    cfg = _write_tiny(tmp_path)
+    args, fragment = prepare(tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert main(["--config", cfg, *args]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    kind = {2: "config", 3: "data"}[code]
+    assert len(lines) == 1 and lines[0].startswith(f"error ({kind}): "), err
+    assert fragment in lines[0]

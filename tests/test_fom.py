@@ -117,13 +117,11 @@ def test_rhs_source_acts_only_on_solid_rows(small_cfg):
 
 
 def test_solid_rows_are_where_the_heat_load_acts():
-    mask = np.zeros(12)
-    mask[[0, 1, 4, 7, 8, 9]] = 1.0  # non-contiguous, includes grid point 0
-    cfg = FomConfig(grid_points=12, solid_mask=mask)
+    cfg = FomConfig(grid_points=12, solid_span=(0.0, 0.4))  # includes grid point 0
     state = 533.15 + np.linspace(0.0, 25.0, cfg.n)
     moved = np.flatnonzero(fom_rhs(state, 1.0, cfg) != fom_rhs(state, 0.0, cfg))
     assert np.array_equal(cfg.solid_rows, moved)
-    assert np.array_equal(cfg.solid_rows, [12, 13, 16, 19, 20, 21])
+    assert np.array_equal(cfg.solid_rows, [12, 13, 14, 15, 16])
 
 
 def test_rhs_rejects_wrong_state_size(small_cfg):
@@ -155,10 +153,10 @@ def test_config_validation_rejects_bad_values():
         FomConfig(grid_points=10, dt=-1.0).validate()
     with pytest.raises(ConfigError):
         FomConfig(grid_points=10, rho_cp_coolant=0.0).validate()
-    cfg = FomConfig(grid_points=10)
-    cfg.solid_mask = np.ones(3)
-    with pytest.raises(ConfigError):
-        cfg.validate()
+    with pytest.raises(ConfigError, match="solid_span must be two fractions"):
+        FomConfig(grid_points=10, solid_span=(0.75, 0.25)).validate()
+    with pytest.raises(ConfigError, match="solid_span 0.5, 0.55 covers none of the 10 grid"):
+        FomConfig(grid_points=10, solid_span=(0.5, 0.55)).validate()
 
 
 def test_integrate_refuses_unstable_step(small_cfg, step_signal):
@@ -203,7 +201,7 @@ def test_integration_error_halves_with_dt():
     signal = ControlSignal(heat_times=np.array([0.0]), heat_values=np.array([1.0]))
 
     def final_state(dt):
-        cfg = FomConfig(**{**base.__dict__, "dt": dt, "solid_mask": None})
+        cfg = FomConfig(**{**base.__dict__, "dt": dt})
         return fom_integrate(cfg, [signal], save_every=round(120.0 / dt))[0].data[:, -1]
 
     fine = final_state(0.1)
@@ -364,13 +362,12 @@ def _stepping_cfg(**changes):
 @pytest.mark.parametrize(
     "changes",
     [
-        {"solid_mask": np.array([1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1], dtype=float)},
-        {"solid_mask": np.zeros(12)},
+        {"solid_span": (0.0, 0.5)},
         {"coolant_velocity": 0.0},
         {"conductivity_coolant": 0.0, "conductivity_solid": 0.0},
         {"exchange_coefficient": 0.0},
     ],
-    ids=["non-contiguous-mask", "no-solid", "no-flow", "no-conduction", "no-exchange"],
+    ids=["solid-at-the-inlet", "no-flow", "no-conduction", "no-exchange"],
 )
 def test_each_folded_step_is_one_exact_euler_step(changes):
     cfg = _stepping_cfg(**changes)
