@@ -200,7 +200,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
     aggregates = {name: [] for name in models}
     cases = [(cfg.case_name(load), cfg.snapshot_path(load)) for load in cfg.loads]
     tasks = [(models, reference_name, path, cfg.fom.solid_rows) for _, path in cases]
-    results = ordered_map(_evaluate_case, tasks)
+    results = list(ordered_map(_evaluate_case, tasks))  # a refused case writes no file
     for (errors_csv, stats_csv, means), (case, _) in zip(results, cases):
         with open(os.path.join(cfg.output_dir, f"errors_{case}.csv"), "w") as fh:
             fh.write(errors_csv)

@@ -26,7 +26,6 @@ __all__ = [
     "PipelineConfig",
     "parse_config_file",
     "load_pipeline_config",
-    "ENV_PREFIX",
 ]
 
 ENV_PREFIX = "MORCAL_"
@@ -127,12 +126,12 @@ class PipelineConfig:
     snapshot_dir: str | None = None
 
     def __post_init__(self):
-        if len(self.heat_times) != len(self.heat_values):
-            raise ConfigError("heat_times and heat_values must have equal length")
         if not self.train_loads:
             raise ConfigError("train_loads must not be empty")
         if not self.validation_loads:
             raise ConfigError("validation_loads must not be empty")
+        for load in self.loads:  # refuses a malformed schedule or a negative heat load
+            self.control_signal(load)
         names = [self.case_name(load) for load in self.loads]
         shared = [f"{load!r} ({name})" for load, name in zip(self.loads, names)
                   if names.count(name) > 1]

@@ -4,6 +4,8 @@ The CLI maps these classes onto distinct exit codes, so library code should
 raise the most specific one that applies.
 """
 
+__all__ = ["MorcalError", "ConfigError", "DataError", "NumericError"]
+
 
 class MorcalError(Exception):
     """Base class for all toolkit errors."""

@@ -136,6 +136,23 @@ def test_star_import_finds_every_exported_name(module):
     exec(f"from {module} import *", {})
 
 
+PACKAGE_MODULES = ["calibrate", "config", "deim", "errors", "fom", "opinf", "pod", "rom",
+                   "snapshots"]
+
+
+def test_package_re_exports_the_public_names_of_each_module():
+    """``morcal.__all__`` is the modules' ``__all__`` lists, each name bound to the same object."""
+    found = sorted(m.name for m in pkgutil.iter_modules(morcal.__path__))
+    assert found == sorted(PACKAGE_MODULES + ["cli", "parallel", "textio"])
+    modules = [importlib.import_module(f"morcal.{name}") for name in PACKAGE_MODULES]
+    names = [name for module in modules for name in module.__all__]
+    assert morcal.__all__ == names
+    assert len(set(names)) == len(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(morcal, name) is getattr(module, name), f"morcal.{name}"
+
+
 def test_every_function_the_benchmark_traces_exists():
     """perfbench/tracing.py wraps morcal functions by name and skips a missing one."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -247,6 +264,26 @@ def test_cli_refuses_a_solid_span_that_covers_no_grid_point(tmp_path, monkeypatc
     assert main(["--out", str(out), "generate"]) == 2
     assert ("error (config): bundled reactor scenario: solid_span 0.1, 0.2 covers none of "
             "the 5 grid points") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "train"])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("HEAT_TIMES", "60, 0", "heat_times must be strictly increasing"),
+        ("HEAT_VALUES", "1, -1", "heat load values must be nonnegative"),
+        ("TRAIN_LOADS", "-0.5, 1", "heat load values must be nonnegative"),  # scales the schedule
+    ],
+)
+def test_cli_refuses_a_malformed_heat_schedule_naming_its_source(tmp_path, monkeypatch, capsys,
+                                                                 command, key, value, message):
+    """The schedule is checked when the config is loaded, not when ``generate`` runs it."""
+    monkeypatch.setenv(f"MORCAL_{key}", value)
+    path = _write_tiny(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), command]) == 2
+    assert capsys.readouterr().err == f"error (config): {path}: {message}\n"
     assert not out.exists()
 
 

@@ -126,7 +126,8 @@ def test_stdout_lines_appear_once_in_order(tmp_path, capfd, monkeypatch):
     assert lines[-1] == f"evaluate: summary -> {out}/summary.csv"
 
 
-def test_failing_case_keeps_earlier_csvs_and_writes_no_summary(tmp_path, capsys):
+def test_failing_case_leaves_every_output_file_as_it_was(tmp_path, capsys):
+    """Every case is scored before any is written, so a refused ``evaluate`` changes no file."""
     config = _config(tmp_path)
     out = tmp_path / "out"
     for command in ("generate", "train"):
@@ -136,17 +137,15 @@ def test_failing_case_keeps_earlier_csvs_and_writes_no_summary(tmp_path, capsys)
     row = lines.index("data") + 2
     lines[row] = "x " + lines[row].split(" ", 1)[1]
     path.write_text("\n".join(lines) + "\n")
+    before = _tree(out)
     capsys.readouterr()
     assert main(["--config", config, "--out", str(out), "evaluate"]) == 3
     captured = capsys.readouterr()
     assert "error (data)" in captured.err and f"line {row + 1}: bad number" in captured.err
-    assert [line.split()[1] for line in captured.out.splitlines()] == ["R0.5", "R1"]
-    written = set(os.listdir(out))
-    for case in ("R0.5", "R1"):
-        assert {f"errors_{case}.csv", f"stats_{case}.csv"} <= written
-    for case in ("R0.75", "R1.5"):
-        assert not {f"errors_{case}.csv", f"stats_{case}.csv"} & written
-    assert "summary.csv" not in written
+    assert not [line for line in captured.out.splitlines() if line.startswith("evaluate: R")]
+    assert not [name for name in os.listdir(out)
+                if name.startswith(("errors_", "stats_")) or name == "summary.csv"]
+    assert _tree(out) == before
 
 
 def test_worker_tasks_survive_pickling(tmp_path):
