@@ -5,6 +5,8 @@ command on unchanged inputs reproduces its output files byte for byte.
 """
 
 import argparse
+import contextlib
+import logging
 import os
 import sys
 
@@ -83,9 +85,9 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
 
     source = deim_mod.nonlinearity_snapshots(raw, cfg.fom)
     u_n, source_spectrum = deim_mod.nonlinearity_basis(source, cfg.deim_rank)
-    indices = deim_mod.deim_points(u_n)
-    deim_ops = deim_mod.build_deim_operators(basis, u_n, indices, cfg.fom)
-    print(f"train: deim rank s={cfg.deim_rank}, sample rows {list(map(int, indices))}")
+    points = deim_mod.deim_points(u_n)
+    deim_ops = deim_mod.build_deim_operators(basis, u_n, points, cfg.fom)
+    print(f"train: deim rank s={cfg.deim_rank}, sample rows {list(map(int, deim_ops.indices))}")
 
     reduced_states = pod_mod.project(basis, states)
     reduced_derivs = pod_mod.project(basis, scaling.scale_derivative_array(raw.derivatives))
@@ -292,27 +294,65 @@ def cmd_fixture_check() -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    logging_options = argparse.ArgumentParser(add_help=False)  # before or after the command
+    logging_options.add_argument(
+        "--log-level", choices=("WARNING", "INFO", "DEBUG"), default=argparse.SUPPRESS,
+        help="show the package's log records at this level and above on stderr "
+             "(default WARNING)",
+    )
     parser = argparse.ArgumentParser(
         prog="morcal",
         description="Reduced-order modeling pipeline for the 1D reactor testbed",
+        parents=[logging_options],
     )
     parser.add_argument("--config", default=None, help="path to a key=value config file")
     parser.add_argument("--out", default=None, help="output directory override")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("generate", help="run the full-order model and write snapshots")
-    train = sub.add_parser("train", help="fit basis, sampling operators, and reduced operators")
+    common = {"parents": [logging_options]}
+    sub.add_parser("generate", help="run the full-order model and write snapshots", **common)
+    train = sub.add_parser("train", help="fit basis, sampling operators, and reduced operators",
+                           **common)
     train.add_argument(
         "--skip-calibration", action="store_true", help="stop after operator inference"
     )
-    sub.add_parser("evaluate", help="compare stored models against snapshot data")
-    export = sub.add_parser("export-rom", help="write a compact operator file")
+    sub.add_parser("evaluate", help="compare stored models against snapshot data", **common)
+    export = sub.add_parser("export-rom", help="write a compact operator file", **common)
     export.add_argument("source", nargs="?", default=None, help="model file to export")
-    sub.add_parser("fixture-check", help="validate the bundled published-matrix fixture")
+    sub.add_parser("fixture-check", help="validate the bundled published-matrix fixture",
+                   **common)
     return parser
+
+
+@contextlib.contextmanager
+def _log_to_stderr(level: str):
+    """Show the package's log records at ``level`` and above on stderr for one command.
+
+    At WARNING, the default, no handler is installed: warnings reach stderr
+    through Python's last-resort handler, as they always have.
+    """
+    if level == "WARNING":
+        yield
+        return
+    logger = logging.getLogger("morcal")
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    previous = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(level)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(previous)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    with _log_to_stderr(getattr(args, "log_level", "WARNING")):
+        return _run(args)
+
+
+def _run(args) -> int:
     try:
         if args.command == "fixture-check":
             return cmd_fixture_check()

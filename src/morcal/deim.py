@@ -4,9 +4,10 @@ The source nonlinearity is sampled at a handful of grid points chosen by
 the classic greedy recursion, and the reduced evaluation maps those samples
 back into reduced coordinates with two small matrices.  Which rows hold
 the source, its gain and the Arrhenius constants come from the FomConfig
-(``solid_rows``); because snapshots are standardised before projection, the
-operators also keep the basis's affine unscale map at the sample rows so the
-exponential always sees physical temperatures.
+(``solid_rows``); the source snapshots, their basis and the greedy
+selection live on those rows alone.  Because snapshots are standardised
+before projection, the operators also keep the basis's affine unscale map
+at the sample rows so the exponential always sees physical temperatures.
 """
 
 import logging
@@ -90,33 +91,28 @@ class DeimOperators:
 
 
 def nonlinearity_snapshots(snapshots: SnapshotSet, cfg: FomConfig) -> np.ndarray:
-    """Pointwise heat-source values for every snapshot column.
+    """Pointwise heat-source values on ``cfg.solid_rows`` for every snapshot column.
 
-    Columns live in the full state layout: the source is evaluated on the
-    physical temperatures of ``cfg.solid_rows`` and is zero everywhere else.
+    Returns the ``(len(cfg.solid_rows), m)`` block, evaluated on the physical
+    temperatures of those rows; the source is zero on every other row.
     """
     if snapshots.n != cfg.n:
         raise DataError("snapshot set does not match the model state size")
-    data = snapshots.data
-    rows = cfg.solid_rows
-    ts = data[rows, :]
+    ts = snapshots.data[cfg.solid_rows, :]
     if np.any(ts <= 0.0):
         raise NumericError("non-positive solid temperature in the snapshot data")
-    out = np.zeros_like(data)
-    out[rows, :] = arrhenius_source(ts, snapshots.controls[None, :], cfg)
-    return out
+    return arrhenius_source(ts, snapshots.controls[None, :], cfg)
 
 
 def nonlinearity_basis(source_snapshots: np.ndarray, s: int):
-    """Rank-s left singular basis of the source snapshot matrix.
+    """Rank-s left singular basis of the source block, and its singular values.
 
-    ``s`` may not exceed the matrix's numerical rank (NumPy's ``matrix_rank``
-    tolerance): the columns beyond it are rounding noise, and the sample
-    points picked from them would fall on rows without a source.
+    ``s`` may not exceed the block's numerical rank (NumPy's ``matrix_rank``
+    tolerance): the columns beyond it are rounding noise.
     """
     mat = np.asarray(source_snapshots, dtype=float)
-    if not 1 <= s <= min(mat.shape):
-        raise ConfigError(f"deim rank must satisfy 1 <= s <= {min(mat.shape)}, got {s}")
+    if s < 1:
+        raise ConfigError(f"deim rank must be positive, got {s}")
     u, sigma, _ = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.count_nonzero(sigma > sigma[0] * max(mat.shape) * np.finfo(float).eps))
     if s > rank:
@@ -154,38 +150,39 @@ def deim_points(u_n: np.ndarray) -> np.ndarray:
     return np.array(indices, dtype=int)
 
 
-def build_deim_operators(basis: PodBasis, u_n: np.ndarray, indices: np.ndarray,
+def build_deim_operators(basis: PodBasis, u_n: np.ndarray, points: np.ndarray,
                          cfg: FomConfig) -> DeimOperators:
     """Assemble the reduced source operators from basis and sample points.
 
-    ``p1`` folds in the gain 1 / (rho_cp_solid * scale) that turns a raw
-    source value on ``cfg.solid_rows`` into a scaled-state derivative (zero
-    on every other row), and the unscale pair comes from the basis's own
+    ``u_n`` is the source basis on ``cfg.solid_rows`` and ``points`` are
+    positions in it; the operators' ``indices`` are the full-state rows
+    ``cfg.solid_rows[points]``.  ``p1`` folds in the gain
+    1 / (rho_cp_solid * scale) that turns a raw source value into a
+    scaled-state derivative, and the unscale pair comes from the basis's own
     scaling.  The Arrhenius constants are ``cfg``'s.
     """
     scaling = basis.scaling
     if basis.n != cfg.n:
         raise DataError(f"basis has {basis.n} rows, the model state {cfg.n}")
+    rows = cfg.solid_rows
     u_n = np.asarray(u_n, dtype=float)
-    indices = np.asarray(indices, dtype=int)
-    s = indices.size
-    if u_n.shape != (basis.n, s):
-        raise DataError("u_n shape must be (n, s) with one column per sample point")
-    block = u_n[indices, :]
+    points = np.asarray(points, dtype=int)
+    if u_n.shape != (rows.size, points.size):
+        raise DataError("u_n shape must be (solid rows, s) with one column per sample point")
+    block = u_n[points, :]
     cond = np.linalg.cond(block)
     if not np.isfinite(cond):
         raise NumericError("interpolation block is singular")
     logger.info("deim interpolation block condition number: %.3e", cond)
 
-    rows = cfg.solid_rows
-    gain = np.zeros(cfg.n)
-    gain[rows] = 1.0 / (cfg.rho_cp_solid * scaling.row_scale[rows])
-    # p1 = U^T * diag(gain) * U_N * block^{-1}, computed via a solve on the right.
+    gain = 1.0 / (cfg.rho_cp_solid * scaling.row_scale[rows])
+    # p1 = U^T * diag(gain) * U_N * block^{-1} over the solid rows, via a solve on the right.
     try:
-        p1 = np.linalg.solve(block.T, (basis.basis.T @ (gain[:, None] * u_n)).T).T
+        p1 = np.linalg.solve(block.T, (basis.basis[rows].T @ (gain[:, None] * u_n)).T).T
     except np.linalg.LinAlgError:
         raise NumericError("interpolation block is singular") from None
 
+    indices = rows[points]
     return DeimOperators(
         indices=indices,
         p1=p1,

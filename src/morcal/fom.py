@@ -124,7 +124,8 @@ class ControlSignal:
     """Piecewise-constant heat load R(t), the only control of the model.
 
     ``heat_values[i]`` applies on ``[heat_times[i], heat_times[i+1])``; the
-    last value extends to infinity.
+    last value extends to infinity.  A run starts at t = 0, so the schedule
+    must start there or before: ``heat_times[0] > 0`` is refused.
     """
 
     heat_times: np.ndarray
@@ -139,6 +140,9 @@ class ControlSignal:
             raise ConfigError("control signal needs at least one breakpoint")
         if np.any(np.diff(self.heat_times) <= 0.0):
             raise ConfigError("heat_times must be strictly increasing")
+        if self.heat_times[0] > 0.0:
+            raise ConfigError(f"heat_times must start at or before t = 0, got "
+                              f"{self.heat_times[0]:g}")
         if np.any(self.heat_values < 0.0):
             raise ConfigError("heat load values must be nonnegative")
 

@@ -1,9 +1,13 @@
 """Proper orthogonal decomposition of snapshot matrices.
 
 The basis comes from a thin SVD of the standardised snapshot matrix and
-carries the ScalingSpec that standardised it.  Column signs are fixed so
-the entry of largest magnitude in each mode is positive, which keeps the
-output deterministic across repeated runs.
+carries the ScalingSpec that standardised it.  A QR factorisation of the
+transposed (m, n) matrix comes first and the SVD is taken of its triangular
+factor, which has the same left singular vectors and values but at most n
+columns (Chan's R-SVD), so a wide snapshot matrix costs one QR pass over
+its columns.  Column signs are fixed so the entry of largest magnitude in
+each mode is positive, which keeps the output deterministic across
+repeated runs.
 """
 
 from dataclasses import dataclass, field
@@ -74,7 +78,8 @@ def compute_pod(snapshot_matrix: np.ndarray, r: int, scaling: ScalingSpec) -> Po
     max_r = min(s.shape)
     if not 1 <= r <= max_r:
         raise ConfigError(f"rank r must satisfy 1 <= r <= {max_r}, got {r}")
-    u, sigma, _ = np.linalg.svd(s, full_matrices=False)
+    # s = R^T Q^T, so s and R^T share their left singular vectors and values.
+    u, sigma, _ = np.linalg.svd(np.linalg.qr(s.T, mode="r").T, full_matrices=False)
     return PodBasis(basis=_fix_signs(u[:, :r]), singular_values=sigma, scaling=scaling)
 
 

@@ -185,18 +185,19 @@ def test_criterion_4_sampled_source_matches_galerkin_projection():
     sv = np.linalg.svd(source, compute_uv=False)
     rank = int(np.sum(sv > 1e-10 * sv[0]))
     u_n, _ = nonlinearity_basis(source, rank)
-    indices = deim_points(u_n)
+    points = deim_points(u_n)
 
     gain = np.zeros(cfg.n)
     solid_rows = cfg.grid_points + np.nonzero(cfg.solid_mask > 0.0)[0]
     gain[solid_rows] = 1.0 / (cfg.rho_cp_solid * scaling.row_scale[solid_rows])
-    ops = build_deim_operators(basis, u_n, indices, cfg)
+    ops = build_deim_operators(basis, u_n, points, cfg)
 
     worst = 0.0
     for j in range(source.shape[1]):
-        col = source[:, j]
+        col = np.zeros(cfg.n)  # the source block holds the solid rows of a full-state column
+        col[solid_rows] = source[:, j]
         oracle = basis.basis.T @ (gain * col)
-        sampled = ops.p1 @ col[indices]
+        sampled = ops.p1 @ col[ops.indices]
         worst = max(worst, np.linalg.norm(sampled - oracle) / max(np.linalg.norm(oracle), 1e-300))
     ok = worst < 1e-8
     _verdict(

@@ -2,11 +2,13 @@
 
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import re
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -154,7 +156,11 @@ def test_package_re_exports_the_public_names_of_each_module():
 
 
 def test_every_function_the_benchmark_traces_exists():
-    """perfbench/tracing.py wraps morcal functions by name and skips a missing one."""
+    """perfbench/tracing.py wraps morcal functions by name and skips a missing one.
+
+    Its span annotations read call arguments by parameter name, so a renamed
+    parameter would first show up as a crashed traced run.
+    """
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -163,6 +169,27 @@ def test_every_function_the_benchmark_traces_exists():
         module = importlib.import_module(f"morcal.{module_name}")
         for name in functions:
             assert callable(getattr(module, name, None)), f"morcal.{module_name}.{name}"
+
+    class Bound(dict):
+        """Call arguments that record which names an annotation reads."""
+
+        def __missing__(self, key):
+            read.append(key)
+            return mock.MagicMock(**{"__fspath__.return_value": os.devnull})
+
+    checked = []
+    for span, annotate in tracing._ANNOTATE.items():
+        module_name, name = span.split(".")
+        function = getattr(importlib.import_module(f"morcal.{module_name}"), name)
+        read = []
+        annotate(Bound(), mock.MagicMock())
+        for key in read:
+            assert key in inspect.signature(function).parameters, \
+                f"perfbench reads {key!r} of morcal.{span}"
+            checked.append(f"{span}({key})")
+    assert {"pod.compute_pod(snapshot_matrix)", "snapshots.save_snapshots(path)",
+            "snapshots.load_snapshots(path)", "calibrate.forward_rollout(k)",
+            "rom.simulate_rom(k)"} <= set(checked)
 
 
 def _readme_config_keys():
@@ -272,6 +299,7 @@ def test_cli_refuses_a_solid_span_that_covers_no_grid_point(tmp_path, monkeypatc
     "key, value, message",
     [
         ("HEAT_TIMES", "60, 0", "heat_times must be strictly increasing"),
+        ("HEAT_TIMES", "100, 1500", "heat_times must start at or before t = 0, got 100"),
         ("HEAT_VALUES", "1, -1", "heat load values must be nonnegative"),
         ("TRAIN_LOADS", "-0.5, 1", "heat load values must be nonnegative"),  # scales the schedule
     ],
@@ -415,12 +443,37 @@ def test_cli_refuses_a_deim_rank_above_the_source_rank(tmp_path, monkeypatch, ca
     out = str(tmp_path / "out")
     assert main(["--config", cfg, "--out", out, "generate"]) == 0
     monkeypatch.setenv("MORCAL_DEIM_RANK", "8")
+    capsys.readouterr()
     assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
+    rows = re.search(r"sample rows \[([0-9, ]+)\]", capsys.readouterr().out).group(1)
+    solid_rows = load_pipeline_config(cfg).fom.solid_rows
+    assert sorted(map(int, rows.split(","))) == solid_rows.tolist()  # at full rank, every one
     monkeypatch.setenv("MORCAL_DEIM_RANK", "9")
     capsys.readouterr()
     assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 2
     assert ("error (config): deim rank s=9 exceeds the numerical rank 8 of the source "
             "snapshots") in capsys.readouterr().err
+
+
+def test_cli_log_level_shows_the_package_log_once_and_changes_no_output(tmp_path, capsys):
+    """--log-level INFO, before or after the command, adds log lines to stderr and nothing else."""
+    cfg = _write_tiny(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "generate"]) == 0
+    runs = []
+    for argv in (["train"], ["train", "--log-level", "INFO"], ["--log-level", "INFO", "train"],
+                 ["train"]):
+        capsys.readouterr()
+        assert main(["--config", cfg, "--out", str(out)] + argv) == 0
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        runs.append((captured.out, captured.err, files))
+    line = "INFO morcal.deim: deim interpolation block condition number: "
+    assert runs[0][1] == runs[3][1] == ""
+    for _, err, _ in runs[1:3]:
+        assert err.count(line) == 1 and err.startswith(line)
+        assert all(row.startswith("INFO morcal.") for row in err.splitlines())
+    assert all(run[0] == runs[0][0] and run[2] == runs[0][2] for run in runs)
 
 
 def test_cli_non_finite_snapshot_value_is_a_data_error(tmp_path, capsys):

@@ -49,22 +49,24 @@ def test_deim_points_are_distinct(rng):
 def test_interpolation_is_exact_on_the_nonlinearity_span(rng):
     """The sampled operator reproduces U^T (gain * f) exactly for f in span(U_N)."""
     n, r, s = 36, 5, 7
+    # A unit heat capacity makes the gain 1 on the solid rows and 0 elsewhere.
+    cfg = FomConfig(grid_points=n // 2, rho_cp_solid=1.0)
+    rows = cfg.solid_rows
     u = np.linalg.qr(rng.standard_normal((n, r)))[0]
-    u_n = np.linalg.qr(rng.standard_normal((n, s)))[0]
-    idx = deim_points(u_n)
+    u_n = np.linalg.qr(rng.standard_normal((rows.size, s)))[0]
+    points = deim_points(u_n)
     from morcal.pod import PodBasis
 
     unit = ScalingSpec(fields=[("T_c", 0, n // 2), ("T_s", n // 2, n)], shift=[0.0, 0.0],
                        scale=[1.0, 1.0])
     basis = PodBasis(basis=u, singular_values=np.ones(r), scaling=unit)
-    # A unit heat capacity makes the gain 1 on the solid rows and 0 elsewhere.
-    cfg = FomConfig(grid_points=n // 2, rho_cp_solid=1.0)
     gain = np.zeros(n)
     gain[n // 2 + np.flatnonzero(cfg.solid_mask)] = 1.0
-    ops = build_deim_operators(basis, u_n, idx, cfg)
+    ops = build_deim_operators(basis, u_n, points, cfg)
     for _ in range(4):
-        f = u_n @ rng.standard_normal(s)
-        assert np.allclose(ops.p1 @ f[idx], u.T @ (gain * f), rtol=1e-10, atol=1e-12)
+        f = np.zeros(n)
+        f[rows] = u_n @ rng.standard_normal(s)
+        assert np.allclose(ops.p1 @ f[ops.indices], u.T @ (gain * f), rtol=1e-10, atol=1e-12)
 
 
 def test_sample_temperatures_affine_map(rng):
@@ -150,19 +152,16 @@ def _unit_signal():
 
 
 def test_nonlinearity_snapshots_shape_and_support():
+    """The source block holds the solid rows only, where it follows the source law."""
     cfg, snaps = _small_snapshot_set()
     source = nonlinearity_snapshots(snaps, cfg)
-    assert source.shape == snaps.data.shape
     npts = cfg.grid_points
     solid = cfg.solid_mask > 0.0
-    # coolant rows and non-solid rows carry no source
-    assert np.all(source[:npts, :] == 0.0)
-    assert np.all(source[npts:, :][~solid, :] == 0.0)
-    # on the solid the values follow the source law for the stored states
+    assert source.shape == (np.count_nonzero(solid), snaps.m)
     ts = snaps.data[npts:, :][solid, :]
     want = cfg.arrhenius_prefactor * np.exp(cfg.arrhenius_exponent / ts)
     want = want * snaps.controls[None, :]
-    assert np.allclose(source[npts:, :][solid, :], want, rtol=1e-13)
+    assert np.allclose(source, want, rtol=1e-13)
 
 
 def test_build_operators_fold_in_gain_and_scaling(rng):
@@ -173,19 +172,33 @@ def test_build_operators_fold_in_gain_and_scaling(rng):
     basis = compute_pod(scaled, 4, scaling=scaling)
     source = nonlinearity_snapshots(snaps, cfg)
     u_n, _ = nonlinearity_basis(source, 4)
-    idx = deim_points(u_n)
+    points = deim_points(u_n)
     gain = np.zeros(cfg.n)
     solid_rows = cfg.grid_points + np.flatnonzero(cfg.solid_mask)
     gain[solid_rows] = 1.0 / (cfg.rho_cp_solid * scaling.row_scale[solid_rows])
-    ops = build_deim_operators(basis, u_n, idx, cfg)
-    f = u_n @ rng.standard_normal(4)
+    ops = build_deim_operators(basis, u_n, points, cfg)
+    f = np.zeros(cfg.n)
+    f[solid_rows] = u_n @ rng.standard_normal(4)
     want = basis.basis.T @ (gain * f)
-    assert np.allclose(ops.p1 @ f[idx], want, rtol=1e-8, atol=1e-10)
+    assert np.allclose(ops.p1 @ f[ops.indices], want, rtol=1e-8, atol=1e-10)
     # unscale map reproduces the physical temperatures at the sample rows
     col = scaled[:, 3]
     t_samples = ops.sample_temperatures(basis.basis.T @ col)
     full = scaling.unscale_array(basis.basis @ (basis.basis.T @ col))
-    assert np.allclose(t_samples, full[idx], rtol=1e-12)
+    assert np.allclose(t_samples, full[ops.indices], rtol=1e-12)
+
+
+def test_operator_indices_are_the_solid_rows_the_full_state_greedy_picks():
+    """Points chosen in the solid block map to solid rows, the ones a zero-padded basis gives."""
+    cfg, snaps = _small_snapshot_set()
+    scaling = fit_scaling(snaps)
+    basis = compute_pod(apply_scaling(snaps, scaling), 4, scaling=scaling)
+    u_n, _ = nonlinearity_basis(nonlinearity_snapshots(snaps, cfg), 6)
+    ops = build_deim_operators(basis, u_n, deim_points(u_n), cfg)
+    assert np.all(np.isin(ops.indices, cfg.solid_rows))
+    padded = np.zeros((cfg.n, u_n.shape[1]))
+    padded[cfg.solid_rows] = u_n
+    assert np.array_equal(ops.indices, deim_points(padded))
 
 
 def test_deim_points_rejects_rank_deficient_basis():

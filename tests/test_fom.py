@@ -144,6 +144,10 @@ def test_control_signal_validation():
         ControlSignal(heat_times=np.array([0.0]), heat_values=np.array([1.0, 2.0]))
     with pytest.raises(ConfigError):
         ControlSignal(heat_times=np.array([0.0]), heat_values=np.array([-1.0]))
+    with pytest.raises(ConfigError):  # would leave 0-100 s undefined
+        ControlSignal(heat_times=np.array([100.0, 200.0]), heat_values=np.array([1.0, 0.0]))
+    early = ControlSignal(heat_times=np.array([-5.0, 100.0]), heat_values=np.array([1.0, 0.0]))
+    assert early.heat_load(0.0) == 1.0
 
 
 def test_config_validation_rejects_bad_values():

@@ -36,6 +36,22 @@ def test_truncated_basis_is_best_in_frobenius_norm(rng):
         assert np.isclose(np.linalg.norm(residual), want, rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("n, m", [(20, 300), (37, 400)])
+def test_wide_snapshot_matrix_keeps_the_optimal_tail_and_spectrum(rng, n, m):
+    """The shape ``train`` factors, far more snapshots than rows, with a graded spectrum."""
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    x = u @ np.diag(np.logspace(0, -8, n)) @ v.T
+    sv = np.linalg.svd(x, compute_uv=False)
+    for r in (1, 3, n // 2, n - 1, n):
+        basis = compute_pod(x, r, unit_scaling(n))
+        assert basis.singular_values.size == n
+        assert np.max(np.abs(basis.singular_values - sv)) < 1e-12 * sv[0]
+        residual = np.linalg.norm(x - basis.basis @ (basis.basis.T @ x))
+        optimal = np.sqrt(np.sum(sv[r:] ** 2))
+        assert abs(residual - optimal) < 1e-10 * np.linalg.norm(x)
+
+
 def test_project_and_lift_are_mutually_consistent(rng):
     """project inverts the lift y -> U y onto the basis span."""
     x = rng.standard_normal((20, 12))
