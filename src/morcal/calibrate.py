@@ -37,7 +37,6 @@ import numpy as np
 from morcal.deim import MIN_TEMPERATURE, DeimOperators
 from morcal.errors import ConfigError, DataError, NumericError
 from morcal.opinf import RomOperators
-from morcal.pod import PodBasis, project
 from morcal.snapshots import SnapshotSet
 from morcal.textio import fmt_float
 
@@ -434,15 +433,14 @@ def calibrate(
 
 def build_calibration_problem(
     snapshots: SnapshotSet,
-    states: np.ndarray,
-    basis: PodBasis,
+    reduced_states: np.ndarray,
     deim_ops: DeimOperators,
 ) -> CalibrationProblem:
-    """Project ``states``, the snapshot set standardised with the basis's
-    scaling, onto the basis, one trajectory at a time."""
+    """Split ``reduced_states``, the snapshot set's standardised states
+    projected onto the basis, into its trajectories."""
     slices = snapshots.trajectory_slices()
     return CalibrationProblem(
-        reduced_trajectories=[project(basis, states[:, sl]) for sl in slices],
+        reduced_trajectories=[reduced_states[:, sl] for sl in slices],
         controls=[snapshots.controls[sl] for sl in slices],
         dt=snapshots.dt,
         deim=deim_ops,

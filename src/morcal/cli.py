@@ -1,7 +1,9 @@
 """Command-line pipeline: generate, train, evaluate, export-rom, fixture-check.
 
 All commands are deterministic given the configuration: re-running a
-command on unchanged inputs reproduces its output files byte for byte.
+command on unchanged inputs reproduces its output files byte for byte, for
+a fixed BLAS library, CPU and BLAS thread count (the QR of the POD rounds
+differently with another thread count).
 """
 
 import argparse
@@ -37,6 +39,23 @@ FIXTURE_STEPS_ON = 60
 FIXTURE_STEPS_OFF = 30
 
 
+def _say(line: str) -> None:
+    """Print one line to stdout at once.
+
+    A reader that went away (``morcal train | head -1``) costs the lines
+    still to come, not the command: stdout is pointed at the null device,
+    as the Python documentation's note on SIGPIPE does, and the command goes
+    on to write its outputs and exits with its usual code.  Each line is
+    flushed, so no text is left buffered to fail when the process exits.
+    """
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _write_snapshot_file(task) -> int:
     """Worker task of ``generate``: write one load's snapshot file, return its size m."""
     snapshots, path = task
@@ -54,7 +73,7 @@ def cmd_generate(cfg: PipelineConfig) -> int:
         os.makedirs(os.path.dirname(path), exist_ok=True)
     counts = ordered_map(_write_snapshot_file, zip(snapshot_sets, paths))
     for m, load, path in zip(counts, loads, paths):
-        print(f"generate: R={load:g} -> {path} ({m} snapshots)")
+        _say(f"generate: R={load:g} -> {path} ({m} snapshots)")
     return EXIT_OK
 
 
@@ -80,14 +99,14 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
     scaling = snap_mod.fit_scaling(raw)
     states = snap_mod.apply_scaling(raw, scaling)
     basis = pod_mod.compute_pod(states, cfg.pod_rank, scaling=scaling)
-    print(f"train: pod basis r={cfg.pod_rank} "
-          f"(spectrum head {fmt_float(basis.singular_values[0])})")
+    _say(f"train: pod basis r={cfg.pod_rank} "
+         f"(spectrum head {fmt_float(basis.singular_values[0])})")
 
     source = deim_mod.nonlinearity_snapshots(raw, cfg.fom)
     u_n, source_spectrum = deim_mod.nonlinearity_basis(source, cfg.deim_rank)
     points = deim_mod.deim_points(u_n)
     deim_ops = deim_mod.build_deim_operators(basis, u_n, points, cfg.fom)
-    print(f"train: deim rank s={cfg.deim_rank}, sample rows {list(map(int, deim_ops.indices))}")
+    _say(f"train: deim rank s={cfg.deim_rank}, sample rows {list(map(int, deim_ops.indices))}")
 
     reduced_states = pod_mod.project(basis, states)
     reduced_derivs = pod_mod.project(basis, scaling.scale_derivative_array(raw.derivatives))
@@ -100,7 +119,7 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
     for stale in ("rom_calibrated.txt", "convergence.csv"):  # an earlier run's calibration
         if os.path.exists(path := os.path.join(cfg.output_dir, stale)):
             os.remove(path)
-    print(f"train: inferred operators -> {oi_path}")
+    _say(f"train: inferred operators -> {oi_path}")
 
     def write_spectrum(name, values):
         with open(os.path.join(cfg.output_dir, name), "w") as fh:
@@ -113,21 +132,21 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
     pod_mod.save_basis(basis, os.path.join(cfg.output_dir, "pod_basis.txt"))
 
     if skip_calibration:
-        print("train: calibration skipped on request")
+        _say("train: calibration skipped on request")
         return EXIT_OK
 
-    problem = build_calibration_problem(raw, states, basis, deim_ops)
+    problem = build_calibration_problem(raw, reduced_states, deim_ops)
     calibrated, report = calibrate(operators, problem, cfg.optimizer)
     cal_model = rom_mod.RomModel(operators=calibrated, deim=deim_ops, basis=basis, dt=raw.dt)
     cal_path = os.path.join(cfg.output_dir, "rom_calibrated.txt")
     rom_mod.save_rom(cal_model, cal_path)
     report.write_csv(os.path.join(cfg.output_dir, "convergence.csv"))
-    print(
+    _say(
         f"train: calibration {report.status} after {report.iterations} iterations, "
         f"objective {fmt_float(report.objective_history[0])} -> "
         f"{fmt_float(report.objective_history[-1])}"
     )
-    print(f"train: calibrated operators -> {cal_path}")
+    _say(f"train: calibrated operators -> {cal_path}")
     return EXIT_OK
 
 
@@ -212,7 +231,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
             summary_rows.append((case, name, excl, full))
             aggregates[name].append((excl, full))
         shown = ", ".join(f"{name} {means[name][0]:.3e}" for name in sorted(means))
-        print(f"evaluate: {case} mean rel mse (outside switch-off window): {shown}")
+        _say(f"evaluate: {case} mean rel mse (outside switch-off window): {shown}")
 
     summary_path = os.path.join(cfg.output_dir, "summary.csv")
     with open(summary_path, "w") as fh:
@@ -229,9 +248,9 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
             ratio_excl = overall["calibrated"][0] / overall["opinf"][0]
             ratio_full = overall["calibrated"][1] / overall["opinf"][1]
             fh.write(f"ratio,calibrated_over_opinf,{fmt_float(ratio_excl)},{fmt_float(ratio_full)}\n")
-            print(f"evaluate: calibrated/opinf mean error ratio {ratio_excl:.4f} "
-                  f"(switch-off window excluded)")
-    print(f"evaluate: summary -> {summary_path}")
+            _say(f"evaluate: calibrated/opinf mean error ratio {ratio_excl:.4f} "
+                 f"(switch-off window excluded)")
+    _say(f"evaluate: summary -> {summary_path}")
     return EXIT_OK
 
 
@@ -249,7 +268,7 @@ def cmd_export_rom(cfg: PipelineConfig, source: str | None = None) -> int:
     out_path = os.path.join(cfg.output_dir, "rom_compact.txt")
     os.makedirs(cfg.output_dir, exist_ok=True)
     rom_mod.save_rom(model, out_path, include_basis=False)
-    print(f"export-rom: {source} -> {out_path}")
+    _say(f"export-rom: {source} -> {out_path}")
     return EXIT_OK
 
 
@@ -260,7 +279,7 @@ def cmd_fixture_check() -> int:
 
     def check(name, ok):
         checks.append((name, bool(ok)))
-        print(f"fixture-check: {name}: {'ok' if ok else 'FAILED'}")
+        _say(f"fixture-check: {name}: {'ok' if ok else 'FAILED'}")
 
     ops = model.operators
     deim_ops = model.deim
@@ -283,13 +302,13 @@ def cmd_fixture_check() -> int:
         rolled = rom_mod.simulate_rom(model, s0, controls, k)
         finite = bool(np.all(np.isfinite(rolled)))
     except NumericError as exc:
-        print(f"fixture-check: simulation aborted: {exc}")
+        _say(f"fixture-check: simulation aborted: {exc}")
         finite = False
     check(f"bounded simulation over {k} steps (heating then switch-off)", finite)
 
     if not all(ok for _, ok in checks):
         raise DataError("fixture check failed")
-    print("fixture-check: all checks passed")
+    _say("fixture-check: all checks passed")
     return EXIT_OK
 
 

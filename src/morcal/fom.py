@@ -11,11 +11,12 @@ central diffusion (both fields), explicit Euler in time.  The coolant inlet
 is pinned to the inflow temperature; the coolant outlet and both solid ends
 use zero-gradient conditions.
 
-The linear part of one Euler step, ``I + dt*L``, is folded once into a
-three-point band per field plus the exchange diagonals that couple the two
-fields, so a step is that banded update plus ``dt`` times the source on the
-solid rows.  ``fom_rhs`` evaluates the exact right-hand side; the integrator
-calls it only at the saved states, which is where snapshots need it.
+One rates object states the discretisation: the rates at which each row
+draws on its neighbours and on the other field, applied to differences of
+states, plus the source on the solid rows.  It gives the right-hand side
+(``fom_rhs``) and, scaled by ``dt``, each Euler step's increment.  The
+integrator calls ``fom_rhs`` only at the saved states, which is where
+snapshots need it.
 """
 
 from dataclasses import dataclass
@@ -163,12 +164,53 @@ def arrhenius_source(t_solid, heat_load, cfg: FomConfig):
     t_solid = np.asarray(t_solid, dtype=float)
     if np.any(t_solid <= 0.0):
         raise NumericError("arrhenius_source requires strictly positive temperatures")
-    return _arrhenius_source(t_solid, heat_load, cfg)
-
-
-def _arrhenius_source(t_solid, heat_load, cfg: FomConfig):
-    """arrhenius_source without its temperature check, for callers that made it."""
     return heat_load * cfg.arrhenius_prefactor * np.exp(cfg.arrhenius_exponent / t_solid)
+
+
+class _Rates:
+    """The model's right-hand side times ``scale``, built once from ``cfg``.
+
+    Each row of a [T_c; T_s] state draws on its left and right neighbours in
+    its own field and on the same grid point of the other field, at rates
+    that are zero across the field boundary, at the zero-gradient ends and
+    in the pinned inlet row.  The source acts on the solid rows.
+    """
+
+    def __init__(self, cfg: FomConfig, scale: float):
+        npts = cfg.grid_points
+        dx2 = cfg.dx ** 2
+        diffuse_c = cfg.conductivity_coolant / cfg.rho_cp_coolant / dx2
+        diffuse_s = cfg.conductivity_solid / cfg.rho_cp_solid / dx2
+        # The upwind coolant draws on its left neighbour only.
+        left = np.concatenate([np.full(npts, diffuse_c + cfg.coolant_velocity / cfg.dx),
+                               np.full(npts, diffuse_s)])
+        right = np.concatenate([np.full(npts, diffuse_c), np.full(npts, diffuse_s)])
+        exchange = cfg.exchange_coefficient * cfg.solid_mask / np.array(
+            [[cfg.rho_cp_coolant], [cfg.rho_cp_solid]])
+        left[[0, npts]] = 0.0
+        right[[0, npts - 1, cfg.n - 1]] = 0.0
+        exchange[0, 0] = 0.0
+        self.left = scale * left[1:]  # row i draws on x[i-1]
+        self.right = scale * right[:-1]  # row i draws on x[i+1]
+        self.exchange = scale * exchange  # (2, g): row f draws on the other field
+        self.solid = cfg.solid_rows
+        self.source_gain = scale * cfg.arrhenius_prefactor / cfg.rho_cp_solid
+        self.exponent = cfg.arrhenius_exponent
+
+    def add_to(self, out, state, solid_t, heat):
+        """Add the scaled right-hand side at ``state`` to ``out`` and return it.
+
+        ``out`` is C-contiguous and of the state's shape; ``solid_t`` holds
+        the state's solid rows and ``heat`` the loads, broadcast against it.
+        """
+        out[..., 1:] += self.left * (state[..., :-1] - state[..., 1:])
+        out[..., :-1] += self.right * (state[..., 1:] - state[..., :-1])
+        by_field = state.shape[:-1] + self.exchange.shape  # (..., 2, g)
+        fields = state.reshape(by_field)
+        out_fields = out.reshape(by_field)  # a view, because out is C-contiguous
+        out_fields += self.exchange * (fields[..., ::-1, :] - fields)
+        out[..., self.solid] += (self.source_gain * heat) * np.exp(self.exponent / solid_t)
+        return out
 
 
 def fom_rhs(state, control, cfg: FomConfig):
@@ -198,47 +240,11 @@ def fom_rhs(state, control, cfg: FomConfig):
         heat_load = control[:, None]
     else:
         raise DataError(f"control must be a heat load or one per state row, got {control.shape}")
-
-    npts = cfg.grid_points
-    dx = cfg.dx
-    tc = state[..., :npts]
-    ts = state[..., npts:]
-    mask = cfg.solid_mask
-    solid = mask > 0.0
-
-    kappa_c = cfg.conductivity_coolant / cfg.rho_cp_coolant  # [m^2/s]
-    kappa_s = cfg.conductivity_solid / cfg.rho_cp_solid
-    q = cfg.exchange_coefficient
-
-    # Coolant and solid derivatives are written in place into one output.
-    out = np.zeros(state.shape)
-    dtc = out[..., :npts]
-    dts = out[..., npts:]
-    # Exchange flux between the phases, only where solid exists.
-    flux = q * mask * (ts - tc)
-
-    # Coolant: upwind advection (velocity >= 0, inlet at index 0).
-    if cfg.coolant_velocity > 0.0:
-        dtc[..., 1:] -= cfg.coolant_velocity * (tc[..., 1:] - tc[..., :-1]) / dx
-    # Central diffusion, zero-gradient ghost at the outlet.
-    dtc[..., 1:-1] += kappa_c * (tc[..., 2:] - 2.0 * tc[..., 1:-1] + tc[..., :-2]) / dx ** 2
-    dtc[..., -1] += kappa_c * (tc[..., -2] - tc[..., -1]) / dx ** 2
-    dtc += flux / cfg.rho_cp_coolant
-    # Inlet is held at the inflow temperature: pinned node.
-    dtc[..., 0] = 0.0
-
-    # Solid: diffusion with zero-gradient ends, exchange, heat source.
-    dts[..., 1:-1] += kappa_s * (ts[..., 2:] - 2.0 * ts[..., 1:-1] + ts[..., :-2]) / dx ** 2
-    dts[..., 0] += kappa_s * (ts[..., 1] - ts[..., 0]) / dx ** 2
-    dts[..., -1] += kappa_s * (ts[..., -2] - ts[..., -1]) / dx ** 2
-    dts -= flux / cfg.rho_cp_solid
-
-    solid_t = ts[..., solid]
+    rates = _Rates(cfg, 1.0)
+    solid_t = state[..., rates.solid]
     if np.any(solid_t <= 0.0):
         raise NumericError(_NON_POSITIVE)
-    dts[..., solid] += _arrhenius_source(solid_t, heat_load, cfg) / cfg.rho_cp_solid
-
-    return out
+    return rates.add_to(np.zeros(state.shape), state, solid_t, heat_load)
 
 
 def _load_error(message, step, cfg, bad_rows, heat):
@@ -247,84 +253,15 @@ def _load_error(message, step, cfg, bad_rows, heat):
     return NumericError(f"{message} at step {step} (t={step * cfg.dt:g} s) in heat load(s) {loads}")
 
 
-@dataclass
-class _FoldedStep:
-    """One explicit Euler step ``x + dt*f(x)`` of an (L, n) stack, folded.
-
-    The linear part of the step, ``I + dt*L``, is a banded matrix with the
-    diagonals below, applied alike to every row of the stack; the lower and
-    upper ones are zero where they would cross the field boundary.  The
-    temperature-driven source is added on the solid rows.
-    """
-
-    centre: np.ndarray  # (n,) diagonal
-    lower: np.ndarray  # (n - 1,) multiplies x[i-1] in row i
-    upper: np.ndarray  # (n - 1,) multiplies x[i+1] in row i
-    exchange: np.ndarray  # (2, g) row f multiplies the other field in field f's rows
-    solid: np.ndarray  # columns of the solid rows
-    source_gain: float  # dt * prefactor / rho_cp_solid
-    exponent: float
-
-    def solid_temperatures(self, state, step, cfg, heat):
-        """Solid temperatures of ``state``; a non-positive one is a NumericError."""
-        solid_t = state[:, self.solid]
-        if np.any(solid_t <= 0.0):
-            raise _load_error(_NON_POSITIVE, step, cfg, np.any(solid_t <= 0.0, axis=1), heat)
-        return solid_t
-
-    def apply(self, state, solid_t, heat):
-        """Next (L, n) state; ``heat`` holds the (L,) loads driving the step."""
-        out = self.centre * state
-        out[:, 1:] += self.lower * state[:, :-1]
-        out[:, :-1] += self.upper * state[:, 1:]
-        # Each field draws on the other one at the same grid point.
-        by_field = (-1,) + self.exchange.shape  # (L, 2, g)
-        out_fields = out.reshape(by_field)
-        out_fields += self.exchange * state.reshape(by_field)[:, ::-1]
-        out[:, self.solid] += (self.source_gain * heat)[:, None] * np.exp(self.exponent / solid_t)
-        return out
-
-
-def _fold_step(cfg: FomConfig) -> _FoldedStep:
-    """fom_rhs's discretisation times dt, plus the identity."""
-    npts = cfg.grid_points
-    dx2 = cfg.dx ** 2
-    diffuse_c = cfg.conductivity_coolant / cfg.rho_cp_coolant / dx2
-    diffuse_s = cfg.conductivity_solid / cfg.rho_cp_solid / dx2
-    # Rates at which each row of one [T_c; T_s] state draws on its left and
-    # right neighbours in its own field, and on the same grid point of the
-    # other field.  The upwind coolant draws on its left neighbour only.
-    left = np.concatenate([np.full(npts, diffuse_c + cfg.coolant_velocity / cfg.dx),
-                           np.full(npts, diffuse_s)])
-    right = np.concatenate([np.full(npts, diffuse_c), np.full(npts, diffuse_s)])
-    exchange = cfg.exchange_coefficient * cfg.solid_mask / np.array(
-        [[cfg.rho_cp_coolant], [cfg.rho_cp_solid]])
-    # Each field's first point has no left neighbour and its last point no
-    # right one (zero-gradient ends); the pinned inlet draws on nothing.
-    left[[0, npts]] = 0.0
-    right[[0, npts - 1, cfg.n - 1]] = 0.0
-    exchange[0, 0] = 0.0
-    # A row loses heat at the total rate at which it draws.
-    centre = 1.0 - cfg.dt * (left + right + exchange.ravel())
-    return _FoldedStep(
-        centre=centre,
-        lower=cfg.dt * left[1:],
-        upper=cfg.dt * right[:-1],
-        exchange=cfg.dt * exchange,
-        solid=cfg.solid_rows,
-        source_gain=cfg.dt * cfg.arrhenius_prefactor / cfg.rho_cp_solid,
-        exponent=cfg.arrhenius_exponent,
-    )
-
-
 def fom_integrate(cfg: FomConfig, signals, save_every: int = 1):
     """Integrate the model with explicit Euler and return saved snapshots.
 
     ``signals`` is a non-empty sequence of ControlSignals; the result holds
     one single-trajectory SnapshotSet per signal, in the same order.  All
     signals step together as one (L, n) stack, one row per heat load, and
-    each step is one folded ``(I + dt*L) x + dt*source`` update whose rows
-    do not depend on the other loads in the stack.  Saves every
+    each step adds to the state the increment ``dt * f(x)`` that the rates
+    of ``fom_rhs``, scaled by ``dt``, give; no row depends on the other
+    loads in the stack.  Saves every
     ``save_every``-th step starting at t=0, together with the exact
     right-hand side at the saved state (``derivatives``, from ``fom_rhs``,
     which runs at saved states only) and the heat load at the saved times
@@ -366,18 +303,21 @@ def fom_integrate(cfg: FomConfig, signals, save_every: int = 1):
         raise ConfigError(f"t_end={cfg.t_end:g} s / dt={cfg.dt:g} s is {n_steps:.3g} steps, "
                           f"more than can be allocated") from None
 
-    step = _fold_step(cfg)
+    step = _Rates(cfg, cfg.dt)
     state = np.full((n_loads, cfg.n), cfg.initial_temperature, dtype=float)
     state[:, 0] = cfg.inflow_temperature  # pinned inlet node
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n_steps + 1):
-            solid_t = step.solid_temperatures(state, j, cfg, controls[j])
+            solid_t = state[:, step.solid]
+            if np.any(solid_t <= 0.0):
+                raise _load_error(_NON_POSITIVE, j, cfg, np.any(solid_t <= 0.0, axis=1),
+                                  controls[j])
             if j % save_every == 0:
                 col = j // save_every
                 states[:, :, col] = state
                 derivs[:, :, col] = fom_rhs(state, controls[j], cfg)
             if j < n_steps:
-                state = step.apply(state, solid_t, controls[j])
+                state = step.add_to(state.copy(), state, solid_t, controls[j, :, None])
                 if not np.all(np.isfinite(state)):
                     bad = ~np.all(np.isfinite(state), axis=1)
                     raise _load_error("non-finite state", j + 1, cfg, bad, controls[j])

@@ -95,18 +95,18 @@ def simulate_rom(model: RomModel, s0: np.ndarray, controls: np.ndarray, k: int) 
     return _forward_rollout(model.operators, model.deim, s0, controls, model.dt, k)
 
 
-def switch_off_window(heat_loads: np.ndarray, halfwidth: int = SWITCH_OFF_HALFWIDTH) -> np.ndarray:
+def switch_off_window(heat_loads: np.ndarray) -> np.ndarray:
     """Boolean flags marking steps near a heat-load discontinuity.
 
-    A discontinuity between columns c-1 and c flags columns c-halfwidth
-    through c+halfwidth, a five-step window by default.
+    A discontinuity between columns c-1 and c flags columns
+    c-SWITCH_OFF_HALFWIDTH through c+SWITCH_OFF_HALFWIDTH, a five-step window.
     """
     heat = np.asarray(heat_loads, dtype=float)
     flags = np.zeros(heat.shape[0], dtype=bool)
     changes = np.nonzero(np.diff(heat) != 0.0)[0] + 1
     for c in changes:
-        lo = max(0, c - halfwidth)
-        hi = min(flags.size, c + halfwidth + 1)
+        lo = max(0, c - SWITCH_OFF_HALFWIDTH)
+        hi = min(flags.size, c + SWITCH_OFF_HALFWIDTH + 1)
         flags[lo:hi] = True
     return flags
 

@@ -6,6 +6,9 @@ import inspect
 import os
 import pkgutil
 import re
+import shutil
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 from unittest import mock
@@ -474,6 +477,36 @@ def test_cli_log_level_shows_the_package_log_once_and_changes_no_output(tmp_path
         assert err.count(line) == 1 and err.startswith(line)
         assert all(row.startswith("INFO morcal.") for row in err.splitlines())
     assert all(run[0] == runs[0][0] and run[2] == runs[0][2] for run in runs)
+
+
+def test_cli_closed_stdout_costs_the_printed_lines_only(tmp_path):
+    """``morcal train | head -1``: a reader that is gone loses lines, not outputs."""
+    cfg = _write_tiny(tmp_path)
+    assert main(["--config", cfg, "--out", str(tmp_path / "generated"), "generate"]) == 0
+    src = str(Path(morcal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+
+    def train(out, stdout, unbuffered):
+        shutil.copytree(tmp_path / "generated" / "snapshots", out / "snapshots")
+        argv = [sys.executable] + ["-u"] * unbuffered + ["-m", "morcal.cli", "--config", cfg,
+                                                           "--out", str(out), "train"]
+        proc = subprocess.run(argv, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+                              timeout=300)
+        return proc.returncode, proc.stderr, {p.name: p.read_bytes() for p in out.iterdir()
+                                              if p.is_file()}
+
+    want = train(tmp_path / "open", subprocess.DEVNULL, False)
+    assert want[:2] == (0, "") and "rom_calibrated.txt" in want[2]
+    # Unbuffered, the first line fails; block-buffered, the flush of the first line does.
+    for unbuffered in (True, False):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            got = train(tmp_path / f"closed{int(unbuffered)}", write_end, unbuffered)
+        finally:
+            os.close(write_end)
+        assert got == want, unbuffered
 
 
 def test_cli_non_finite_snapshot_value_is_a_data_error(tmp_path, capsys):

@@ -96,6 +96,14 @@ def test_rhs_matches_dense_oracle(rng):
     got = fom_rhs(state, 1.3, cfg)
     want = _dense_rhs_oracle(state, 1.3, cfg)
     assert np.allclose(got, want, rtol=1e-13, atol=1e-16)
+    # Trajectory states, where neighbouring temperatures are close, too.
+    for name, changes in {"default": {}, **_STEPPING_VARIANTS}.items():
+        cfg, traj = _stepping_trajectory(changes)
+        for j in range(traj.m):
+            state, load = traj.data[:, j], traj.controls[j]
+            got = fom_rhs(state, load, cfg)
+            want = _dense_rhs_oracle(state, load, cfg)
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-16), (name, j)
 
 
 def test_rhs_inlet_node_is_pinned(small_cfg):
@@ -363,24 +371,33 @@ def _stepping_cfg(**changes):
     return FomConfig(**values)
 
 
-@pytest.mark.parametrize(
-    "changes",
-    [
-        {"solid_span": (0.0, 0.5)},
-        {"coolant_velocity": 0.0},
-        {"conductivity_coolant": 0.0, "conductivity_solid": 0.0},
-        {"exchange_coefficient": 0.0},
-    ],
-    ids=["solid-at-the-inlet", "no-flow", "no-conduction", "no-exchange"],
-)
-def test_each_folded_step_is_one_exact_euler_step(changes):
+_STEPPING_VARIANTS = {
+    "solid-at-the-inlet": {"solid_span": (0.0, 0.5)},
+    "no-flow": {"coolant_velocity": 0.0},
+    "no-conduction": {"conductivity_coolant": 0.0, "conductivity_solid": 0.0},
+    "no-exchange": {"exchange_coefficient": 0.0},
+}
+
+
+def _stepping_trajectory(changes):
+    """Every step of 10 s on ``_stepping_cfg(**changes)``, load 1 then 0.4 from 4 s."""
     cfg = _stepping_cfg(**changes)
     signal = ControlSignal(heat_times=np.array([0.0, 4.0]), heat_values=np.array([1.0, 0.4]))
-    traj = fom_integrate(cfg, [signal], save_every=1)[0]
+    return cfg, fom_integrate(cfg, [signal], save_every=1)[0]
+
+
+@pytest.mark.parametrize("changes", list(_STEPPING_VARIANTS.values()),
+                         ids=list(_STEPPING_VARIANTS))
+def test_each_folded_step_is_one_exact_euler_step(changes):
+    cfg, traj = _stepping_trajectory(changes)
     assert traj.data.shape == (cfg.n, 21)
     for j in range(traj.data.shape[1] - 1):
         want = traj.data[:, j] + cfg.dt * fom_rhs(traj.data[:, j], traj.controls[j], cfg)
         assert np.allclose(traj.data[:, j + 1], want, rtol=1e-13, atol=0.0), j
+        # fom_rhs and the step share their rates: check both against the oracle.
+        oracle = traj.data[:, j] + cfg.dt * _dense_rhs_oracle(traj.data[:, j],
+                                                              traj.controls[j], cfg)
+        assert np.allclose(traj.data[:, j + 1], oracle, rtol=1e-13, atol=0.0), j
         assert np.array_equal(traj.derivatives[:, j],
                               fom_rhs(traj.data[:, j], traj.controls[j], cfg))
     assert np.all(traj.data[0] == cfg.inflow_temperature)
