@@ -39,20 +39,22 @@ FIXTURE_STEPS_ON = 60
 FIXTURE_STEPS_OFF = 30
 
 
-def _say(line: str) -> None:
-    """Print one line to stdout at once.
+def _say(line: str, err: bool = False) -> None:
+    """Print one line to stdout (stderr if ``err``) at once.
 
     A reader that went away (``morcal train | head -1``) costs the lines
-    still to come, not the command: stdout is pointed at the null device,
-    as the Python documentation's note on SIGPIPE does, and the command goes
-    on to write its outputs and exits with its usual code.  Each line is
-    flushed, so no text is left buffered to fail when the process exits.
+    still to come, not the command: the stream is pointed at the null
+    device, as the Python documentation's note on SIGPIPE does, and the
+    command goes on to write its outputs and exits with its usual code.
+    Each line is flushed, so no text is left buffered to fail when the
+    process exits.
     """
+    stream = sys.stderr if err else sys.stdout
     try:
-        print(line, flush=True)
+        print(line, file=stream, flush=True)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
 
 
@@ -153,8 +155,10 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
 def _evaluate_case(task):
     """Worker task of ``evaluate``: roll every model out against one snapshot file.
 
-    The file's derivative section is checked for its marker and line count
-    only; evaluation never uses the derivatives, so their numbers are not parsed.
+    Evaluation never uses the derivatives, so their numbers are not read:
+    from a mirror that matches the text, only the data and control blocks
+    are read; when the text is parsed, its derivative section is checked for
+    its marker and line count only.
 
     Returns the text of the case's error and statistics CSVs and, per model
     name, its mean errors (outside the switch-off window, over all steps).
@@ -386,19 +390,19 @@ def _run(args) -> int:
             return cmd_export_rom(cfg, source=args.source)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
-        print(f"error (config): {exc}", file=sys.stderr)
+        _say(f"error (config): {exc}", err=True)
         return EXIT_CONFIG
     except (DataError, OSError) as exc:  # an OSError's message names its path
-        print(f"error (data): {exc}", file=sys.stderr)
+        _say(f"error (data): {exc}", err=True)
         return EXIT_DATA
     except NumericError as exc:
-        print(f"error (numeric): {exc}", file=sys.stderr)
+        _say(f"error (numeric): {exc}", err=True)
         return EXIT_NUMERIC
     except np.linalg.LinAlgError as exc:
-        print(f"error (numeric): linear algebra failure: {exc}", file=sys.stderr)
+        _say(f"error (numeric): linear algebra failure: {exc}", err=True)
         return EXIT_NUMERIC
     except MorcalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}", err=True)
         return EXIT_DATA
 
 

@@ -8,8 +8,20 @@ trajectories share, always in physical units.  The full-order model refuses
 snapshots.  Scaling standardises each field block by its mean and standard
 deviation; derivative columns are divided by the scale only, since shifting
 does not change a time derivative.  The basis carries the ScalingSpec.
+
+A snapshot file is plain text.  Next to it, ``save_snapshots`` writes a
+binary mirror (the text's name plus ``.bin``) holding the same numbers, and
+``load_snapshots`` reads them from the mirror instead of parsing the text
+when the mirror is whole and was written with the text as it is now.  The
+mirror is a checked cache of the text, not a second format: its layout is
+known to this module only, and without it the text is parsed as always.
 """
 
+import io
+import logging
+import os
+import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +49,17 @@ __all__ = [
 ]
 
 SCALE_FLOOR = 1e-12
+
+logger = logging.getLogger(__name__)
+
+# The binary mirror of a snapshot file: the magic line; the text's byte size
+# and CRC-32, and the CRC-32 of each payload block; then the payload, the
+# blocks data (n x m), derivatives (n x m, absent in a file without them)
+# and controls (m) as little-endian float64 in C order.
+_MIRROR_SUFFIX = ".bin"
+_MIRROR_MAGIC = b"morcal snapshot mirror 1\n"
+_MIRROR_HEAD = struct.Struct("<QIIII")
+_MIRROR_DTYPE = np.dtype("<f8")
 
 
 def _check_fields(fields, n):
@@ -200,11 +223,32 @@ def apply_scaling(snapshots: SnapshotSet, spec: ScalingSpec) -> np.ndarray:
     return spec.scale_array(snapshots.data)
 
 
+class _ChecksumFile(io.FileIO):
+    """A file opened for writing that keeps the byte size and CRC-32 of what it wrote."""
+
+    size = 0
+    crc = 0
+
+    def write(self, b):
+        written = super().write(b)
+        if written:
+            self.crc = zlib.crc32(memoryview(b)[:written], self.crc)
+            self.size += written
+        return written
+
+
 def save_snapshots(snapshots: SnapshotSet, path) -> None:
-    """Write the set to a plain-text snapshot file (full precision)."""
+    """Write the set to a plain-text snapshot file (full precision) and its mirror.
+
+    The mirror (``path`` plus ``.bin``) records the text's byte size and
+    CRC-32, taken as the text is written, so a later change to the text
+    makes the mirror stale.  A set holding a non-finite number gets no
+    mirror: the text reader refuses such a file, so only its text may answer.
+    """
     off = ",".join(str(int(v)) for v in snapshots.trajectory_offsets)
     has_der = 1 if snapshots.derivatives is not None else 0
-    with open(path, "w") as fh:
+    raw = _ChecksumFile(path, "w")
+    with io.TextIOWrapper(io.BufferedWriter(raw)) as fh:
         fh.write(f"n={snapshots.n}\n")
         fh.write(f"m={snapshots.m}\n")
         fh.write(f"l={snapshots.l}\n")
@@ -222,14 +266,91 @@ def save_snapshots(snapshots: SnapshotSet, path) -> None:
         fh.write("controls\n")
         for load in snapshots.controls:
             fh.write(fmt_float(load) + "\n")
+    derivs = snapshots.derivatives if has_der else np.empty(0)  # no bytes, CRC-32 0
+    blocks = [np.ascontiguousarray(b, dtype=_MIRROR_DTYPE)
+              for b in (snapshots.data, derivs, snapshots.controls)]
+    if all(np.isfinite(b).all() for b in blocks):
+        with open(str(path) + _MIRROR_SUFFIX, "wb") as fh:
+            fh.write(_MIRROR_MAGIC + _MIRROR_HEAD.pack(raw.size, raw.crc, *map(zlib.crc32, blocks)))
+            for b in blocks:
+                fh.write(memoryview(b).cast("B"))
+
+
+def _file_crc(path) -> int:
+    """The CRC-32 of a file, read in chunks small enough to leave peak memory as it is."""
+    crc = 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            crc = zlib.crc32(chunk, crc)
+    return crc
+
+
+def _mirror_blocks(fh, path, n, m, has_der, derivatives):
+    """The (data, derivatives, controls) in the open mirror ``fh`` of text file ``path``.
+
+    Returns them and None, or None and what is wrong with the mirror: it
+    was not written with the text as it is now (``"stale"``), or it is not
+    whole (``"damaged"``): its length is not the one the header's sizes
+    imply, or a block read does not match its CRC-32.  The derivative block
+    is read only if ``derivatives`` asks for it.
+    """
+    head = fh.read(len(_MIRROR_MAGIC) + _MIRROR_HEAD.size)
+    if len(head) != len(_MIRROR_MAGIC) + _MIRROR_HEAD.size or not head.startswith(_MIRROR_MAGIC):
+        return None, "damaged"
+    text_size, text_crc, *crcs = _MIRROR_HEAD.unpack_from(head, len(_MIRROR_MAGIC))
+    if os.path.getsize(path) != text_size:
+        return None, "stale"
+    counts = [n * m, n * m * has_der, m]
+    if min(n, m) < 0 or os.fstat(fh.fileno()).st_size != len(head) + 8 * sum(counts):
+        return None, "damaged"
+    if _file_crc(path) != text_crc:
+        return None, "stale"
+    blocks = []
+    for count, crc, wanted in zip(counts, crcs, (True, derivatives and has_der, True)):
+        if not wanted:
+            fh.seek(8 * count, os.SEEK_CUR)
+            blocks.append(None)
+            continue
+        block = np.empty(count, dtype=_MIRROR_DTYPE)
+        if fh.readinto(block) != block.nbytes or zlib.crc32(block) != crc:
+            return None, "damaged"
+        blocks.append(block.astype(float, copy=False))
+    data, derivs, controls = blocks
+    return (data.reshape(n, m), None if derivs is None else derivs.reshape(n, m), controls), None
+
+
+def _read_mirror(path, n, m, has_der, derivatives):
+    """The (data, derivatives, controls) of snapshot file ``path`` from its mirror, or None.
+
+    None means that the text must be parsed: there is no mirror, or it is
+    stale or damaged (see ``_mirror_blocks``).  One DEBUG record on this
+    module's logger says which of the two serves the file, and why.
+    """
+    try:
+        with open(str(path) + _MIRROR_SUFFIX, "rb") as fh:
+            blocks, why = _mirror_blocks(fh, path, n, m, has_der, derivatives)
+    except FileNotFoundError:
+        blocks, why = None, "no"
+    except OSError:
+        blocks, why = None, "damaged"
+    if blocks is None:
+        logger.debug("%s: read from the text, %s mirror", path, why)
+    else:
+        logger.debug("%s: read from the mirror", path)
+    return blocks
 
 
 def load_snapshots(path, derivatives=True) -> SnapshotSet:
     """Read a snapshot file written by save_snapshots; every DataError names the file.
 
-    With ``derivatives=False`` the derivative section's marker and line
-    count are checked but its numbers are not parsed, and the returned set
-    has no derivatives; everything else is read and checked as in a full load.
+    The header is always parsed from the text.  The numbers come from the
+    file's mirror when it matches the text (see ``save_snapshots``), else
+    from the text; both give the same arrays, bit for bit.  A text without
+    a mirror, from another writer say, is parsed as always, and nothing is
+    written.  With ``derivatives=False`` the returned set has no
+    derivatives and their numbers are not read; on the text path the
+    derivative section's marker and line count are still checked, and
+    everything else is read and checked as in a full load.
     """
     with TextReader(path) as rd:
         n = parse_int(rd.expect_kv("n"), rd, "n")
@@ -247,21 +368,11 @@ def load_snapshots(path, derivatives=True) -> SnapshotSet:
         if dt <= 0.0:
             raise rd.error("dt must be positive")
 
-        if rd.next_line("'data' marker").strip() != "data":
-            raise rd.error("expected 'data' section")
-        # Rows on disk are snapshot columns; keep the (n, m) matrix C-contiguous.
-        data = np.ascontiguousarray(rd.read_rows(m, n, "data row").T)
-        derivs = None
-        if has_der:
-            if rd.next_line("'derivatives' marker").strip() != "derivatives":
-                raise rd.error("expected 'derivatives' section")
-            if derivatives:
-                derivs = np.ascontiguousarray(rd.read_rows(m, n, "derivative row").T)
-            else:
-                rd.skip_rows(m, "derivative row")
-        if rd.next_line("'controls' marker").strip() != "controls":
-            raise rd.error("expected 'controls' section")
-        controls = rd.read_rows(m, 1, "control row")[:, 0]
+        mirrored = _read_mirror(path, n, m, has_der, derivatives)
+        if mirrored is not None:
+            data, derivs, controls = mirrored
+        else:
+            data, derivs, controls = _read_body(rd, n, m, has_der, derivatives)
 
     try:
         return SnapshotSet(
@@ -274,3 +385,23 @@ def load_snapshots(path, derivatives=True) -> SnapshotSet:
         )
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+
+
+def _read_body(rd, n, m, has_der, derivatives):
+    """The data, derivatives (or None) and controls sections of a snapshot text."""
+    if rd.next_line("'data' marker").strip() != "data":
+        raise rd.error("expected 'data' section")
+    # Rows on disk are snapshot columns; keep the (n, m) matrix C-contiguous.
+    data = np.ascontiguousarray(rd.read_rows(m, n, "data row").T)
+    derivs = None
+    if has_der:
+        if rd.next_line("'derivatives' marker").strip() != "derivatives":
+            raise rd.error("expected 'derivatives' section")
+        if derivatives:
+            derivs = np.ascontiguousarray(rd.read_rows(m, n, "derivative row").T)
+        else:
+            rd.skip_rows(m, "derivative row")
+    if rd.next_line("'controls' marker").strip() != "controls":
+        raise rd.error("expected 'controls' section")
+    controls = rd.read_rows(m, 1, "control row")[:, 0]
+    return data, derivs, controls

@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import inspect
+import logging
 import os
 import pkgutil
 import re
@@ -479,13 +480,26 @@ def test_cli_log_level_shows_the_package_log_once_and_changes_no_output(tmp_path
     assert all(run[0] == runs[0][0] and run[2] == runs[0][2] for run in runs)
 
 
+def _cli_env():
+    """The environment of a ``python -m morcal.cli`` subprocess that imports this package."""
+    src = str(Path(morcal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _closed_pipe_end():
+    """The write end of a pipe whose read end is closed; the caller closes it."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
 def test_cli_closed_stdout_costs_the_printed_lines_only(tmp_path):
     """``morcal train | head -1``: a reader that is gone loses lines, not outputs."""
     cfg = _write_tiny(tmp_path)
     assert main(["--config", cfg, "--out", str(tmp_path / "generated"), "generate"]) == 0
-    src = str(Path(morcal.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("PYTHONUNBUFFERED", None)
+    env = _cli_env()
 
     def train(out, stdout, unbuffered):
         shutil.copytree(tmp_path / "generated" / "snapshots", out / "snapshots")
@@ -500,13 +514,39 @@ def test_cli_closed_stdout_costs_the_printed_lines_only(tmp_path):
     assert want[:2] == (0, "") and "rom_calibrated.txt" in want[2]
     # Unbuffered, the first line fails; block-buffered, the flush of the first line does.
     for unbuffered in (True, False):
-        read_end, write_end = os.pipe()
-        os.close(read_end)
+        write_end = _closed_pipe_end()
         try:
             got = train(tmp_path / f"closed{int(unbuffered)}", write_end, unbuffered)
         finally:
             os.close(write_end)
         assert got == want, unbuffered
+
+
+def test_cli_closed_stderr_keeps_the_exit_code(tmp_path):
+    """A refused command whose stderr reader is gone still exits with its documented code."""
+    for unbuffered in (True, False):
+        write_end = _closed_pipe_end()
+        argv = [sys.executable] + ["-u"] * unbuffered + ["-m", "morcal.cli", "--out",
+                                                       str(tmp_path / "empty"), "train"]
+        try:
+            proc = subprocess.run(argv, env=_cli_env(), stdout=subprocess.DEVNULL,
+                                  stderr=write_end, timeout=300)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3, unbuffered
+    assert not (tmp_path / "empty").exists()
+
+
+def test_cli_train_reads_the_numbers_generate_wrote_from_their_mirrors(tmp_path, caplog):
+    cfg = _write_tiny(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "generate"]) == 0
+    texts = sorted((out / "snapshots").glob("snapshots_R*.txt"))
+    assert sorted((out / "snapshots").iterdir()) == sorted(texts + [Path(f"{p}.bin") for p in texts])
+    caplog.set_level(logging.DEBUG, logger="morcal.snapshots")
+    assert main(["--config", cfg, "--out", str(out), "train", "--skip-calibration"]) == 0
+    assert [r.getMessage() for r in caplog.records if r.name == "morcal.snapshots"] == [
+        f"{out}/snapshots/snapshots_R{load}.txt: read from the mirror" for load in ("0.5", "1")]
 
 
 def test_cli_non_finite_snapshot_value_is_a_data_error(tmp_path, capsys):

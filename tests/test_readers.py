@@ -5,6 +5,8 @@ one), and checks that loading raises DataError naming that line, and
 nothing else.
 """
 
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,8 @@ def files(tmp_path_factory):
         matrix_rows, numeric_rows = write(path)
         out[name] = (path.read_text().splitlines(), matrix_rows, numeric_rows, load)
     out["corrupt"] = base / "corrupt.txt"
+    # The valid snapshot file's mirror stays beside each corruption of its text, stale.
+    shutil.copyfile(base / "snapshots.txt.bin", base / "corrupt.txt.bin")
     return out
 
 
