@@ -17,6 +17,14 @@ states, plus the source on the solid rows.  It gives the right-hand side
 (``fom_rhs``) and, scaled by ``dt``, each Euler step's increment.  The
 integrator calls ``fom_rhs`` only at the saved states, which is where
 snapshots need it.
+
+The integrator holds its states state-major, ``(n, L)`` with one column per
+heat load.  A step is a fixed sequence of about fifteen NumPy calls on
+arrays of a few thousand numbers, so each call's cost is mostly overhead and
+traversal.  In this layout every neighbour, field and solid-row slice is
+one contiguous block, which makes each call cheaper than on an ``(L, n)``
+stack, where each slice is L strided rows.  The arithmetic is the same
+element by element in either layout, so the snapshots are the same bits.
 """
 
 from dataclasses import dataclass
@@ -173,10 +181,17 @@ class _Rates:
     Each row of a [T_c; T_s] state draws on its left and right neighbours in
     its own field and on the same grid point of the other field, at rates
     that are zero across the field boundary, at the zero-gradient ends and
-    in the pinned inlet row.  The source acts on the solid rows.
+    in the pinned inlet row.  The source acts on the solid rows, which are
+    one interval and so one slice.
+
+    States are state-major, ``(n, L)`` with one column per heat load (see
+    the module docstring).  Each rate carries a trailing axis of ``width``
+    equal columns, the width of the stacks it is applied to, so that no
+    product broadcasts a column across them; the integrator builds its
+    rates once per integration.
     """
 
-    def __init__(self, cfg: FomConfig, scale: float):
+    def __init__(self, cfg: FomConfig, scale: float, width: int):
         npts = cfg.grid_points
         dx2 = cfg.dx ** 2
         diffuse_c = cfg.conductivity_coolant / cfg.rho_cp_coolant / dx2
@@ -185,31 +200,39 @@ class _Rates:
         left = np.concatenate([np.full(npts, diffuse_c + cfg.coolant_velocity / cfg.dx),
                                np.full(npts, diffuse_s)])
         right = np.concatenate([np.full(npts, diffuse_c), np.full(npts, diffuse_s)])
-        exchange = cfg.exchange_coefficient * cfg.solid_mask / np.array(
+        mask = cfg.solid_mask
+        exchange = cfg.exchange_coefficient * mask / np.array(
             [[cfg.rho_cp_coolant], [cfg.rho_cp_solid]])
         left[[0, npts]] = 0.0
         right[[0, npts - 1, cfg.n - 1]] = 0.0
         exchange[0, 0] = 0.0
-        self.left = scale * left[1:]  # row i draws on x[i-1]
-        self.right = scale * right[:-1]  # row i draws on x[i+1]
-        self.exchange = scale * exchange  # (2, g): row f draws on the other field
-        self.solid = cfg.solid_rows
+        # row i draws on x[i-1] (left), on x[i+1] (right), and row f of the
+        # (2, g) field block on the other field (exchange)
+        self.left, self.right, self.exchange = (
+            np.repeat(scale * rate[..., None], width, axis=-1)
+            for rate in (left[1:], right[:-1], exchange))
+        solid = npts + np.flatnonzero(mask)
+        self.solid = slice(solid[0], solid[-1] + 1)
         self.source_gain = scale * cfg.arrhenius_prefactor / cfg.rho_cp_solid
         self.exponent = cfg.arrhenius_exponent
 
     def add_to(self, out, state, solid_t, heat):
         """Add the scaled right-hand side at ``state`` to ``out`` and return it.
 
-        ``out`` is C-contiguous and of the state's shape; ``solid_t`` holds
-        the state's solid rows and ``heat`` the loads, broadcast against it.
+        ``state`` is state-major ``(n, L)`` and ``out`` a C-contiguous array
+        of its shape; ``solid_t`` holds the state's solid rows and ``heat``
+        the ``(L,)`` loads or one load for all.  No operation mixes columns.
         """
-        out[..., 1:] += self.left * (state[..., :-1] - state[..., 1:])
-        out[..., :-1] += self.right * (state[..., 1:] - state[..., :-1])
-        by_field = state.shape[:-1] + self.exchange.shape  # (..., 2, g)
+        d = state[1:] - state[:-1]
+        # left * (x[i-1] - x[i]) is -(left * d) bit for bit; the left term
+        # goes first, because the order of the additions sets the last bits.
+        out[1:] -= self.left * d
+        out[:-1] += self.right * d
+        by_field = self.exchange.shape[:2] + state.shape[1:]  # (2, g, L)
         fields = state.reshape(by_field)
         out_fields = out.reshape(by_field)  # a view, because out is C-contiguous
-        out_fields += self.exchange * (fields[..., ::-1, :] - fields)
-        out[..., self.solid] += (self.source_gain * heat) * np.exp(self.exponent / solid_t)
+        out_fields += self.exchange * (fields[::-1] - fields)
+        out[self.solid] += (self.source_gain * heat) * np.exp(self.exponent / solid_t)
         return out
 
 
@@ -237,14 +260,16 @@ def fom_rhs(state, control, cfg: FomConfig):
     if control.ndim == 0:
         heat_load = float(control)
     elif state.ndim == 2 and control.shape == (state.shape[0],):
-        heat_load = control[:, None]
+        heat_load = control
     else:
         raise DataError(f"control must be a heat load or one per state row, got {control.shape}")
-    rates = _Rates(cfg, 1.0)
-    solid_t = state[..., rates.solid]
-    if np.any(solid_t <= 0.0):
+    columns = state.reshape(-1, cfg.n).T  # state-major (n, L) view
+    rates = _Rates(cfg, 1.0, columns.shape[1])
+    solid_t = columns[rates.solid]
+    if (solid_t <= 0.0).any():
         raise NumericError(_NON_POSITIVE)
-    return rates.add_to(np.zeros(state.shape), state, solid_t, heat_load)
+    out = rates.add_to(np.zeros(columns.shape), columns, solid_t, heat_load)
+    return out.T.reshape(state.shape)
 
 
 def _load_error(message, step, cfg, bad_rows, heat):
@@ -258,10 +283,11 @@ def fom_integrate(cfg: FomConfig, signals, save_every: int = 1):
 
     ``signals`` is a non-empty sequence of ControlSignals; the result holds
     one single-trajectory SnapshotSet per signal, in the same order.  All
-    signals step together as one (L, n) stack, one row per heat load, and
-    each step adds to the state the increment ``dt * f(x)`` that the rates
-    of ``fom_rhs``, scaled by ``dt``, give; no row depends on the other
-    loads in the stack.  Saves every
+    signals step together as one state-major (n, L) block, one column per
+    heat load, so that each stencil slice is contiguous (see the module
+    docstring); each step adds to the state the increment ``dt * f(x)``
+    that the rates of ``fom_rhs``, scaled by ``dt``, give, and no column
+    depends on the other loads in the stack.  Saves every
     ``save_every``-th step starting at t=0, together with the exact
     right-hand side at the saved state (``derivatives``, from ``fom_rhs``,
     which runs at saved states only) and the heat load at the saved times
@@ -303,23 +329,23 @@ def fom_integrate(cfg: FomConfig, signals, save_every: int = 1):
         raise ConfigError(f"t_end={cfg.t_end:g} s / dt={cfg.dt:g} s is {n_steps:.3g} steps, "
                           f"more than can be allocated") from None
 
-    step = _Rates(cfg, cfg.dt)
-    state = np.full((n_loads, cfg.n), cfg.initial_temperature, dtype=float)
-    state[:, 0] = cfg.inflow_temperature  # pinned inlet node
+    step = _Rates(cfg, cfg.dt, n_loads)
+    state = np.full((cfg.n, n_loads), cfg.initial_temperature, dtype=float)
+    state[0] = cfg.inflow_temperature  # pinned inlet node
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n_steps + 1):
-            solid_t = state[:, step.solid]
-            if np.any(solid_t <= 0.0):
-                raise _load_error(_NON_POSITIVE, j, cfg, np.any(solid_t <= 0.0, axis=1),
+            solid_t = state[step.solid]
+            if (solid_t <= 0.0).any():
+                raise _load_error(_NON_POSITIVE, j, cfg, (solid_t <= 0.0).any(axis=0),
                                   controls[j])
             if j % save_every == 0:
                 col = j // save_every
-                states[:, :, col] = state
-                derivs[:, :, col] = fom_rhs(state, controls[j], cfg)
+                states[:, :, col] = state.T
+                derivs[:, :, col] = fom_rhs(state.T, controls[j], cfg)
             if j < n_steps:
-                state = step.add_to(state.copy(), state, solid_t, controls[j, :, None])
-                if not np.all(np.isfinite(state)):
-                    bad = ~np.all(np.isfinite(state), axis=1)
+                state = step.add_to(state.copy(), state, solid_t, controls[j])
+                if not np.isfinite(state).all():
+                    bad = ~np.isfinite(state).all(axis=0)
                     raise _load_error("non-finite state", j + 1, cfg, bad, controls[j])
 
     return [

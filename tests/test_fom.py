@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from morcal.errors import ConfigError, DataError, NumericError
 from morcal.fom import (
     ControlSignal,
     FomConfig,
+    _Rates,
     arrhenius_source,
     fom_integrate,
     fom_rhs,
@@ -130,6 +133,20 @@ def test_solid_rows_are_where_the_heat_load_acts():
     moved = np.flatnonzero(fom_rhs(state, 1.0, cfg) != fom_rhs(state, 0.0, cfg))
     assert np.array_equal(cfg.solid_rows, moved)
     assert np.array_equal(cfg.solid_rows, [12, 13, 14, 15, 16])
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_points=st.integers(3, 500),
+       span=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted))
+def test_solid_rows_are_one_interval(grid_points, span):
+    # The step kernel addresses the solid rows as one slice.
+    cfg = FomConfig(grid_points=grid_points, solid_span=tuple(span))
+    try:
+        cfg.validate()
+    except ConfigError:
+        assume(False)
+    rows = cfg.solid_rows
+    assert np.array_equal(rows, np.arange(rows[0], rows[-1] + 1))
 
 
 def test_rhs_rejects_wrong_state_size(small_cfg):
@@ -379,11 +396,15 @@ _STEPPING_VARIANTS = {
 }
 
 
+def _stepping_signal():
+    """Load 1, then 0.4 from 4 s."""
+    return ControlSignal(heat_times=np.array([0.0, 4.0]), heat_values=np.array([1.0, 0.4]))
+
+
 def _stepping_trajectory(changes):
-    """Every step of 10 s on ``_stepping_cfg(**changes)``, load 1 then 0.4 from 4 s."""
+    """Every step of 10 s on ``_stepping_cfg(**changes)`` under ``_stepping_signal``."""
     cfg = _stepping_cfg(**changes)
-    signal = ControlSignal(heat_times=np.array([0.0, 4.0]), heat_values=np.array([1.0, 0.4]))
-    return cfg, fom_integrate(cfg, [signal], save_every=1)[0]
+    return cfg, fom_integrate(cfg, [_stepping_signal()], save_every=1)[0]
 
 
 @pytest.mark.parametrize("changes", list(_STEPPING_VARIANTS.values()),
@@ -418,3 +439,48 @@ def test_exact_rhs_runs_once_per_saved_column(small_cfg, monkeypatch):
     k = sets[0].data.shape[1]
     assert k == round(small_cfg.t_end / small_cfg.dt) // 7 + 1
     assert calls == [(3, small_cfg.n)] * k
+
+
+def _row_major_add_to(rates, out, state, heat):
+    """The rates applied to an (L, n) stack, one load per row: the same
+    arithmetic in the other layout, which the integrator must match bit for bit."""
+    left, right, exchange = rates.left[:, 0], rates.right[:, 0], rates.exchange[..., 0]
+    solid_t = state[:, rates.solid]
+    out[:, 1:] += left * (state[:, :-1] - state[:, 1:])
+    out[:, :-1] += right * (state[:, 1:] - state[:, :-1])
+    fields = state.reshape((-1,) + exchange.shape)
+    out_fields = out.reshape(fields.shape)
+    out_fields += exchange * (fields[:, ::-1] - fields)
+    out[:, rates.solid] += (rates.source_gain * heat[:, None]) * np.exp(rates.exponent / solid_t)
+    return out
+
+
+def _row_major_integrate(cfg, signals):
+    """States and exact derivatives at every step, from the row-major kernel."""
+    step, exact = _Rates(cfg, cfg.dt, 1), _Rates(cfg, 1.0, 1)
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    heat = np.column_stack([sig.heat_load(np.arange(n_steps + 1) * cfg.dt) for sig in signals])
+    state = np.full((len(signals), cfg.n), cfg.initial_temperature)
+    state[:, 0] = cfg.inflow_temperature
+    states, derivs = [], []
+    for j in range(n_steps + 1):
+        states.append(state)
+        derivs.append(_row_major_add_to(exact, np.zeros(state.shape), state, heat[j]))
+        state = _row_major_add_to(step, state.copy(), state, heat[j])
+    return np.stack(states, axis=-1), np.stack(derivs, axis=-1)
+
+
+_BIT_CASES = {
+    **{name: (_stepping_cfg(**changes), [_stepping_signal()])
+       for name, changes in _STEPPING_VARIANTS.items()},
+    "stacked": (_stepping_cfg(grid_points=30, t_end=200.0), _two_schedule_signals()),
+}
+
+
+@pytest.mark.parametrize("case", list(_BIT_CASES), ids=list(_BIT_CASES))
+def test_integrator_matches_the_row_major_kernel_bit_for_bit(case):
+    cfg, signals = _BIT_CASES[case]
+    states, derivs = _row_major_integrate(cfg, signals)
+    for i, got in enumerate(fom_integrate(cfg, signals, save_every=1)):
+        assert np.array_equal(got.data.view(np.int64), states[i].view(np.int64))
+        assert np.array_equal(got.derivatives.view(np.int64), derivs[i].view(np.int64))
