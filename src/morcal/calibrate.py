@@ -160,24 +160,24 @@ class _Batch:
 
     data: np.ndarray  # (k + 1, r, L) reduced training states
     heat: np.ndarray  # (k, L) heat load R driving each step
+    members: list  # (L,) the position of each column's trajectory in the input
 
 
 def _batches(trajectories, controls) -> list:
     """Group trajectories by length; one batch per distinct length, first-seen order."""
+    trajectories = [np.asarray(traj, dtype=float) for traj in trajectories]
     groups: dict = {}
-    for traj, ctrl in zip(trajectories, controls):
-        traj = np.asarray(traj, dtype=float)
-        groups.setdefault(traj.shape[1], []).append((traj, np.asarray(ctrl, dtype=float)))
-    out = []
-    for members in groups.values():
-        k = members[0][0].shape[1] - 1
-        out.append(
-            _Batch(
-                data=np.ascontiguousarray(np.stack([t.T for t, _ in members], axis=2)),
-                heat=np.stack([c[:k] for _, c in members], axis=1),
-            )
+    for i, traj in enumerate(trajectories):
+        groups.setdefault(traj.shape[1], []).append(i)
+    return [
+        _Batch(
+            data=np.ascontiguousarray(np.stack([trajectories[i].T for i in members], axis=2)),
+            heat=np.stack([np.asarray(controls[i], dtype=float)[:length - 1] for i in members],
+                          axis=1),
+            members=members,
         )
-    return out
+        for length, members in groups.items()
+    ]
 
 
 @dataclass

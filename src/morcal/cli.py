@@ -24,7 +24,7 @@ from morcal.errors import ConfigError, DataError, MorcalError, NumericError
 from morcal.fom import fom_integrate
 from morcal.opinf import assemble_regression, solve_opinf
 from morcal.parallel import ordered_map
-from morcal.textio import fmt_float
+from morcal.textio import FLOAT_FMT, fmt_float
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -152,58 +152,37 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
     return EXIT_OK
 
 
-def _evaluate_case(task):
-    """Worker task of ``evaluate``: roll every model out against one snapshot file.
-
-    Evaluation never uses the derivatives, so their numbers are not read:
-    from a mirror that matches the text, only the data and control blocks
-    are read; when the text is parsed, its derivative section is checked for
-    its marker and line count only.
-
-    Returns the text of the case's error and statistics CSVs and, per model
-    name, its mean errors (outside the switch-off window, over all steps).
-    """
-    models, reference_name, path, solid_rows = task
-    if not os.path.exists(path):
-        raise DataError(f"missing snapshot file {path}; run 'generate' first")
-    snapshots = snap_mod.load_snapshots(path, derivatives=False)
-    try:
-        reports = {name: rom_mod.rom_vs_projected_error(model, snapshots)
-                   for name, model in models.items()}
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-
+def _case_csvs(snapshots, reports, models, solid_rows):
+    """The text of one case's error and statistics CSVs, one %-operation per row; the
+    statistics show the rollout of the calibrated model if ``models`` holds one."""
     names = sorted(reports)
     base = reports[names[0]]
+    table = np.column_stack([base.times, base.switch_off] + [reports[n].step_errors for n in names])
+    row = ",".join(["%d", FLOAT_FMT, "%d"] + [FLOAT_FMT] * len(names))
     errors = ["step,time,switch_off," + ",".join(f"rel_mse_{n}" for n in names)]
-    for j in range(base.times.size):
-        row = [str(j), fmt_float(base.times[j]), str(int(base.switch_off[j]))]
-        row += [fmt_float(reports[n].step_errors[j]) for n in names]
-        errors.append(",".join(row))
+    errors += [row % (j, *values) for j, values in enumerate(table.tolist())]
 
-    rom_stats = rom_mod.field_statistics(
-        models[reference_name], reports[reference_name].rollout, solid_rows
-    )
+    reference = "calibrated" if "calibrated" in models else "opinf"
+    rom_stats = rom_mod.field_statistics(models[reference], reports[reference].rollout, solid_rows)
     fom_stats = rom_mod.state_statistics(snapshots.data, snapshots.fields, solid_rows)
-    field_names = [name for name, _, _ in snapshots.fields]
-    header = ["step", "time"]
-    for name in field_names:
-        for kind in ("fom", "rom"):
-            header += [f"{kind}_{name}_{agg}" for agg in ("min", "mean", "max")]
-    stats = [",".join(header)]
-    for j in range(base.times.size):
-        row = [str(j), fmt_float(base.times[j])]
-        for name in field_names:
-            row += [fmt_float(v) for v in fom_stats[name][j, :]]
-            row += [fmt_float(v) for v in rom_stats[name][j, :]]
-        stats.append(",".join(row))
-
-    means = {name: (report.mean_error, report.mean_error_all) for name, report in reports.items()}
-    return "\n".join(errors) + "\n", "\n".join(stats) + "\n", means
+    fields = [name for name, _, _ in snapshots.fields]
+    header = ["step", "time"] + [f"{kind}_{name}_{agg}" for name in fields
+                                 for kind in ("fom", "rom") for agg in ("min", "mean", "max")]
+    table = np.hstack([base.times[:, None]]
+                      + [stats[name] for name in fields for stats in (fom_stats, rom_stats)])
+    row = ",".join(["%d"] + [FLOAT_FMT] * table.shape[1])
+    stats = [",".join(header)] + [row % (j, *values) for j, values in enumerate(table.tolist())]
+    return "\n".join(errors) + "\n", "\n".join(stats) + "\n"
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> int:
-    """Roll out the trained models against every case and write error CSVs."""
+    """Roll out the trained models against every case and write error CSVs.
+
+    Every case is scored before any file is written, so a refused command
+    changes no file.  The derivatives are not read: from a mirror only the
+    data and control blocks are, and a parsed text's derivative section is
+    checked for its marker and line count only.
+    """
     paths = {"opinf": os.path.join(cfg.output_dir, "rom_opinf.txt")}
     if not os.path.exists(paths["opinf"]):
         raise DataError(f"missing {paths['opinf']}; run 'train' first")
@@ -219,22 +198,31 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
             raise DataError(f"{path}: the model has n={model.basis.n} states, the "
                             f"configured grid has n={cfg.fom.n}")
 
-    reference_name = "calibrated" if "calibrated" in models else "opinf"
+    case_paths = [cfg.snapshot_path(load) for load in cfg.loads]
+    cases = []
+    for path in case_paths:
+        if not os.path.exists(path):
+            raise DataError(f"missing snapshot file {path}; run 'generate' first")
+        cases.append(snap_mod.load_snapshots(path, derivatives=False))
+    reports = {}
+    for name, model in models.items():
+        try:
+            reports[name] = rom_mod.rom_vs_projected_error(model, cases, names=case_paths)
+        except NumericError as exc:
+            raise NumericError(f"{paths[name]}: {exc}") from None
 
     summary_rows = []
-    aggregates = {name: [] for name in models}
-    cases = [(cfg.case_name(load), cfg.snapshot_path(load)) for load in cfg.loads]
-    tasks = [(models, reference_name, path, cfg.fom.solid_rows) for _, path in cases]
-    results = list(ordered_map(_evaluate_case, tasks))  # a refused case writes no file
-    for (errors_csv, stats_csv, means), (case, _) in zip(results, cases):
+    for i, (load, snapshots) in enumerate(zip(cfg.loads, cases)):
+        case = cfg.case_name(load)
+        case_reports = {name: model_reports[i] for name, model_reports in reports.items()}
+        summary_rows += [(case, name, report.mean_error, report.mean_error_all)
+                         for name, report in case_reports.items()]
+        errors_csv, stats_csv = _case_csvs(snapshots, case_reports, models, cfg.fom.solid_rows)
         with open(os.path.join(cfg.output_dir, f"errors_{case}.csv"), "w") as fh:
             fh.write(errors_csv)
         with open(os.path.join(cfg.output_dir, f"stats_{case}.csv"), "w") as fh:
             fh.write(stats_csv)
-        for name, (excl, full) in means.items():
-            summary_rows.append((case, name, excl, full))
-            aggregates[name].append((excl, full))
-        shown = ", ".join(f"{name} {means[name][0]:.3e}" for name in sorted(means))
+        shown = ", ".join(f"{name} {case_reports[name].mean_error:.3e}" for name in sorted(models))
         _say(f"evaluate: {case} mean rel mse (outside switch-off window): {shown}")
 
     summary_path = os.path.join(cfg.output_dir, "summary.csv")
@@ -243,9 +231,9 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
         for case, name, excl, full in summary_rows:
             fh.write(f"{case},{name},{fmt_float(excl)},{fmt_float(full)}\n")
         overall = {}
-        for name, values in aggregates.items():
-            excl = float(np.mean([v[0] for v in values]))
-            full = float(np.mean([v[1] for v in values]))
+        for name, model_reports in reports.items():
+            excl = float(np.mean([report.mean_error for report in model_reports]))
+            full = float(np.mean([report.mean_error_all for report in model_reports]))
             overall[name] = (excl, full)
             fh.write(f"overall,{name},{fmt_float(excl)},{fmt_float(full)}\n")
         if "calibrated" in overall and "opinf" in overall:

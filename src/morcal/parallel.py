@@ -1,7 +1,7 @@
 """Run one function over a list of items in worker processes.
 
-``ordered_map`` is how ``generate`` and ``evaluate`` spread their per-load
-work: one task per item, up to one worker per usable CPU, results in
+``ordered_map`` is how ``generate`` spreads its per-load snapshot writes:
+one task per item, up to one worker per usable CPU, results in
 submission order.  Workers receive everything through the task's
 arguments, so the function and its arguments must pickle, and the pool
 works under every multiprocessing start method.  It uses the platform's

@@ -1,21 +1,22 @@
 """Reduced-order model container, evaluation, and persistence.
 
 A RomModel bundles the fitted operators, the sampled source operators, the
-basis with its scaling, and the rollout step size.  Simulation delegates to
-the calibration rollout so that evaluating a stored model and evaluating a
-candidate during calibration run exactly the same code path.
+basis with its scaling, and the rollout step size.  Simulation and error
+evaluation run the calibration rollout kernel, so that a stored model and a
+candidate during calibration are rolled out by exactly the same code.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from morcal.calibrate import _batches, _fold, _forward
 from morcal.calibrate import forward_rollout as _forward_rollout
 from morcal.deim import DeimOperators
 from morcal.errors import DataError
 from morcal.opinf import RomOperators
 from morcal.pod import PodBasis
-from morcal.snapshots import ScalingSpec, SnapshotSet, apply_scaling
+from morcal.snapshots import ScalingSpec, apply_scaling
 from morcal.textio import (
     TextReader,
     fmt_fields,
@@ -111,45 +112,54 @@ def switch_off_window(heat_loads: np.ndarray) -> np.ndarray:
     return flags
 
 
-def rom_vs_projected_error(model: RomModel, snapshots: SnapshotSet) -> ErrorReport:
-    """Relative mean-squared rollout error against projected truth.
+def rom_vs_projected_error(model: RomModel, cases, names=None) -> list:
+    """Relative mean-squared rollout errors against projected truth, one report per case.
 
-    ``snapshots`` is a SnapshotSet in physical units holding exactly one
-    trajectory; a set with more is refused with a DataError.  Its states are
-    scaled with the model's scaling spec, projected onto the basis, and the
-    rollout starts from the projected initial state using the set's own
-    heat loads.  Steps inside the switch-off window are excluded from the
-    aggregate mean (they remain in the per-step curve).
+    ``cases`` holds SnapshotSets in physical units of one trajectory each, of
+    at least two snapshots at the model's step size; another set is refused
+    with a DataError, prefixed with its entry of ``names`` if given.  The
+    cases of each length are rolled out as one state stack, each column from
+    its case's projected initial state and driven by its heat loads.  Steps
+    inside the switch-off window are left out of a report's mean_error.
     """
     if model.basis is None:
         raise DataError("error evaluation needs a model with basis and scaling")
-    if snapshots.l != 1:
-        raise DataError(f"error evaluation needs one trajectory per snapshot set, "
-                        f"found {snapshots.l}")
-    scaled = apply_scaling(snapshots, model.basis.scaling)
-    if snapshots.m < 2:
-        raise DataError("trajectory must contain at least two snapshots")
-    if not np.isclose(snapshots.dt, model.dt, rtol=1e-9, atol=1e-12):
-        raise DataError("trajectory spacing does not match the model step size")
+    projected = []
+    for i, snapshots in enumerate(cases):
+        try:
+            if snapshots.l != 1:
+                raise DataError(f"error evaluation needs one trajectory per snapshot set, "
+                                f"found {snapshots.l}")
+            scaled = apply_scaling(snapshots, model.basis.scaling)
+            if snapshots.m < 2:
+                raise DataError("trajectory must contain at least two snapshots")
+            if not np.isclose(snapshots.dt, model.dt, rtol=1e-9, atol=1e-12):
+                raise DataError("trajectory spacing does not match the model step size")
+        except DataError as exc:
+            if names is None:
+                raise
+            raise DataError(f"{names[i]}: {exc}") from None
+        projected.append(model.basis.basis.T @ scaled)
 
-    projected = model.basis.basis.T @ scaled
-    k = projected.shape[1] - 1
-    rolled = simulate_rom(model, projected[:, 0], snapshots.controls, k)
-
-    num = np.sum((rolled - projected) ** 2, axis=0)
-    den = np.maximum(np.sum(projected ** 2, axis=0), 1e-300)
-    errors = num / den
-    flags = switch_off_window(snapshots.controls)
-    outside = ~flags
-    mean_outside = float(np.mean(errors[outside])) if np.any(outside) else float("nan")
-    return ErrorReport(
-        times=np.arange(snapshots.m) * snapshots.dt,
-        step_errors=errors,
-        switch_off=flags,
-        mean_error=mean_outside,
-        mean_error_all=float(np.mean(errors)),
-        rollout=rolled,
-    )
+    folded = _fold(model.operators, model.deim, model.dt)
+    reports = [None] * len(projected)
+    for batch in _batches(projected, [snapshots.controls for snapshots in cases]):
+        states = _forward(folded, batch.data[0], batch.heat).states  # (k + 1, r, L)
+        num = np.sum((states - batch.data) ** 2, axis=1)
+        den = np.maximum(np.sum(batch.data ** 2, axis=1), 1e-300)
+        errors = np.ascontiguousarray((num / den).T)  # (L, k + 1)
+        for col, i in enumerate(batch.members):
+            flags = switch_off_window(cases[i].controls)
+            outside = errors[col][~flags]
+            reports[i] = ErrorReport(
+                times=np.arange(cases[i].m) * cases[i].dt,
+                step_errors=errors[col],
+                switch_off=flags,
+                mean_error=float(np.mean(outside)) if outside.size else float("nan"),
+                mean_error_all=float(np.mean(errors[col])),
+                rollout=states[:, :, col].T.copy(),
+            )
+    return reports
 
 
 def state_statistics(states: np.ndarray, fields, solid_rows: np.ndarray) -> dict:

@@ -22,7 +22,7 @@ from morcal import config as config_mod
 from morcal.cli import main
 from morcal.config import apply_env_overrides, load_pipeline_config, parse_config_file
 from morcal.errors import ConfigError, NumericError
-from morcal.rom import load_rom
+from morcal.rom import load_rom, save_rom
 from morcal.snapshots import concat_snapshot_sets, load_snapshots, save_snapshots
 
 TINY_SCENARIO = """
@@ -907,6 +907,21 @@ def test_cli_evaluate_names_a_model_trained_on_another_grid(tmp_path, monkeypatc
     model = tmp_path / "out" / "rom_opinf.txt"
     assert (f"error (data): {model}: the model has n=32 states, the configured grid "
             "has n=24") in capsys.readouterr().err
+
+
+def test_cli_evaluate_names_the_model_file_whose_rollout_diverges(tmp_path, capsys):
+    cfg, out = _trained_tiny(tmp_path)
+    folder = tmp_path / "out"
+    model = load_rom(folder / "rom_opinf.txt")
+    model.operators.a += 0.5
+    save_rom(model, folder / "rom_calibrated.txt")
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", out, "evaluate"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error (numeric): {folder / 'rom_calibrated.txt'}: ")
+    assert "at rollout step " in err
+    assert not [name for name in os.listdir(folder)
+                if name.startswith(("errors_", "stats_")) or name == "summary.csv"]
 
 
 def _spoil_one_byte(path):

@@ -1,8 +1,9 @@
-"""Per-load worker processes of `generate` and `evaluate`."""
+"""Per-load worker processes of `generate`, and `evaluate` scoring every case in one process."""
 
 import io
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,12 +13,14 @@ import pytest
 
 import morcal
 from morcal import cli
+from morcal.calibrate import forward_rollout
 from morcal.cli import main
 from morcal.config import load_pipeline_config
 from morcal.errors import DataError
 from morcal.fom import fom_integrate
 from morcal.parallel import ordered_map, usable_cpus
-from morcal.rom import load_rom
+from morcal.rom import load_rom, rom_vs_projected_error
+from morcal.snapshots import apply_scaling, load_snapshots
 
 SRC = str(Path(morcal.__file__).resolve().parents[1])
 
@@ -148,19 +151,43 @@ def test_failing_case_leaves_every_output_file_as_it_was(tmp_path, capsys):
     assert _tree(out) == before
 
 
+def test_stacked_scoring_equals_rolling_each_case_out_alone(tmp_path, monkeypatch):
+    """Cases of equal length are rolled out as one stack; a case file from a shorter
+    horizon forms a second length group, and ``evaluate`` accepts it."""
+    config = _config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--config", config, "--out", str(out), "generate"]) == 0
+    monkeypatch.setenv("MORCAL_T_END", "80")
+    assert main(["--config", config, "--out", str(tmp_path / "short"), "generate"]) == 0
+    monkeypatch.delenv("MORCAL_T_END")
+    for name in ("snapshots_R0.75.txt", "snapshots_R0.75.txt.bin"):
+        shutil.copyfile(tmp_path / "short" / "snapshots" / name, out / "snapshots" / name)
+    for command in ("train", "evaluate"):
+        assert main(["--config", config, "--out", str(out), command]) == 0
+    assert len((out / "errors_R0.75.csv").read_text().splitlines()) == 1 + 9
+
+    cfg = load_pipeline_config(config, output_override=str(out))
+    cases = [load_snapshots(cfg.snapshot_path(load)) for load in cfg.loads]
+    assert [case.m for case in cases] == [13, 13, 9, 13]
+    for name in ("opinf", "calibrated"):
+        model = load_rom(out / f"rom_{name}.txt")
+        reports = rom_vs_projected_error(model, cases)
+        assert len(reports) == len(cases)
+        for case, report in zip(cases, reports):
+            projected = model.basis.basis.T @ apply_scaling(case, model.basis.scaling)
+            alone = forward_rollout(model.operators, model.deim, projected[:, 0], case.controls,
+                                    model.dt, case.m - 1)
+            assert np.max(np.abs(report.rollout - alone)) <= 1e-13 * np.max(np.abs(alone))
+            # an error is a small difference of states, so it keeps fewer digits
+            errors = np.sum((alone - projected) ** 2, axis=0) / np.sum(projected ** 2, axis=0)
+            np.testing.assert_allclose(report.step_errors, errors, rtol=1e-10, atol=0)
+
+
 def test_worker_tasks_survive_pickling(tmp_path):
     config = _config(tmp_path)
     out = tmp_path / "out"
-    for command in ("generate", "train"):
-        assert main(["--config", config, "--out", str(out), command]) == 0
+    assert main(["--config", config, "--out", str(out), "generate"]) == 0
     cfg = load_pipeline_config(config, output_override=str(out))
-    models = {"opinf": load_rom(out / "rom_opinf.txt"),
-              "calibrated": load_rom(out / "rom_calibrated.txt")}
-    task = (models, "calibrated", cfg.snapshot_path(0.75), cfg.fom.solid_rows)
-    copy_fn, copy_task = pickle.loads(pickle.dumps((cli._evaluate_case, task)))
-    assert copy_fn is cli._evaluate_case
-    assert copy_fn(copy_task) == cli._evaluate_case(task)
-
     trajectory = fom_integrate(cfg.fom, [cfg.control_signal(0.75)], cfg.save_every)[0]
     copy_fn, (copy_traj, path) = pickle.loads(
         pickle.dumps((cli._write_snapshot_file, (trajectory, str(tmp_path / "s.txt")))))
@@ -170,11 +197,20 @@ def test_worker_tasks_survive_pickling(tmp_path):
     assert Path(path).read_bytes() == Path(cfg.snapshot_path(0.75)).read_bytes()
 
 
-def test_importing_the_cli_loads_no_pool_machinery():
-    code = ("import sys, morcal.cli; "
-            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+def test_importing_the_cli_loads_no_pool_machinery(tmp_path):
+    """Importing the CLI, and running ``evaluate``, load neither pool module."""
+    config = _config(tmp_path)
+    out = str(tmp_path / "out")
+    for command in ("generate", "train"):
+        assert main(["--config", config, "--out", out, command]) == 0
+    report = ("print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+              "if m in sys.modules))")
+    evaluate = f"assert morcal.cli.main({['--config', config, '--out', out, 'evaluate']!r}) == 0"
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    for step in ("pass", evaluate):
+        code = f"import sys, morcal.cli\n{step}\n{report}"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", step
+    assert (tmp_path / "out" / "summary.csv").exists()

@@ -90,7 +90,7 @@ def test_error_report_zero_for_exact_reproduction():
     constant = traj
     constant.data = np.tile(traj.data[:, :1], (1, traj.data.shape[1]))
     constant.derivatives = None
-    report = rom_vs_projected_error(model, constant)
+    [report] = rom_vs_projected_error(model, [constant])
     assert report.step_errors.shape == (traj.m,)
     assert np.all(report.step_errors < 1e-28)
     assert report.mean_error < 1e-28
@@ -100,19 +100,19 @@ def test_error_report_refuses_a_trajectory_at_another_spacing():
     model, traj, _ = _trained_model()
     traj.dt = model.dt * (1.0 + 1e-6)
     with pytest.raises(DataError, match="spacing does not match"):
-        rom_vs_projected_error(model, traj)
+        rom_vs_projected_error(model, [traj])
 
 
 def test_error_report_refuses_a_trajectory_of_another_field_layout():
     model, traj, _ = _trained_model()
     traj.fields = [("T", 0, traj.n)]
     with pytest.raises(DataError, match="field layout"):
-        rom_vs_projected_error(model, traj)
+        rom_vs_projected_error(model, [traj])
 
 
 def test_error_report_excludes_switch_off_window():
     model, traj, _ = _trained_model(include_window=True)
-    report = rom_vs_projected_error(model, traj)
+    [report] = rom_vs_projected_error(model, [traj])
     assert report.switch_off.any()
     assert not report.switch_off.all()
     outside = report.step_errors[~report.switch_off]
