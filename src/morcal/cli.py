@@ -59,45 +59,47 @@ def _say(line: str, err: bool = False) -> None:
 
 
 def _write_snapshot_file(task) -> int:
-    """Worker task of ``generate``: write one load's snapshot file, return its size m."""
+    """Worker task of ``generate``: write one case's snapshot file, return its size m."""
     snapshots, path = task
     snap_mod.save_snapshots(snapshots, path)
     return snapshots.m
 
 
 def cmd_generate(cfg: PipelineConfig) -> int:
-    """Run the full-order model for all heat loads at once and write snapshot files."""
-    loads = cfg.loads
-    signals = [cfg.control_signal(load) for load in loads]
-    snapshot_sets = fom_integrate(cfg.fom, signals, cfg.save_every)
-    paths = [cfg.snapshot_path(load) for load in loads]
-    for path in paths:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-    counts = ordered_map(_write_snapshot_file, zip(snapshot_sets, paths))
-    for m, load, path in zip(counts, loads, paths):
-        _say(f"generate: R={load:g} -> {path} ({m} snapshots)")
+    """Run the full-order model for all cases at once and write one snapshot file per case."""
+    snapshot_sets = fom_integrate(cfg.fom, [case.signal for case in cfg.cases], cfg.save_every)
+    for case in cfg.cases:
+        os.makedirs(os.path.dirname(case.path), exist_ok=True)
+    counts = ordered_map(_write_snapshot_file, zip(snapshot_sets, [c.path for c in cfg.cases]))
+    for m, case in zip(counts, cfg.cases):
+        _say(f"generate: {case.name} -> {case.path} ({m} snapshots)")
     return EXIT_OK
 
 
+def _case_snapshots(cases, derivatives=True):
+    """Yield each case with its snapshot set, refusing a case whose file is missing."""
+    for case in cases:
+        if not os.path.exists(case.path):
+            raise DataError(f"missing snapshot file {case.path}; run 'generate' first")
+        yield case, snap_mod.load_snapshots(case.path, derivatives=derivatives)
+
+
 def _load_training_set(cfg: PipelineConfig):
+    cases = [case for case in cfg.cases if case.role == "training"]
     sets = []
-    for load in cfg.train_loads:
-        path = cfg.snapshot_path(load)
-        if not os.path.exists(path):
-            raise DataError(f"missing snapshot file {path}; run 'generate' first")
-        snapshots = snap_mod.load_snapshots(path)
+    for case, snapshots in _case_snapshots(cases):
         if snapshots.derivatives is None:
-            raise DataError(f"{path}: training snapshots carry no derivatives; regenerate them")
+            raise DataError(f"{case.path}: training snapshots carry no derivatives; regenerate them")
+        if np.diff(snapshots.trajectory_offsets).min() < 2:
+            raise DataError(f"{case.path}: a training trajectory of one snapshot has no "
+                            "snapshot spacing to step by")
         sets.append(snapshots)
-    return snap_mod.concat_snapshot_sets(sets)
+    return snap_mod.concat_snapshot_sets(sets, names=[case.path for case in cases])
 
 
 def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
     """Fit basis, sampling operators, and reduced operators on training data."""
     raw = _load_training_set(cfg)
-    if np.diff(raw.trajectory_offsets).min() < 2:
-        raise DataError("a training trajectory of one snapshot has no snapshot spacing to step by")
-
     scaling = snap_mod.fit_scaling(raw)
     states = snap_mod.apply_scaling(raw, scaling)
     basis = pod_mod.compute_pod(states, cfg.pod_rank, scaling=scaling)
@@ -198,32 +200,27 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
             raise DataError(f"{path}: the model has n={model.basis.n} states, the "
                             f"configured grid has n={cfg.fom.n}")
 
-    case_paths = [cfg.snapshot_path(load) for load in cfg.loads]
-    cases = []
-    for path in case_paths:
-        if not os.path.exists(path):
-            raise DataError(f"missing snapshot file {path}; run 'generate' first")
-        cases.append(snap_mod.load_snapshots(path, derivatives=False))
+    sets = [snapshots for _, snapshots in _case_snapshots(cfg.cases, derivatives=False)]
     reports = {}
     for name, model in models.items():
         try:
-            reports[name] = rom_mod.rom_vs_projected_error(model, cases, names=case_paths)
+            reports[name] = rom_mod.rom_vs_projected_error(
+                model, sets, names=[case.path for case in cfg.cases])
         except NumericError as exc:
             raise NumericError(f"{paths[name]}: {exc}") from None
 
     summary_rows = []
-    for i, (load, snapshots) in enumerate(zip(cfg.loads, cases)):
-        case = cfg.case_name(load)
+    for i, (case, snapshots) in enumerate(zip(cfg.cases, sets)):
         case_reports = {name: model_reports[i] for name, model_reports in reports.items()}
-        summary_rows += [(case, name, report.mean_error, report.mean_error_all)
+        summary_rows += [(case.name, name, report.mean_error, report.mean_error_all)
                          for name, report in case_reports.items()]
         errors_csv, stats_csv = _case_csvs(snapshots, case_reports, models, cfg.fom.solid_rows)
-        with open(os.path.join(cfg.output_dir, f"errors_{case}.csv"), "w") as fh:
+        with open(os.path.join(cfg.output_dir, f"errors_{case.name}.csv"), "w") as fh:
             fh.write(errors_csv)
-        with open(os.path.join(cfg.output_dir, f"stats_{case}.csv"), "w") as fh:
+        with open(os.path.join(cfg.output_dir, f"stats_{case.name}.csv"), "w") as fh:
             fh.write(stats_csv)
         shown = ", ".join(f"{name} {case_reports[name].mean_error:.3e}" for name in sorted(models))
-        _say(f"evaluate: {case} mean rel mse (outside switch-off window): {shown}")
+        _say(f"evaluate: {case.name} mean rel mse (outside switch-off window): {shown}")
 
     summary_path = os.path.join(cfg.output_dir, "summary.csv")
     with open(summary_path, "w") as fh:

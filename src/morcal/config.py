@@ -5,6 +5,10 @@ schedule, the training and validation heat loads, and the reduction and
 calibration settings.  Every key can be overridden through an environment
 variable named MORCAL_<KEY_IN_UPPER_CASE>.
 
+``PipelineConfig`` derives its ``cases`` once, training loads first: each
+``Case`` is a name, a scaled heating schedule, a role and a snapshot file,
+and ``generate``, ``train`` and ``evaluate`` all work from that one list.
+
 The keys and their defaults are declared once, as the fields of FomConfig,
 OptimizerConfig and PipelineConfig; the loader reads each field's key and
 converts its text by the type of the field's default.  Every key is such a
@@ -14,7 +18,7 @@ mask and rows from it.
 
 import math
 import os
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from morcal.errors import ConfigError
 from morcal.fom import ControlSignal, FomConfig
 
 __all__ = [
+    "Case",
     "PipelineConfig",
     "parse_config_file",
     "load_pipeline_config",
@@ -108,9 +113,19 @@ def _read_fields(rd: _Reader, cls) -> dict:
     return {f.name: rd.get(f.name, f.default) for f in fields(cls) if f.default is not MISSING}
 
 
+@dataclass(frozen=True)
+class Case:
+    """One heat load's name, scaled schedule, role (training or validation) and snapshot file."""
+
+    name: str
+    signal: ControlSignal
+    role: str
+    path: str
+
+
 @dataclass
 class PipelineConfig:
-    """Everything the CLI needs; each defaulted field is a key."""
+    """Everything the CLI needs; each defaulted field is a key, and ``cases`` derives from them."""
 
     fom: FomConfig
     optimizer: OptimizerConfig
@@ -124,16 +139,23 @@ class PipelineConfig:
     tikhonov_lambda: float = 1.0
     output_dir: str = "morcal_out"
     snapshot_dir: str | None = None
+    cases: list = field(init=False)
 
     def __post_init__(self):
         if not self.train_loads:
             raise ConfigError("train_loads must not be empty")
         if not self.validation_loads:
             raise ConfigError("validation_loads must not be empty")
-        for load in self.loads:  # refuses a malformed schedule or a negative heat load
-            self.control_signal(load)
-        names = [self.case_name(load) for load in self.loads]
-        shared = [f"{load!r} ({name})" for load, name in zip(self.loads, names)
+        base = self.snapshot_dir or os.path.join(self.output_dir, "snapshots")
+        loads = [*self.train_loads, *self.validation_loads]
+        roles = ["training"] * len(self.train_loads) + ["validation"] * len(self.validation_loads)
+        self.cases = [  # each ControlSignal refuses a malformed schedule or a negative heat load
+            Case(f"R{load:g}",
+                 ControlSignal(self.heat_times, load * np.asarray(self.heat_values, dtype=float)),
+                 role, os.path.join(base, f"snapshots_R{load:g}.txt"))
+            for load, role in zip(loads, roles)]
+        names = [case.name for case in self.cases]
+        shared = [f"{load!r} ({name})" for load, name in zip(loads, names)
                   if names.count(name) > 1]
         if shared:
             raise ConfigError(f"heat loads {', '.join(shared)} share a case name and snapshot "
@@ -144,27 +166,6 @@ class PipelineConfig:
             raise ConfigError("tikhonov_lambda must be nonnegative")
         if self.save_every < 1:
             raise ConfigError("save_every must be a positive integer")
-
-    @property
-    def loads(self) -> list:
-        """Training, then validation heat loads: the order of the cases."""
-        return [*self.train_loads, *self.validation_loads]
-
-    @staticmethod
-    def case_name(load: float) -> str:
-        """Name of one heat load's case, in its snapshot and error file names."""
-        return f"R{load:g}"
-
-    def control_signal(self, load: float) -> ControlSignal:
-        """Heating schedule scaled by one case's heat load."""
-        return ControlSignal(
-            heat_times=np.asarray(self.heat_times, dtype=float),
-            heat_values=load * np.asarray(self.heat_values, dtype=float),
-        )
-
-    def snapshot_path(self, load: float) -> str:
-        base = self.snapshot_dir if self.snapshot_dir else os.path.join(self.output_dir, "snapshots")
-        return os.path.join(base, f"snapshots_{self.case_name(load)}.txt")
 
 
 def load_pipeline_config(path=None, output_override=None) -> PipelineConfig:

@@ -15,8 +15,8 @@ One rates object states the discretisation: the rates at which each row
 draws on its neighbours and on the other field, applied to differences of
 states, plus the source on the solid rows.  It gives the right-hand side
 (``fom_rhs``) and, scaled by ``dt``, each Euler step's increment.  The
-integrator calls ``fom_rhs`` only at the saved states, which is where
-snapshots need it.
+integrator applies the unit-scale rates only at the saved states, which is
+where snapshots need the right-hand side.
 
 The integrator holds its states state-major, ``(n, L)`` with one column per
 heat load.  A step is a fixed sequence of about fifteen NumPy calls on
@@ -289,8 +289,8 @@ def fom_integrate(cfg: FomConfig, signals, save_every: int = 1):
     that the rates of ``fom_rhs``, scaled by ``dt``, give, and no column
     depends on the other loads in the stack.  Saves every
     ``save_every``-th step starting at t=0, together with the exact
-    right-hand side at the saved state (``derivatives``, from ``fom_rhs``,
-    which runs at saved states only) and the heat load at the saved times
+    right-hand side at the saved state (``derivatives``, the unit-scale
+    rates applied at saved states only) and the heat load at the saved times
     (``controls``); the sets' spacing is ``save_every * dt``.  Refuses to
     run when dt exceeds the advection/diffusion stability bound, when t_end
     is shorter than one saved step, or when its step count cannot be
@@ -329,7 +329,7 @@ def fom_integrate(cfg: FomConfig, signals, save_every: int = 1):
         raise ConfigError(f"t_end={cfg.t_end:g} s / dt={cfg.dt:g} s is {n_steps:.3g} steps, "
                           f"more than can be allocated") from None
 
-    step = _Rates(cfg, cfg.dt, n_loads)
+    step, rhs = _Rates(cfg, cfg.dt, n_loads), _Rates(cfg, 1.0, n_loads)
     state = np.full((cfg.n, n_loads), cfg.initial_temperature, dtype=float)
     state[0] = cfg.inflow_temperature  # pinned inlet node
     with np.errstate(over="ignore", invalid="ignore"):
@@ -341,7 +341,7 @@ def fom_integrate(cfg: FomConfig, signals, save_every: int = 1):
             if j % save_every == 0:
                 col = j // save_every
                 states[:, :, col] = state.T
-                derivs[:, :, col] = fom_rhs(state.T, controls[j], cfg)
+                derivs[:, :, col] = rhs.add_to(np.zeros(state.shape), state, solid_t, controls[j]).T
             if j < n_steps:
                 state = step.add_to(state.copy(), state, solid_t, controls[j])
                 if not np.isfinite(state).all():

@@ -175,18 +175,20 @@ class SnapshotSet:
         return [slice(int(off[i]), int(off[i + 1])) for i in range(self.l)]
 
 
-def concat_snapshot_sets(sets) -> SnapshotSet:
-    """Concatenate snapshot sets that share field layout and snapshot spacing."""
+def concat_snapshot_sets(sets, names=None) -> SnapshotSet:
+    """Concatenate snapshot sets that share field layout and snapshot spacing; a set
+    unlike the first is refused, prefixed with its entry of ``names`` if given."""
     if not sets:
         raise DataError("no snapshot sets given")
     first = sets[0]
-    for s in sets:
+    for i, s in enumerate(sets):
+        where = "" if names is None else f"{names[i]}: "
         if s.fields != first.fields:
-            raise DataError("snapshot sets disagree on field layout")
+            raise DataError(f"{where}snapshot sets disagree on field layout")
         if (s.derivatives is None) != (first.derivatives is None):
-            raise DataError("cannot mix sets with and without derivatives")
+            raise DataError(f"{where}cannot mix sets with and without derivatives")
         if not np.isclose(s.dt, first.dt, rtol=1e-9, atol=1e-12):
-            raise DataError("all trajectories must share one snapshot spacing")
+            raise DataError(f"{where}all trajectories must share one snapshot spacing")
     counts = np.concatenate([np.diff(s.trajectory_offsets) for s in sets])
     offsets = np.concatenate([[0], np.cumsum(counts)])
     return SnapshotSet(

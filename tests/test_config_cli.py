@@ -319,11 +319,25 @@ def test_cli_refuses_a_malformed_heat_schedule_naming_its_source(tmp_path, monke
     assert not out.exists()
 
 
-def test_control_signal_scales_heat_values(tmp_path):
-    cfg = load_pipeline_config(_write_tiny(tmp_path))
-    sig = cfg.control_signal(0.5)
-    assert sig.heat_load(0.0) == 0.5
-    assert sig.heat_load(60.0) == 0.0
+def test_cases_list_training_then_validation_loads(tmp_path, monkeypatch):
+    """One case per load, training first, with its scaled schedule, its role and its
+    snapshot file under ``output_dir/snapshots``, or ``snapshot_dir`` if that is set."""
+    path = _write_tiny(tmp_path)
+    out = tmp_path / "out"
+    cfg = load_pipeline_config(path, output_override=str(out))
+    assert [(case.name, case.role) for case in cfg.cases] == [
+        ("R0.5", "training"), ("R1", "training"), ("R1.5", "validation")]
+    for case, load in zip(cfg.cases, (0.5, 1.0, 1.5)):
+        assert np.array_equal(case.signal.heat_times, [0.0, 60.0])
+        assert np.array_equal(case.signal.heat_values, [load, 0.0])
+        assert case.path == str(out / "snapshots" / f"snapshots_{case.name}.txt")
+    monkeypatch.setenv("MORCAL_SNAPSHOT_DIR", str(tmp_path / "shared"))
+    cfg = load_pipeline_config(path, output_override=str(out))
+    assert [case.path for case in cfg.cases] == [
+        str(tmp_path / "shared" / f"snapshots_{name}.txt") for name in ("R0.5", "R1", "R1.5")]
+    monkeypatch.setenv("MORCAL_CASES", "R2")  # derived, so not a key
+    with pytest.raises(ConfigError, match="unknown configuration keys: cases"):
+        load_pipeline_config(path)
 
 
 def test_cli_exit_codes_for_bad_inputs(tmp_path, capsys):
@@ -614,6 +628,18 @@ def test_cli_model_without_sampled_source_is_a_data_error(tmp_path, capsys):
                 "must not be empty") in capsys.readouterr().err
 
 
+def _keep_one_snapshot(path):
+    """Rewrite a one-trajectory snapshot file to hold its first snapshot only."""
+    lines = path.read_text().splitlines()
+    lines[1:4] = ["m=1", "l=1", "offsets=0,1"]
+    kept = []
+    for marker in ("data", "derivatives", "controls"):
+        start = lines.index(marker)
+        kept += lines[start:start + 2]
+    path.write_text("\n".join(lines[:lines.index("data")] + kept) + "\n")
+    assert load_snapshots(path).m == 1
+
+
 def test_cli_one_snapshot_training_files_are_a_data_error(tmp_path, capsys):
     """A trajectory of one snapshot has no time step to train a model with."""
     # Ranks small enough for the two columns left, so that nothing else refuses the data.
@@ -622,19 +648,43 @@ def test_cli_one_snapshot_training_files_are_a_data_error(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["--config", cfg, "--out", out, "generate"]) == 0
     for load in ("0.5", "1"):
-        path = tmp_path / "out" / "snapshots" / f"snapshots_R{load}.txt"
-        lines = path.read_text().splitlines()
-        lines[1:4] = ["m=1", "l=1", "offsets=0,1"]
-        kept = []
-        for marker in ("data", "derivatives", "controls"):
-            start = lines.index(marker)
-            kept += lines[start:start + 2]
-        path.write_text("\n".join(lines[:lines.index("data")] + kept) + "\n")
-        assert load_snapshots(path).m == 1
+        _keep_one_snapshot(tmp_path / "out" / "snapshots" / f"snapshots_R{load}.txt")
     capsys.readouterr()
     assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 3
     err = capsys.readouterr().err
     assert "error (data)" in err and "spacing" in err
+
+
+@pytest.mark.parametrize(
+    "regenerate_with, message",
+    [
+        (("MORCAL_SAVE_EVERY", "10"), "all trajectories must share one snapshot spacing"),
+        (("MORCAL_GRID_POINTS", "17"), "snapshot sets disagree on field layout"),
+        (None, "a training trajectory of one snapshot has no snapshot spacing to step by"),
+    ],
+    ids=["other-spacing", "other-field-layout", "one-snapshot"],
+)
+def test_cli_train_refusals_name_the_training_file(tmp_path, monkeypatch, capsys,
+                                                   regenerate_with, message):
+    """A training file unlike the others is named in the refusal, and no model is written.
+    The file is either replaced by its case generated with one more setting, or cut
+    to its first snapshot."""
+    cfg = _write_tiny(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "generate"]) == 0
+    path = out / "snapshots" / "snapshots_R1.txt"
+    if regenerate_with is None:
+        _keep_one_snapshot(path)
+    else:
+        monkeypatch.setenv(*regenerate_with)
+        assert main(["--config", cfg, "--out", str(tmp_path / "other"), "generate"]) == 0
+        monkeypatch.delenv(regenerate_with[0])
+        for name in (path.name, path.name + ".bin"):
+            shutil.copyfile(tmp_path / "other" / "snapshots" / name, path.parent / name)
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", str(out), "train"]) == 3
+    assert capsys.readouterr().err == f"error (data): {path}: {message}\n"
+    assert not list(out.glob("rom_*.txt"))
 
 
 def test_cli_evaluate_refuses_a_two_trajectory_snapshot_file(tmp_path, capsys):

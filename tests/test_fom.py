@@ -425,20 +425,25 @@ def test_each_folded_step_is_one_exact_euler_step(changes):
 
 
 def test_exact_rhs_runs_once_per_saved_column(small_cfg, monkeypatch):
+    """The unit-scale rates are applied once per saved column, to the whole stack;
+    the dt-scaled ones once per step."""
     import morcal.fom
 
+    unit_gain = small_cfg.arrhenius_prefactor / small_cfg.rho_cp_solid
     calls = []
-    exact = morcal.fom.fom_rhs
+    add_to = morcal.fom._Rates.add_to
 
-    def counting(state, control, cfg):
-        calls.append(np.shape(state))
-        return exact(state, control, cfg)
+    def counting(rates, out, state, solid_t, heat):
+        calls.append((rates.source_gain == unit_gain, state.shape))
+        return add_to(rates, out, state, solid_t, heat)
 
-    monkeypatch.setattr(morcal.fom, "fom_rhs", counting)
+    monkeypatch.setattr(morcal.fom._Rates, "add_to", counting)
     sets = fom_integrate(small_cfg, _two_schedule_signals(), save_every=7)
+    n_steps = round(small_cfg.t_end / small_cfg.dt)
     k = sets[0].data.shape[1]
-    assert k == round(small_cfg.t_end / small_cfg.dt) // 7 + 1
-    assert calls == [(3, small_cfg.n)] * k
+    assert k == n_steps // 7 + 1
+    assert [shape for unit, shape in calls if unit] == [(small_cfg.n, 3)] * k
+    assert [shape for unit, shape in calls if not unit] == [(small_cfg.n, 3)] * n_steps
 
 
 def _row_major_add_to(rates, out, state, heat):

@@ -120,7 +120,7 @@ def test_stdout_lines_appear_once_in_order(tmp_path, capfd, monkeypatch):
     finally:
         stream.close()
     lines = capfd.readouterr().out.splitlines()
-    generated = [f"generate: R={case[1:]} -> {out}/snapshots/snapshots_{case}.txt (13 snapshots)"
+    generated = [f"generate: {case} -> {out}/snapshots/snapshots_{case}.txt (13 snapshots)"
                  for case in CASES]
     evaluated = [line for line in lines if line.startswith("evaluate: R")]
     assert lines[:5] == ["before the pool"] + generated
@@ -167,7 +167,7 @@ def test_stacked_scoring_equals_rolling_each_case_out_alone(tmp_path, monkeypatc
     assert len((out / "errors_R0.75.csv").read_text().splitlines()) == 1 + 9
 
     cfg = load_pipeline_config(config, output_override=str(out))
-    cases = [load_snapshots(cfg.snapshot_path(load)) for load in cfg.loads]
+    cases = [load_snapshots(case.path) for case in cfg.cases]
     assert [case.m for case in cases] == [13, 13, 9, 13]
     for name in ("opinf", "calibrated"):
         model = load_rom(out / f"rom_{name}.txt")
@@ -188,13 +188,14 @@ def test_worker_tasks_survive_pickling(tmp_path):
     out = tmp_path / "out"
     assert main(["--config", config, "--out", str(out), "generate"]) == 0
     cfg = load_pipeline_config(config, output_override=str(out))
-    trajectory = fom_integrate(cfg.fom, [cfg.control_signal(0.75)], cfg.save_every)[0]
+    case = cfg.cases[CASES.index("R0.75")]
+    trajectory = fom_integrate(cfg.fom, [case.signal], cfg.save_every)[0]
     copy_fn, (copy_traj, path) = pickle.loads(
         pickle.dumps((cli._write_snapshot_file, (trajectory, str(tmp_path / "s.txt")))))
     assert copy_fn is cli._write_snapshot_file
     assert np.array_equal(copy_traj.data, trajectory.data)
     assert copy_fn((copy_traj, path)) == trajectory.m
-    assert Path(path).read_bytes() == Path(cfg.snapshot_path(0.75)).read_bytes()
+    assert Path(path).read_bytes() == Path(case.path).read_bytes()
 
 
 def test_importing_the_cli_loads_no_pool_machinery(tmp_path):
