@@ -38,7 +38,7 @@ from morcal.deim import MIN_TEMPERATURE, DeimOperators
 from morcal.errors import ConfigError, DataError, NumericError
 from morcal.opinf import RomOperators
 from morcal.snapshots import SnapshotSet
-from morcal.textio import fmt_float
+from morcal.textio import FLOAT_FMT, write_csv
 
 __all__ = [
     "CalibrationProblem",
@@ -119,12 +119,9 @@ class ConvergenceReport:
         return len(self.objective_history) - 1
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("iteration,objective,gradient_norm,damping\n")
-            for i, (obj, g, mu) in enumerate(
-                zip(self.objective_history, self.gradient_norms, self.dampings)
-            ):
-                fh.write(f"{i},{fmt_float(obj)},{fmt_float(g)},{fmt_float(mu)}\n")
+        rows = zip(self.objective_history, self.gradient_norms, self.dampings)
+        write_csv(path, ["iteration", "objective", "gradient_norm", "damping"],
+                  ["%d"] + [FLOAT_FMT] * 3, ((i, *row) for i, row in enumerate(rows)))
 
 
 @dataclass

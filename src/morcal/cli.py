@@ -24,7 +24,7 @@ from morcal.errors import ConfigError, DataError, MorcalError, NumericError
 from morcal.fom import fom_integrate
 from morcal.opinf import assemble_regression, solve_opinf
 from morcal.parallel import ordered_map
-from morcal.textio import FLOAT_FMT, fmt_float
+from morcal.textio import FLOAT_FMT, fmt_float, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,18 +76,23 @@ def cmd_generate(cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _case_snapshots(cases, derivatives=True):
-    """Yield each case with its snapshot set, refusing a case whose file is missing."""
+def _case_snapshots(cases, n, derivatives=True):
+    """Yield each case with its snapshot set, refusing a case whose file is missing
+    or holds another state size than the configured grid's ``n``."""
     for case in cases:
         if not os.path.exists(case.path):
             raise DataError(f"missing snapshot file {case.path}; run 'generate' first")
-        yield case, snap_mod.load_snapshots(case.path, derivatives=derivatives)
+        snapshots = snap_mod.load_snapshots(case.path, derivatives=derivatives)
+        if snapshots.n != n:
+            raise DataError(f"{case.path}: the file has n={snapshots.n} states, the "
+                            f"configured grid has n={n}")
+        yield case, snapshots
 
 
 def _load_training_set(cfg: PipelineConfig):
     cases = [case for case in cfg.cases if case.role == "training"]
     sets = []
-    for case, snapshots in _case_snapshots(cases):
+    for case, snapshots in _case_snapshots(cases, cfg.fom.n):
         if snapshots.derivatives is None:
             raise DataError(f"{case.path}: training snapshots carry no derivatives; regenerate them")
         if np.diff(snapshots.trajectory_offsets).min() < 2:
@@ -125,14 +130,10 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
             os.remove(path)
     _say(f"train: inferred operators -> {oi_path}")
 
-    def write_spectrum(name, values):
-        with open(os.path.join(cfg.output_dir, name), "w") as fh:
-            fh.write("index,singular_value\n")
-            for i, sv in enumerate(values):
-                fh.write(f"{i},{fmt_float(sv)}\n")
-
-    write_spectrum("pod_spectrum.csv", basis.singular_values)
-    write_spectrum("deim_spectrum.csv", source_spectrum)
+    for name, values in (("pod_spectrum.csv", basis.singular_values),
+                         ("deim_spectrum.csv", source_spectrum)):
+        write_csv(os.path.join(cfg.output_dir, name), ["index", "singular_value"],
+                  ["%d", FLOAT_FMT], enumerate(values.tolist()))
     pod_mod.save_basis(basis, os.path.join(cfg.output_dir, "pod_basis.txt"))
 
     if skip_calibration:
@@ -154,15 +155,17 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
     return EXIT_OK
 
 
-def _case_csvs(snapshots, reports, models, solid_rows):
-    """The text of one case's error and statistics CSVs, one %-operation per row; the
-    statistics show the rollout of the calibrated model if ``models`` holds one."""
+def _write_case_csvs(output_dir, case_name, snapshots, reports, models, solid_rows):
+    """Write one case's error and statistics CSVs; the statistics show the rollout of
+    the calibrated model if ``models`` holds one."""
     names = sorted(reports)
     base = reports[names[0]]
-    table = np.column_stack([base.times, base.switch_off] + [reports[n].step_errors for n in names])
-    row = ",".join(["%d", FLOAT_FMT, "%d"] + [FLOAT_FMT] * len(names))
-    errors = ["step,time,switch_off," + ",".join(f"rel_mse_{n}" for n in names)]
-    errors += [row % (j, *values) for j, values in enumerate(table.tolist())]
+    steps = np.arange(len(base.times))
+    table = np.column_stack([steps, base.times, base.switch_off]
+                            + [reports[n].step_errors for n in names])
+    write_csv(os.path.join(output_dir, f"errors_{case_name}.csv"),
+              ["step", "time", "switch_off"] + [f"rel_mse_{n}" for n in names],
+              ["%d", FLOAT_FMT, "%d"] + [FLOAT_FMT] * len(names), table.tolist())
 
     reference = "calibrated" if "calibrated" in models else "opinf"
     rom_stats = rom_mod.field_statistics(models[reference], reports[reference].rollout, solid_rows)
@@ -170,11 +173,10 @@ def _case_csvs(snapshots, reports, models, solid_rows):
     fields = [name for name, _, _ in snapshots.fields]
     header = ["step", "time"] + [f"{kind}_{name}_{agg}" for name in fields
                                  for kind in ("fom", "rom") for agg in ("min", "mean", "max")]
-    table = np.hstack([base.times[:, None]]
+    table = np.hstack([steps[:, None], base.times[:, None]]
                       + [stats[name] for name in fields for stats in (fom_stats, rom_stats)])
-    row = ",".join(["%d"] + [FLOAT_FMT] * table.shape[1])
-    stats = [",".join(header)] + [row % (j, *values) for j, values in enumerate(table.tolist())]
-    return "\n".join(errors) + "\n", "\n".join(stats) + "\n"
+    write_csv(os.path.join(output_dir, f"stats_{case_name}.csv"), header,
+              ["%d"] + [FLOAT_FMT] * (table.shape[1] - 1), table.tolist())
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> int:
@@ -200,7 +202,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
             raise DataError(f"{path}: the model has n={model.basis.n} states, the "
                             f"configured grid has n={cfg.fom.n}")
 
-    sets = [snapshots for _, snapshots in _case_snapshots(cfg.cases, derivatives=False)]
+    sets = [snapshots for _, snapshots in _case_snapshots(cfg.cases, cfg.fom.n, derivatives=False)]
     reports = {}
     for name, model in models.items():
         try:
@@ -214,31 +216,26 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
         case_reports = {name: model_reports[i] for name, model_reports in reports.items()}
         summary_rows += [(case.name, name, report.mean_error, report.mean_error_all)
                          for name, report in case_reports.items()]
-        errors_csv, stats_csv = _case_csvs(snapshots, case_reports, models, cfg.fom.solid_rows)
-        with open(os.path.join(cfg.output_dir, f"errors_{case.name}.csv"), "w") as fh:
-            fh.write(errors_csv)
-        with open(os.path.join(cfg.output_dir, f"stats_{case.name}.csv"), "w") as fh:
-            fh.write(stats_csv)
+        _write_case_csvs(cfg.output_dir, case.name, snapshots, case_reports, models,
+                         cfg.fom.solid_rows)
         shown = ", ".join(f"{name} {case_reports[name].mean_error:.3e}" for name in sorted(models))
         _say(f"evaluate: {case.name} mean rel mse (outside switch-off window): {shown}")
 
+    overall = {}
+    for name, model_reports in reports.items():
+        excl = float(np.mean([report.mean_error for report in model_reports]))
+        full = float(np.mean([report.mean_error_all for report in model_reports]))
+        overall[name] = (excl, full)
+        summary_rows.append(("overall", name, excl, full))
+    if "calibrated" in overall:
+        ratio_excl = overall["calibrated"][0] / overall["opinf"][0]
+        ratio_full = overall["calibrated"][1] / overall["opinf"][1]
+        summary_rows.append(("ratio", "calibrated_over_opinf", ratio_excl, ratio_full))
+        _say(f"evaluate: calibrated/opinf mean error ratio {ratio_excl:.4f} "
+             f"(switch-off window excluded)")
     summary_path = os.path.join(cfg.output_dir, "summary.csv")
-    with open(summary_path, "w") as fh:
-        fh.write("case,model,mean_rel_mse_excl_switch_off,mean_rel_mse_all\n")
-        for case, name, excl, full in summary_rows:
-            fh.write(f"{case},{name},{fmt_float(excl)},{fmt_float(full)}\n")
-        overall = {}
-        for name, model_reports in reports.items():
-            excl = float(np.mean([report.mean_error for report in model_reports]))
-            full = float(np.mean([report.mean_error_all for report in model_reports]))
-            overall[name] = (excl, full)
-            fh.write(f"overall,{name},{fmt_float(excl)},{fmt_float(full)}\n")
-        if "calibrated" in overall and "opinf" in overall:
-            ratio_excl = overall["calibrated"][0] / overall["opinf"][0]
-            ratio_full = overall["calibrated"][1] / overall["opinf"][1]
-            fh.write(f"ratio,calibrated_over_opinf,{fmt_float(ratio_excl)},{fmt_float(ratio_full)}\n")
-            _say(f"evaluate: calibrated/opinf mean error ratio {ratio_excl:.4f} "
-                 f"(switch-off window excluded)")
+    write_csv(summary_path, ["case", "model", "mean_rel_mse_excl_switch_off", "mean_rel_mse_all"],
+              ["%s", "%s", FLOAT_FMT, FLOAT_FMT], summary_rows)
     _say(f"evaluate: summary -> {summary_path}")
     return EXIT_OK
 
@@ -251,8 +248,10 @@ def cmd_export_rom(cfg: PipelineConfig, source: str | None = None) -> int:
             if os.path.exists(path):
                 source = path
                 break
-    if source is None or not os.path.exists(source):
-        raise DataError("no trained model found to export; run 'train' first")
+        else:
+            raise DataError("no trained model found to export; run 'train' first")
+    elif not os.path.exists(source):
+        raise DataError(f"missing model file {source}")
     model = rom_mod.load_rom(source)
     out_path = os.path.join(cfg.output_dir, "rom_compact.txt")
     os.makedirs(cfg.output_dir, exist_ok=True)

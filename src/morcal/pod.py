@@ -16,7 +16,7 @@ import numpy as np
 
 from morcal.errors import ConfigError, DataError, NumericError
 from morcal.snapshots import ScalingSpec
-from morcal.textio import fmt_row
+from morcal.textio import fmt_row, write_rows
 
 __all__ = [
     "PodBasis",
@@ -99,7 +99,6 @@ def save_basis(basis: PodBasis, path) -> None:
     """
     with open(path, "w") as fh:
         fh.write(f"n={basis.n} r={basis.r}\n")
-        for j in range(basis.r):
-            fh.write(fmt_row(basis.basis[:, j]) + "\n")
+        write_rows(fh, basis.basis.T)
         fh.write(fmt_row(basis.singular_values) + "\n")
 

@@ -26,6 +26,7 @@ from morcal.textio import (
     parse_float,
     parse_int,
     parse_list,
+    write_rows,
 )
 
 __all__ = [
@@ -197,8 +198,7 @@ def _write_matrix(fh, name, matrix, scale=1.0):
         return
     matrix = np.asarray(matrix, dtype=float)
     fh.write(f"rows={matrix.shape[0]} cols={matrix.shape[1]} scale={fmt_float(scale)}\n")
-    for i in range(matrix.shape[0]):
-        fh.write(fmt_row(matrix[i, :]) + "\n")
+    write_rows(fh, matrix)
 
 
 def _read_matrix(rd: TextReader, name):

@@ -31,11 +31,11 @@ from morcal.textio import (
     TextReader,
     fmt_fields,
     fmt_float,
-    fmt_row,
     parse_fields,
     parse_float,
     parse_int,
     parse_list,
+    write_rows,
 )
 
 __all__ = [
@@ -177,12 +177,13 @@ class SnapshotSet:
 
 def concat_snapshot_sets(sets, names=None) -> SnapshotSet:
     """Concatenate snapshot sets that share field layout and snapshot spacing; a set
-    unlike the first is refused, prefixed with its entry of ``names`` if given."""
+    unlike the first is refused, prefixed with its and the first set's entries of
+    ``names`` if given (either one may be the odd one out)."""
     if not sets:
         raise DataError("no snapshot sets given")
     first = sets[0]
     for i, s in enumerate(sets):
-        where = "" if names is None else f"{names[i]}: "
+        where = "" if names is None else f"{names[i]} and {names[0]}: "
         if s.fields != first.fields:
             raise DataError(f"{where}snapshot sets disagree on field layout")
         if (s.derivatives is None) != (first.derivatives is None):
@@ -259,15 +260,12 @@ def save_snapshots(snapshots: SnapshotSet, path) -> None:
         fh.write(f"fields={fmt_fields(snapshots.fields)}\n")
         fh.write(f"has_derivatives={has_der}\n")
         fh.write("data\n")
-        for j in range(snapshots.m):
-            fh.write(fmt_row(snapshots.data[:, j]) + "\n")
+        write_rows(fh, snapshots.data.T)
         if has_der:
             fh.write("derivatives\n")
-            for j in range(snapshots.m):
-                fh.write(fmt_row(snapshots.derivatives[:, j]) + "\n")
+            write_rows(fh, snapshots.derivatives.T)
         fh.write("controls\n")
-        for load in snapshots.controls:
-            fh.write(fmt_float(load) + "\n")
+        write_rows(fh, snapshots.controls[:, None])
     derivs = snapshots.derivatives if has_der else np.empty(0)  # no bytes, CRC-32 0
     blocks = [np.ascontiguousarray(b, dtype=_MIRROR_DTYPE)
               for b in (snapshots.data, derivs, snapshots.controls)]

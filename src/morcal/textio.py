@@ -2,10 +2,11 @@
 
 All on-disk formats in this package are text based and written at full
 double precision so that a save/load round trip is bit exact and re-running
-a command on unchanged inputs produces byte-identical files.
+a command on unchanged inputs produces byte-identical files.  Numbers become
+text only here: ``fmt_float`` and ``fmt_row`` for single values and lines,
+``write_rows`` for numeric sections and ``write_csv`` for CSV tables.
 """
 
-import functools
 import itertools
 import math
 import warnings
@@ -21,16 +22,28 @@ def fmt_float(x) -> str:
     return FLOAT_FMT % float(x)
 
 
-@functools.lru_cache(maxsize=64)
-def _row_format(count) -> str:
-    """The format string of one row of ``count`` values (rows have few lengths)."""
-    return " ".join([FLOAT_FMT] * count)
-
-
 def fmt_row(values) -> str:
     """Space-separated full-precision values, formatted with one %-operation."""
     row = np.asarray(values, dtype=float).ravel().tolist()
-    return _row_format(len(row)) % tuple(row)
+    return " ".join([FLOAT_FMT] * len(row)) % tuple(row)
+
+
+def write_rows(fh, rows) -> None:
+    """Write each row of the 2-D array ``rows`` to ``fh`` as one ``fmt_row`` line; the
+    format is built once and the lines are written one at a time, never joined."""
+    rows = np.asarray(rows, dtype=float)
+    line = " ".join([FLOAT_FMT] * rows.shape[1]) + "\n"
+    for row in rows:
+        fh.write(line % tuple(row.tolist()))
+
+
+def write_csv(path, header, formats, rows) -> None:
+    """Write the ``header`` names, then each row by its columns' ``formats``, one %-operation."""
+    line = ",".join(formats) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(line % tuple(row))
 
 
 def _decoded_lines(fh, path):

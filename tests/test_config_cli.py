@@ -656,23 +656,28 @@ def test_cli_one_snapshot_training_files_are_a_data_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "regenerate_with, message",
+    "load, regenerate_with, message",
     [
-        (("MORCAL_SAVE_EVERY", "10"), "all trajectories must share one snapshot spacing"),
-        (("MORCAL_GRID_POINTS", "17"), "snapshot sets disagree on field layout"),
-        (None, "a training trajectory of one snapshot has no snapshot spacing to step by"),
+        ("1", ("MORCAL_SAVE_EVERY", "10"),
+         "{R1} and {R0_5}: all trajectories must share one snapshot spacing"),
+        ("0.5", ("MORCAL_SAVE_EVERY", "10"),
+         "{R1} and {R0_5}: all trajectories must share one snapshot spacing"),
+        ("1", ("MORCAL_GRID_POINTS", "17"),
+         "{R1}: the file has n=34 states, the configured grid has n=32"),
+        ("1", None, "{R1}: a training trajectory of one snapshot has no snapshot spacing to step by"),
     ],
-    ids=["other-spacing", "other-field-layout", "one-snapshot"],
+    ids=["other-spacing", "odd-file-first", "other-field-layout", "one-snapshot"],
 )
 def test_cli_train_refusals_name_the_training_file(tmp_path, monkeypatch, capsys,
-                                                   regenerate_with, message):
+                                                   load, regenerate_with, message):
     """A training file unlike the others is named in the refusal, and no model is written.
     The file is either replaced by its case generated with one more setting, or cut
-    to its first snapshot."""
+    to its first snapshot.  With two files either may be the odd one, so a refusal
+    that compares them names both."""
     cfg = _write_tiny(tmp_path)
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "generate"]) == 0
-    path = out / "snapshots" / "snapshots_R1.txt"
+    path = out / "snapshots" / f"snapshots_R{load}.txt"
     if regenerate_with is None:
         _keep_one_snapshot(path)
     else:
@@ -683,8 +688,25 @@ def test_cli_train_refusals_name_the_training_file(tmp_path, monkeypatch, capsys
             shutil.copyfile(tmp_path / "other" / "snapshots" / name, path.parent / name)
     capsys.readouterr()
     assert main(["--config", cfg, "--out", str(out), "train"]) == 3
-    assert capsys.readouterr().err == f"error (data): {path}: {message}\n"
+    names = {"R0_5": out / "snapshots" / "snapshots_R0.5.txt",
+             "R1": out / "snapshots" / "snapshots_R1.txt"}
+    assert capsys.readouterr().err == f"error (data): {message.format_map(names)}\n"
     assert not list(out.glob("rom_*.txt"))
+
+
+def test_cli_evaluate_names_a_case_file_of_another_grid(tmp_path, monkeypatch, capsys):
+    cfg, out = _trained_tiny(tmp_path)
+    monkeypatch.setenv("MORCAL_GRID_POINTS", "17")
+    assert main(["--config", cfg, "--out", str(tmp_path / "other"), "generate"]) == 0
+    monkeypatch.delenv("MORCAL_GRID_POINTS")
+    path = tmp_path / "out" / "snapshots" / "snapshots_R1.5.txt"
+    for name in (path.name, path.name + ".bin"):
+        shutil.copyfile(tmp_path / "other" / "snapshots" / name, path.parent / name)
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", out, "evaluate"]) == 3
+    assert capsys.readouterr().err == (f"error (data): {path}: the file has n=34 states, the "
+                                       "configured grid has n=32\n")
+    assert not list((tmp_path / "out").glob("errors_*.csv"))
 
 
 def test_cli_evaluate_refuses_a_two_trajectory_snapshot_file(tmp_path, capsys):
@@ -778,6 +800,13 @@ def test_cli_rejects_unstable_dt(tmp_path, capsys):
     path.write_text(TINY_SCENARIO.replace("dt = 0.5", "dt = 1e9"))
     assert main(["--config", str(path), "--out", str(tmp_path / "o"), "generate"]) == 4
     assert "error (numeric)" in capsys.readouterr().err
+
+
+def test_cli_export_rom_names_a_missing_source(tmp_path, capsys):
+    path = tmp_path / "absent" / "model.txt"
+    assert main(["--out", str(tmp_path / "out"), "export-rom", str(path)]) == 3
+    assert capsys.readouterr().err == f"error (data): missing model file {path}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

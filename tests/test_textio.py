@@ -5,24 +5,56 @@ import pytest
 
 from morcal.errors import DataError
 from morcal.textio import (
+    FLOAT_FMT,
     TextReader,
     fmt_fields,
+    fmt_float,
     fmt_row,
     parse_fields,
     parse_float,
     parse_int,
     parse_list,
+    write_csv,
+    write_rows,
 )
+
+VALUES = np.array([-0.0, 0.0, 5e-324, 1e308, -1e308, 3.0, -7.0, 1e17, 0.1, -2.5e-12,
+                   533.15, 1.0 / 3.0])
 
 
 def test_fmt_row_matches_per_value_formatting():
-    values = np.array([-0.0, 0.0, 5e-324, 1e308, -1e308, 3.0, -7.0, 1e17, 0.1, -2.5e-12,
-                       533.15, 1.0 / 3.0])
-    want = " ".join("%.17g" % v for v in values)
-    assert fmt_row(values) == want
-    assert fmt_row(values[:1]) == "-0"
-    assert fmt_row(values.reshape(3, 4)) == want
+    want = " ".join("%.17g" % v for v in VALUES)
+    assert fmt_row(VALUES) == want
+    assert fmt_row(VALUES[:1]) == "-0"
+    assert fmt_row(VALUES.reshape(3, 4)) == want
     assert fmt_row([]) == ""
+
+
+def test_write_rows_writes_fmt_row_lines_that_read_back_bit_exactly(tmp_path):
+    rows = VALUES.reshape(3, 4)
+    path = tmp_path / "rows.txt"
+    with open(path, "w") as fh:
+        fh.write("header\n")
+        write_rows(fh, rows)
+        write_rows(fh, rows.T)  # a strided view, as the column-major sections pass
+        write_rows(fh, np.empty((0, 4)))
+    lines = path.read_text().splitlines()
+    assert lines[1:] == [fmt_row(row) for row in rows] + [fmt_row(col) for col in rows.T]
+    with TextReader(path) as rd:
+        rd.next_line()
+        assert rd.read_rows(3, 4).tobytes() == rows.tobytes()  # sign of -0 included
+        assert rd.read_rows(4, 3).tobytes() == np.ascontiguousarray(rows.T).tobytes()
+        assert rd.at_end()
+
+
+def test_write_csv_writes_the_header_and_each_row_in_its_column_formats(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(path, ["step", "case", "value"], ["%d", "%s", FLOAT_FMT],
+              [(float(j), f"R{j}", v) for j, v in enumerate(VALUES)])
+    want = "".join(f"{j},R{j},{fmt_float(v)}\n" for j, v in enumerate(VALUES))
+    assert path.read_text() == "step,case,value\n" + want
+    write_csv(path, ["step", "value"], ["%d", FLOAT_FMT], [])
+    assert path.read_text() == "step,value\n"
 
 
 def _reader(tmp_path):
