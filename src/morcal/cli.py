@@ -23,7 +23,6 @@ from morcal.config import PipelineConfig, load_pipeline_config
 from morcal.errors import ConfigError, DataError, MorcalError, NumericError
 from morcal.fom import fom_integrate
 from morcal.opinf import assemble_regression, solve_opinf
-from morcal.parallel import ordered_map
 from morcal.textio import FLOAT_FMT, fmt_float, write_csv
 
 EXIT_OK = 0
@@ -61,18 +60,34 @@ def _say(line: str, err: bool = False) -> None:
 def _write_snapshot_file(task) -> int:
     """Worker task of ``generate``: write one case's snapshot file, return its size m."""
     snapshots, path = task
-    snap_mod.save_snapshots(snapshots, path)
+    snap_mod.save_snapshots(snapshots, path)  # looked up in the worker: a wrapper need not pickle
     return snapshots.m
 
 
 def cmd_generate(cfg: PipelineConfig) -> int:
-    """Run the full-order model for all cases at once and write one snapshot file per case."""
-    snapshot_sets = fom_integrate(cfg.fom, [case.signal for case in cfg.cases], cfg.save_every)
-    for case in cfg.cases:
-        os.makedirs(os.path.dirname(case.path), exist_ok=True)
-    counts = ordered_map(_write_snapshot_file, zip(snapshot_sets, [c.path for c in cfg.cases]))
-    for m, case in zip(counts, cfg.cases):
-        _say(f"generate: {case.name} -> {case.path} ({m} snapshots)")
+    """Run the full-order model for all cases at once and write one snapshot file per case.
+
+    Worker processes of the platform's default start method write the files,
+    at most one per case and per usable CPU.  Each case's line is printed in
+    case order; a failed write is raised in its turn, cancelling those not begun.
+    """
+    # Imported here: the pool machinery costs ~1 MB in commands that never use it.
+    from concurrent.futures import ProcessPoolExecutor
+
+    sets = fom_integrate(cfg.fom, [case.signal for case in cfg.cases], cfg.save_every)
+    paths = [case.path for case in cfg.cases]
+    for path in paths:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    # Text still buffered here would be written again by every forked worker.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    with ProcessPoolExecutor(max_workers=min(len(cfg.cases), cpus)) as pool:
+        for case, m in zip(cfg.cases, pool.map(_write_snapshot_file, zip(sets, paths))):
+            _say(f"generate: {case.name} -> {case.path} ({m} snapshots)")
     return EXIT_OK
 
 

@@ -142,6 +142,8 @@ class PipelineConfig:
     cases: list = field(init=False)
 
     def __post_init__(self):
+        if not self.output_dir:
+            raise ConfigError("output_dir (or --out) must not be empty")
         if not self.train_loads:
             raise ConfigError("train_loads must not be empty")
         if not self.validation_loads:

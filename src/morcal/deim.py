@@ -112,11 +112,11 @@ def nonlinearity_basis(source_snapshots: np.ndarray, s: int):
     """
     mat = np.asarray(source_snapshots, dtype=float)
     if s < 1:
-        raise ConfigError(f"deim rank must be positive, got {s}")
+        raise ConfigError(f"deim_rank={s} must be positive")
     u, sigma, _ = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.count_nonzero(sigma > sigma[0] * max(mat.shape) * np.finfo(float).eps))
     if s > rank:
-        raise ConfigError(f"deim rank s={s} exceeds the numerical rank {rank} of the "
+        raise ConfigError(f"deim_rank={s} exceeds the numerical rank {rank} of the "
                           "source snapshots")
     return u[:, :s], sigma
 

@@ -77,7 +77,7 @@ def compute_pod(snapshot_matrix: np.ndarray, r: int, scaling: ScalingSpec) -> Po
         raise DataError("snapshot matrix must be 2-dimensional")
     max_r = min(s.shape)
     if not 1 <= r <= max_r:
-        raise ConfigError(f"rank r must satisfy 1 <= r <= {max_r}, got {r}")
+        raise ConfigError(f"pod_rank={r} must satisfy 1 <= pod_rank <= {max_r}")
     # s = R^T Q^T, so s and R^T share their left singular vectors and values.
     u, sigma, _ = np.linalg.svd(np.linalg.qr(s.T, mode="r").T, full_matrices=False)
     return PodBasis(basis=_fix_signs(u[:, :r]), singular_values=sigma, scaling=scaling)

@@ -191,13 +191,13 @@ def field_statistics(model: RomModel, reduced_trajectory: np.ndarray,
     return state_statistics(lifted, model.basis.scaling.fields, solid_rows)
 
 
-def _write_matrix(fh, name, matrix, scale=1.0):
+def _write_matrix(fh, name, matrix):
     fh.write(f"[{name}]\n")
     if matrix is None:
         fh.write("rows=0 cols=0 scale=1\n")
         return
     matrix = np.asarray(matrix, dtype=float)
-    fh.write(f"rows={matrix.shape[0]} cols={matrix.shape[1]} scale={fmt_float(scale)}\n")
+    fh.write(f"rows={matrix.shape[0]} cols={matrix.shape[1]} scale=1\n")
     write_rows(fh, matrix)
 
 

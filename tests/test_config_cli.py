@@ -149,7 +149,7 @@ PACKAGE_MODULES = ["calibrate", "config", "deim", "errors", "fom", "opinf", "pod
 def test_package_re_exports_the_public_names_of_each_module():
     """``morcal.__all__`` is the modules' ``__all__`` lists, each name bound to the same object."""
     found = sorted(m.name for m in pkgutil.iter_modules(morcal.__path__))
-    assert found == sorted(PACKAGE_MODULES + ["cli", "parallel", "textio"])
+    assert found == sorted(PACKAGE_MODULES + ["cli", "textio"])
     modules = [importlib.import_module(f"morcal.{name}") for name in PACKAGE_MODULES]
     names = [name for module in modules for name in module.__all__]
     assert morcal.__all__ == names
@@ -285,6 +285,23 @@ def test_cli_refuses_non_finite_numbers(tmp_path, monkeypatch, capsys, key, valu
     assert main(["--config", path, "--out", str(out), "generate"]) == 2
     assert f"error (config): {path}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "evaluate"])
+@pytest.mark.parametrize("how", ["environment", "--out"])
+def test_cli_refuses_an_empty_output_dir(tmp_path, monkeypatch, capsys, how, command):
+    """An empty ``output_dir`` would put snapshots under the working folder and fail
+    ``train`` only after its fit, so it is refused at load."""
+    monkeypatch.chdir(tmp_path)
+    if how == "environment":
+        monkeypatch.setenv("MORCAL_OUTPUT_DIR", "")
+        argv = [command]
+    else:
+        argv = ["--out", "", command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("error (config): bundled reactor scenario: "
+                                       "output_dir (or --out) must not be empty\n")
+    assert not os.listdir(tmp_path)
 
 
 def test_cli_refuses_a_solid_span_that_covers_no_grid_point(tmp_path, monkeypatch, capsys):
@@ -469,8 +486,12 @@ def test_cli_refuses_a_deim_rank_above_the_source_rank(tmp_path, monkeypatch, ca
     monkeypatch.setenv("MORCAL_DEIM_RANK", "9")
     capsys.readouterr()
     assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 2
-    assert ("error (config): deim rank s=9 exceeds the numerical rank 8 of the source "
+    assert ("error (config): deim_rank=9 exceeds the numerical rank 8 of the source "
             "snapshots") in capsys.readouterr().err
+    monkeypatch.setenv("MORCAL_POD_RANK", "27")  # 26 training snapshots; refused before DEIM
+    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 2
+    assert capsys.readouterr().err == ("error (config): pod_rank=27 must satisfy "
+                                       "1 <= pod_rank <= 26\n")
 
 
 def test_cli_log_level_shows_the_package_log_once_and_changes_no_output(tmp_path, capsys):

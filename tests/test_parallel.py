@@ -13,12 +13,11 @@ import pytest
 
 import morcal
 from morcal import cli
+from morcal import snapshots as snap_mod
 from morcal.calibrate import forward_rollout
 from morcal.cli import main
 from morcal.config import load_pipeline_config
-from morcal.errors import DataError
 from morcal.fom import fom_integrate
-from morcal.parallel import ordered_map, usable_cpus
 from morcal.rom import load_rom, rom_vs_projected_error
 from morcal.snapshots import apply_scaling, load_snapshots
 
@@ -51,27 +50,6 @@ def _config(tmp_path):
     path = tmp_path / "scenario.cfg"
     path.write_text(SCENARIO)
     return str(path)
-
-
-def _square(x):
-    if x < 0:
-        raise DataError(f"negative item {x}")
-    return x * x
-
-
-def test_ordered_map_yields_in_submission_order():
-    items = list(range(7, -1, -1))
-    assert list(ordered_map(_square, items)) == [x * x for x in items]
-    assert list(ordered_map(_square, [])) == []
-    assert 1 <= usable_cpus() <= (os.cpu_count() or 1)
-
-
-def test_ordered_map_raises_a_task_error_in_its_turn():
-    results = ordered_map(_square, [1, 2, -3, 4])
-    assert next(results) == 1
-    assert next(results) == 4
-    with pytest.raises(DataError, match="negative item -3"):
-        next(results)
 
 
 def _run_cli(config, out, affinity=None):
@@ -127,6 +105,38 @@ def test_stdout_lines_appear_once_in_order(tmp_path, capfd, monkeypatch):
     assert [line.split()[1] for line in evaluated] == CASES
     assert len(lines) == len(set(lines))
     assert lines[-1] == f"evaluate: summary -> {out}/summary.csv"
+
+
+def test_a_failed_write_ends_generate_in_its_turn(tmp_path, capsys):
+    """The cases before the failed write print their lines in order; the error is the
+    worker's own, and ``generate`` exits 3."""
+    config = _config(tmp_path)
+    out = tmp_path / "out"
+    blocked = out / "snapshots" / "snapshots_R0.75.txt"
+    blocked.mkdir(parents=True)
+    assert main(["--config", config, "--out", str(out), "generate"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"generate: {case} -> {out}/snapshots/snapshots_{case}.txt (13 snapshots)"
+        for case in CASES[:2]]
+    assert captured.err == f"error (data): [Errno 21] Is a directory: '{blocked}'\n"
+
+
+def test_generate_writes_through_a_wrapped_save_snapshots(tmp_path, monkeypatch):
+    """A local wrapper around ``save_snapshots``, as a tracer installs, cannot be pickled;
+    the workers still write through it, and the files are those of an unwrapped run."""
+    config = _config(tmp_path)
+    assert main(["--config", config, "--out", str(tmp_path / "plain"), "generate"]) == 0
+    original = snap_mod.save_snapshots
+
+    def wrapped(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(snap_mod, "save_snapshots", wrapped)
+    assert main(["--config", config, "--out", str(tmp_path / "wrapped"), "generate"]) == 0
+    plain = _tree(tmp_path / "plain")
+    assert len(plain) == 2 * len(CASES)
+    assert _tree(tmp_path / "wrapped") == plain
 
 
 def test_failing_case_leaves_every_output_file_as_it_was(tmp_path, capsys):
