@@ -117,8 +117,9 @@ def _load_training_set(cfg: PipelineConfig):
     return snap_mod.concat_snapshot_sets(sets, names=[case.path for case in cases])
 
 
-def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
-    """Fit basis, sampling operators, and reduced operators on training data."""
+def cmd_train(cfg: PipelineConfig) -> int:
+    """Fit basis, sampling operators and reduced operators on training data, then calibrate
+    them; at ``max_iterations = 0`` the calibrated model is the regression fit."""
     raw = _load_training_set(cfg)
     scaling = snap_mod.fit_scaling(raw)
     states = snap_mod.apply_scaling(raw, scaling)
@@ -151,10 +152,6 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
                   ["%d", FLOAT_FMT], enumerate(values.tolist()))
     pod_mod.save_basis(basis, os.path.join(cfg.output_dir, "pod_basis.txt"))
 
-    if skip_calibration:
-        _say("train: calibration skipped on request")
-        return EXIT_OK
-
     problem = build_calibration_problem(raw, reduced_states, deim_ops)
     calibrated, report = calibrate(operators, problem, cfg.optimizer)
     cal_model = rom_mod.RomModel(operators=calibrated, deim=deim_ops, basis=basis, dt=raw.dt)
@@ -170,9 +167,9 @@ def cmd_train(cfg: PipelineConfig, skip_calibration: bool = False) -> int:
     return EXIT_OK
 
 
-def _write_case_csvs(output_dir, case_name, snapshots, reports, models, solid_rows):
+def _write_case_csvs(output_dir, case_name, snapshots, reports, calibrated, solid_rows):
     """Write one case's error and statistics CSVs; the statistics show the rollout of
-    the calibrated model if ``models`` holds one."""
+    the ``calibrated`` model."""
     names = sorted(reports)
     base = reports[names[0]]
     steps = np.arange(len(base.times))
@@ -182,8 +179,7 @@ def _write_case_csvs(output_dir, case_name, snapshots, reports, models, solid_ro
               ["step", "time", "switch_off"] + [f"rel_mse_{n}" for n in names],
               ["%d", FLOAT_FMT, "%d"] + [FLOAT_FMT] * len(names), table.tolist())
 
-    reference = "calibrated" if "calibrated" in models else "opinf"
-    rom_stats = rom_mod.field_statistics(models[reference], reports[reference].rollout, solid_rows)
+    rom_stats = rom_mod.field_statistics(calibrated, reports["calibrated"].rollout, solid_rows)
     fom_stats = rom_mod.state_statistics(snapshots.data, snapshots.fields, solid_rows)
     fields = [name for name, _, _ in snapshots.fields]
     header = ["step", "time"] + [f"{kind}_{name}_{agg}" for name in fields
@@ -195,21 +191,19 @@ def _write_case_csvs(output_dir, case_name, snapshots, reports, models, solid_ro
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> int:
-    """Roll out the trained models against every case and write error CSVs.
+    """Roll out both trained models against every case and write error CSVs.
 
-    Every case is scored before any file is written, so a refused command
-    changes no file.  The derivatives are not read: from a mirror only the
-    data and control blocks are, and a parsed text's derivative section is
-    checked for its marker and line count only.
+    A missing model is refused, and every case is scored, before any file is
+    written, so a refused command changes no file.  The derivatives are not
+    read: from a mirror only the data and control blocks are, and a parsed
+    text's derivative section is checked for its marker and line count only.
     """
-    paths = {"opinf": os.path.join(cfg.output_dir, "rom_opinf.txt")}
-    if not os.path.exists(paths["opinf"]):
-        raise DataError(f"missing {paths['opinf']}; run 'train' first")
-    cal_path = os.path.join(cfg.output_dir, "rom_calibrated.txt")
-    if os.path.exists(cal_path):
-        paths["calibrated"] = cal_path
+    paths = {name: os.path.join(cfg.output_dir, f"rom_{name}.txt")
+             for name in ("opinf", "calibrated")}
     models = {}
     for name, path in paths.items():
+        if not os.path.exists(path):
+            raise DataError(f"missing {path}; run 'train' first")
         model = models[name] = rom_mod.load_rom(path)
         if model.basis is None:
             raise DataError(f"{path}: error evaluation needs a model with basis and scaling")
@@ -231,8 +225,8 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
         case_reports = {name: model_reports[i] for name, model_reports in reports.items()}
         summary_rows += [(case.name, name, report.mean_error, report.mean_error_all)
                          for name, report in case_reports.items()]
-        _write_case_csvs(cfg.output_dir, case.name, snapshots, case_reports, models,
-                         cfg.fom.solid_rows)
+        _write_case_csvs(cfg.output_dir, case.name, snapshots, case_reports,
+                         models["calibrated"], cfg.fom.solid_rows)
         shown = ", ".join(f"{name} {case_reports[name].mean_error:.3e}" for name in sorted(models))
         _say(f"evaluate: {case.name} mean rel mse (outside switch-off window): {shown}")
 
@@ -242,12 +236,11 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
         full = float(np.mean([report.mean_error_all for report in model_reports]))
         overall[name] = (excl, full)
         summary_rows.append(("overall", name, excl, full))
-    if "calibrated" in overall:
-        ratio_excl = overall["calibrated"][0] / overall["opinf"][0]
-        ratio_full = overall["calibrated"][1] / overall["opinf"][1]
-        summary_rows.append(("ratio", "calibrated_over_opinf", ratio_excl, ratio_full))
-        _say(f"evaluate: calibrated/opinf mean error ratio {ratio_excl:.4f} "
-             f"(switch-off window excluded)")
+    ratio_excl = overall["calibrated"][0] / overall["opinf"][0]
+    ratio_full = overall["calibrated"][1] / overall["opinf"][1]
+    summary_rows.append(("ratio", "calibrated_over_opinf", ratio_excl, ratio_full))
+    _say(f"evaluate: calibrated/opinf mean error ratio {ratio_excl:.4f} "
+         f"(switch-off window excluded)")
     summary_path = os.path.join(cfg.output_dir, "summary.csv")
     write_csv(summary_path, ["case", "model", "mean_rel_mse_excl_switch_off", "mean_rel_mse_all"],
               ["%s", "%s", FLOAT_FMT, FLOAT_FMT], summary_rows)
@@ -256,15 +249,11 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
 
 
 def cmd_export_rom(cfg: PipelineConfig, source: str | None = None) -> int:
-    """Write a compact operator file (no basis) next to the trained models."""
+    """Write a compact operator file (no basis) of ``source`` (default: the calibrated model)."""
     if source is None:
-        for candidate in ("rom_calibrated.txt", "rom_opinf.txt"):
-            path = os.path.join(cfg.output_dir, candidate)
-            if os.path.exists(path):
-                source = path
-                break
-        else:
-            raise DataError("no trained model found to export; run 'train' first")
+        source = os.path.join(cfg.output_dir, "rom_calibrated.txt")
+        if not os.path.exists(source):
+            raise DataError(f"missing {source}; run 'train' first")
     elif not os.path.exists(source):
         raise DataError(f"missing model file {source}")
     model = rom_mod.load_rom(source)
@@ -332,11 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = {"parents": [logging_options]}
     sub.add_parser("generate", help="run the full-order model and write snapshots", **common)
-    train = sub.add_parser("train", help="fit basis, sampling operators, and reduced operators",
-                           **common)
-    train.add_argument(
-        "--skip-calibration", action="store_true", help="stop after operator inference"
-    )
+    sub.add_parser("train", help="fit basis, sampling operators, and reduced operators",
+                   **common)
     sub.add_parser("evaluate", help="compare stored models against snapshot data", **common)
     export = sub.add_parser("export-rom", help="write a compact operator file", **common)
     export.add_argument("source", nargs="?", default=None, help="model file to export")
@@ -382,7 +368,7 @@ def _run(args) -> int:
         if args.command == "generate":
             return cmd_generate(cfg)
         if args.command == "train":
-            return cmd_train(cfg, skip_calibration=args.skip_calibration)
+            return cmd_train(cfg)
         if args.command == "evaluate":
             return cmd_evaluate(cfg)
         if args.command == "export-rom":

@@ -61,10 +61,11 @@ def parse_config_file(path) -> dict:
 
 
 def apply_env_overrides(values: dict) -> dict:
+    """``values`` overridden by each MORCAL_<KEY> variable, stripped as a file's values are."""
     out = dict(values)
     for name, value in os.environ.items():
         if name.startswith(ENV_PREFIX) and len(name) > len(ENV_PREFIX):
-            out[name[len(ENV_PREFIX):].lower()] = value
+            out[name[len(ENV_PREFIX):].lower()] = value.strip()
     return out
 
 
@@ -189,7 +190,7 @@ def load_pipeline_config(path=None, output_override=None) -> PipelineConfig:
         optimizer = OptimizerConfig(**_read_fields(rd, OptimizerConfig))
         pipeline = _read_fields(rd, PipelineConfig)
         if output_override is not None:
-            pipeline["output_dir"] = output_override
+            pipeline["output_dir"] = output_override.strip()
         cfg = PipelineConfig(fom=fom, optimizer=optimizer, **pipeline)
         rd.reject_unknown()
     except ConfigError as exc:

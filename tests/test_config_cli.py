@@ -7,6 +7,7 @@ import logging
 import os
 import pkgutil
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -19,7 +20,7 @@ import pytest
 
 import morcal
 from morcal import config as config_mod
-from morcal.cli import main
+from morcal.cli import build_parser, main
 from morcal.config import apply_env_overrides, load_pipeline_config, parse_config_file
 from morcal.errors import ConfigError, NumericError
 from morcal.rom import load_rom, save_rom
@@ -48,6 +49,12 @@ def _write_tiny(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text(TINY_SCENARIO)
     return str(path)
+
+
+def _train_regression_only(cfg, out):
+    """``train`` at ``max_iterations = 0``, where the calibrated model is the regression fit."""
+    with mock.patch.dict(os.environ, {"MORCAL_MAX_ITERATIONS": "0"}):
+        return main(["--config", cfg, "--out", out, "train"])
 
 
 def test_parse_config_file_basics(tmp_path):
@@ -225,6 +232,37 @@ def test_readme_lists_exactly_the_keys_the_loader_reads(monkeypatch):
     assert _readme_config_keys() == set(read)
 
 
+def _readme_commands():
+    """Every ``morcal ...`` command in README's fenced ``sh`` blocks and inline code spans,
+    as its arguments, without leading ``MORCAL_*=`` assignments or text after ``|`` or ``#``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```$", readme, flags=re.S | re.M)
+    prose = re.sub(r"^```.*?^```$", "", readme, flags=re.S | re.M)
+    lines = [line for block in blocks for line in block.splitlines()]
+    lines += [span.replace("\n", " ") for span in re.findall(r"`([^`]+)`", prose)]
+    commands = []
+    for line in lines:
+        words = shlex.split(re.split(r"[|#]", line, maxsplit=1)[0])
+        while words and re.fullmatch(r"MORCAL_\w+=.*", words[0]):
+            words.pop(0)
+        if len(words) > 1 and words[0] == "morcal":
+            commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse(capsys):
+    """The documented CLI usage parses as written."""
+    commands = _readme_commands()
+    documented = {word for argv in commands for word in argv}
+    assert {"generate", "train", "evaluate", "export-rom", "fixture-check"} <= documented
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README's 'morcal {' '.join(argv)}' does not parse: "
+                        f"{capsys.readouterr().err}")
+
+
 def test_load_pipeline_config_rejects_overlapping_loads(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("train_loads = 1.0, 2.0\nvalidation_loads = 2.0\n")
@@ -302,6 +340,28 @@ def test_cli_refuses_an_empty_output_dir(tmp_path, monkeypatch, capsys, how, com
     assert capsys.readouterr().err == ("error (config): bundled reactor scenario: "
                                        "output_dir (or --out) must not be empty\n")
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("blank", [" ", " \t"])
+def test_cli_strips_environment_values_and_out_as_file_values(tmp_path, monkeypatch, capsys,
+                                                              blank):
+    """A blank ``output_dir`` from the environment or ``--out`` is refused, and a blank
+    ``snapshot_dir`` from the environment falls back to ``<output_dir>/snapshots``."""
+    monkeypatch.chdir(tmp_path)
+    refusal = ("error (config): bundled reactor scenario: output_dir (or --out) must not "
+               "be empty\n")
+    assert main(["--out", blank, "generate"]) == 2
+    assert capsys.readouterr().err == refusal
+    with monkeypatch.context() as env:
+        env.setenv("MORCAL_OUTPUT_DIR", blank)
+        assert main(["generate"]) == 2
+    assert capsys.readouterr().err == refusal
+    assert not os.listdir(tmp_path)
+    monkeypatch.setenv("MORCAL_SNAPSHOT_DIR", blank)
+    cfg = load_pipeline_config(_write_tiny(tmp_path), output_override="out")
+    names = ("R0.5", "R1", "R1.5")
+    assert [case.path for case in cfg.cases] == [
+        os.path.join("out", "snapshots", f"snapshots_{name}.txt") for name in names]
 
 
 def test_cli_refuses_a_solid_span_that_covers_no_grid_point(tmp_path, monkeypatch, capsys):
@@ -423,53 +483,54 @@ def test_cli_full_tiny_pipeline(tmp_path):
     assert os.path.exists(os.path.join(out, "rom_compact.txt"))
 
 
-def test_cli_skip_calibration(capsys):
-    """The flag belongs to 'train' alone; before the command name it is refused."""
-    for argv in (["--skip-calibration", "train"], ["--skip-calibration", "fixture-check"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+def test_cli_regression_only_run_is_zero_iterations(tmp_path, capsys):
+    """At ``max_iterations = 0`` the calibrated model is the regression fit, byte for
+    byte, and ``evaluate`` reads a ratio of 1; ``train`` has no flag to skip calibrating."""
+    cfg, out = _trained_tiny(tmp_path)
+    folder = tmp_path / "out"
+    assert (folder / "rom_calibrated.txt").read_bytes() == (folder / "rom_opinf.txt").read_bytes()
+    rows = (folder / "convergence.csv").read_text().splitlines()
+    assert rows[0] == "iteration,objective,gradient_norm,damping"
+    assert len(rows) == 2 and rows[1].startswith("0,")
+    assert main(["--config", cfg, "--out", out, "evaluate"]) == 0
+    assert "ratio,calibrated_over_opinf,1,1" in (folder / "summary.csv").read_text().splitlines()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", cfg, "--out", out, "train", "--skip-calibration"])
+    assert exc.value.code == 2
     assert "unrecognized arguments: --skip-calibration" in capsys.readouterr().err
 
 
-def test_cli_skip_calibration_after_the_subcommand(tmp_path):
-    """The form the README documents: the flag follows 'train'."""
-    cfg = _write_tiny(tmp_path)
-    out = str(tmp_path / "out")
-    assert main(["--config", cfg, "--out", out, "generate"]) == 0
-    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
-    assert os.path.exists(os.path.join(out, "rom_opinf.txt"))
-    assert not os.path.exists(os.path.join(out, "rom_calibrated.txt"))
-
-
-def test_cli_retrain_leaves_no_calibrated_model_of_an_earlier_run(tmp_path, monkeypatch):
-    """Only a train that calibrates leaves rom_calibrated.txt; a refused one touches nothing."""
+def test_cli_retrain_leaves_no_calibrated_model_of_an_earlier_run(tmp_path, monkeypatch,
+                                                                  capsys):
+    """A refused train touches nothing; one whose calibration fails leaves no calibrated
+    model of an earlier run, and evaluate and export-rom then refuse, naming it."""
     cfg = _write_tiny(tmp_path)
     out = str(tmp_path / "out")
     folder = tmp_path / "out"
     stale = [folder / "rom_calibrated.txt", folder / "convergence.csv"]
     assert main(["--config", cfg, "--out", out, "generate"]) == 0
     assert main(["--config", cfg, "--out", out, "train"]) == 0
+    files = {path: path.read_bytes() for path in folder.iterdir() if path.is_file()}
     snapshot = folder / "snapshots" / "snapshots_R1.txt"
     os.replace(snapshot, tmp_path / "aside.txt")
-    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 3
-    assert all(path.exists() for path in stale)
+    assert main(["--config", cfg, "--out", out, "train"]) == 3
+    assert {path: path.read_bytes() for path in folder.iterdir() if path.is_file()} == files
     os.replace(tmp_path / "aside.txt", snapshot)
-
-    def assert_no_calibrated_model():
-        assert not any(path.exists() for path in stale)
-        assert main(["--config", cfg, "--out", out, "evaluate"]) == 0
-        assert "calibrated" not in (folder / "summary.csv").read_text()
 
     def fail(*args):
         raise NumericError("calibration diverged")
 
-    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
-    assert_no_calibrated_model()
-    assert main(["--config", cfg, "--out", out, "train"]) == 0
     monkeypatch.setattr(morcal.cli, "calibrate", fail)
     assert main(["--config", cfg, "--out", out, "train"]) == 4
-    assert_no_calibrated_model()
+    assert not any(path.exists() for path in stale)
+    assert (folder / "rom_opinf.txt").exists()
+    capsys.readouterr()
+    refusal = f"error (data): missing {folder / 'rom_calibrated.txt'}; run 'train' first\n"
+    for command in ("evaluate", "export-rom"):
+        assert main(["--config", cfg, "--out", out, command]) == 3
+        assert capsys.readouterr().err == refusal
+    assert not (folder / "rom_compact.txt").exists()
 
 
 def test_cli_refuses_a_deim_rank_above_the_source_rank(tmp_path, monkeypatch, capsys):
@@ -479,17 +540,17 @@ def test_cli_refuses_a_deim_rank_above_the_source_rank(tmp_path, monkeypatch, ca
     assert main(["--config", cfg, "--out", out, "generate"]) == 0
     monkeypatch.setenv("MORCAL_DEIM_RANK", "8")
     capsys.readouterr()
-    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
+    assert _train_regression_only(cfg, out) == 0
     rows = re.search(r"sample rows \[([0-9, ]+)\]", capsys.readouterr().out).group(1)
     solid_rows = load_pipeline_config(cfg).fom.solid_rows
     assert sorted(map(int, rows.split(","))) == solid_rows.tolist()  # at full rank, every one
     monkeypatch.setenv("MORCAL_DEIM_RANK", "9")
     capsys.readouterr()
-    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 2
+    assert _train_regression_only(cfg, out) == 2
     assert ("error (config): deim_rank=9 exceeds the numerical rank 8 of the source "
             "snapshots") in capsys.readouterr().err
     monkeypatch.setenv("MORCAL_POD_RANK", "27")  # 26 training snapshots; refused before DEIM
-    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 2
+    assert _train_regression_only(cfg, out) == 2
     assert capsys.readouterr().err == ("error (config): pod_rank=27 must satisfy "
                                        "1 <= pod_rank <= 26\n")
 
@@ -579,7 +640,7 @@ def test_cli_train_reads_the_numbers_generate_wrote_from_their_mirrors(tmp_path,
     texts = sorted((out / "snapshots").glob("snapshots_R*.txt"))
     assert sorted((out / "snapshots").iterdir()) == sorted(texts + [Path(f"{p}.bin") for p in texts])
     caplog.set_level(logging.DEBUG, logger="morcal.snapshots")
-    assert main(["--config", cfg, "--out", str(out), "train", "--skip-calibration"]) == 0
+    assert _train_regression_only(cfg, str(out)) == 0
     assert [r.getMessage() for r in caplog.records if r.name == "morcal.snapshots"] == [
         f"{out}/snapshots/snapshots_R{load}.txt: read from the mirror" for load in ("0.5", "1")]
 
@@ -621,7 +682,7 @@ def test_cli_non_empty_input_operator_is_a_data_error(tmp_path, capsys, section)
     cfg = _write_tiny(tmp_path)
     out = str(tmp_path / "out")
     assert main(["--config", cfg, "--out", out, "generate"]) == 0
-    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
+    assert _train_regression_only(cfg, out) == 0
     path = tmp_path / "out" / "rom_opinf.txt"
     text = path.read_text()
     empty = f"[{section}]\nrows=0 cols=0 scale=1\n"
@@ -636,7 +697,7 @@ def test_cli_non_empty_input_operator_is_a_data_error(tmp_path, capsys, section)
 def test_cli_model_without_sampled_source_is_a_data_error(tmp_path, capsys):
     """Every model carries its sampled source; empty [P1]/[P2] sections are refused."""
     cfg, out = _trained_tiny(tmp_path)
-    model = tmp_path / "out" / "rom_opinf.txt"
+    model = tmp_path / "out" / "rom_calibrated.txt"
     text, count = re.subn(r"\[P1\]\n.*?(?=\[deim\]\n)",
                           "[P1]\nrows=0 cols=0 scale=1\n[P2]\nrows=0 cols=0 scale=1\n",
                           model.read_text(), flags=re.S)
@@ -671,7 +732,7 @@ def test_cli_one_snapshot_training_files_are_a_data_error(tmp_path, capsys):
     for load in ("0.5", "1"):
         _keep_one_snapshot(tmp_path / "out" / "snapshots" / f"snapshots_R{load}.txt")
     capsys.readouterr()
-    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 3
+    assert _train_regression_only(cfg, out) == 3
     err = capsys.readouterr().err
     assert "error (data)" in err and "spacing" in err
 
@@ -735,7 +796,7 @@ def test_cli_evaluate_refuses_a_two_trajectory_snapshot_file(tmp_path, capsys):
     cfg = _write_tiny(tmp_path)
     out = str(tmp_path / "out")
     assert main(["--config", cfg, "--out", out, "generate"]) == 0
-    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
+    assert _train_regression_only(cfg, out) == 0
     path = tmp_path / "out" / "snapshots" / "snapshots_R1.5.txt"
     single = load_snapshots(path)
     save_snapshots(concat_snapshot_sets([single, single]), path)
@@ -749,9 +810,9 @@ def test_cli_scaling_and_basis_row_mismatch_is_a_data_error(tmp_path, capsys):
     cfg = _write_tiny(tmp_path)
     out = str(tmp_path / "out")
     assert main(["--config", cfg, "--out", out, "generate"]) == 0
-    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
+    assert _train_regression_only(cfg, out) == 0
     # The fields cover 16 rows; the basis keeps its 32.
-    model = tmp_path / "out" / "rom_opinf.txt"
+    model = tmp_path / "out" / "rom_calibrated.txt"
     _edit_line(model, "fields", "T_c:0:8,T_s:8:16")
     capsys.readouterr()
     for command in ("evaluate", "export-rom"):
@@ -765,7 +826,7 @@ def test_cli_snapshot_offsets_error_names_the_snapshot_file(tmp_path, capsys):
     cfg = _write_tiny(tmp_path)
     out = str(tmp_path / "out")
     assert main(["--config", cfg, "--out", out, "generate"]) == 0
-    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
+    assert _train_regression_only(cfg, out) == 0
     path = tmp_path / "out" / "snapshots" / "snapshots_R1.5.txt"
     _edit_line(path, "offsets", f"0,{load_snapshots(path).m - 1}")
     capsys.readouterr()
@@ -790,7 +851,7 @@ def test_cli_model_value_errors_name_the_model_file(tmp_path, capsys):
     cfg = _write_tiny(tmp_path)
     out = str(tmp_path / "out")
     assert main(["--config", cfg, "--out", out, "generate"]) == 0
-    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
+    assert _train_regression_only(cfg, out) == 0
     model = tmp_path / "out" / "rom_opinf.txt"
     _edit_line(model, "scale", "0 1")
     capsys.readouterr()
@@ -870,7 +931,7 @@ def test_cli_non_finite_rom_shift_is_a_data_error(tmp_path, capsys):
     cfg = _write_tiny(tmp_path)
     out = str(tmp_path / "out")
     assert main(["--config", cfg, "--out", out, "generate"]) == 0
-    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
+    assert _train_regression_only(cfg, out) == 0
     row = _edit_line(tmp_path / "out" / "rom_opinf.txt", "shift", "nan 500")
     capsys.readouterr()
     assert main(["--config", cfg, "--out", out, "evaluate"]) == 3
@@ -937,11 +998,12 @@ def test_cli_train_refuses_a_derivative_free_file_naming_it(tmp_path, capsys):
 
 
 def _trained_tiny(tmp_path):
-    """The tiny scenario, generated and trained; returns the config path and output folder."""
+    """The tiny scenario, generated and trained at ``max_iterations = 0``; returns the
+    config path and output folder."""
     cfg = _write_tiny(tmp_path)
     out = str(tmp_path / "out")
     assert main(["--config", cfg, "--out", out, "generate"]) == 0
-    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 0
+    assert _train_regression_only(cfg, out) == 0
     return cfg, out
 
 
@@ -980,7 +1042,7 @@ def test_cli_only_train_parses_the_derivative_numbers(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["--config", cfg, "--out", out, "evaluate"]) == 0
-    assert main(["--config", cfg, "--out", out, "train", "--skip-calibration"]) == 3
+    assert _train_regression_only(cfg, out) == 3
     err = capsys.readouterr().err
     assert f"error (data): {path}, line {row + 1}: bad number in derivative row 1" in err
 
@@ -997,6 +1059,18 @@ def test_cli_evaluate_names_the_model_file_without_basis(tmp_path, capsys):
     assert (f"error (data): {folder / 'rom_opinf.txt'}: error evaluation needs a model with "
             "basis and scaling") in capsys.readouterr().err
     assert not list(folder.glob("errors_*.csv"))
+
+
+@pytest.mark.parametrize("name", ["rom_opinf.txt", "rom_calibrated.txt"])
+def test_cli_evaluate_refuses_a_missing_model_naming_it(tmp_path, capsys, name):
+    cfg, out = _trained_tiny(tmp_path)
+    folder = tmp_path / "out"
+    (folder / name).unlink()
+    files = sorted(folder.iterdir())
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", out, "evaluate"]) == 3
+    assert capsys.readouterr().err == f"error (data): missing {folder / name}; run 'train' first\n"
+    assert sorted(folder.iterdir()) == files
 
 
 def test_cli_evaluate_names_a_model_trained_on_another_grid(tmp_path, monkeypatch, capsys):
