@@ -2,8 +2,8 @@
 
 The package reduces a 1D heated-reactor model through proper orthogonal
 decomposition, samples its temperature nonlinearity with discrete empirical
-interpolation, infers reduced operators by regularised regression on
-snapshot derivatives, and then refines those operators by minimising the
+interpolation, infers reduced operators by regularised regression on the
+exact right-hand side at the snapshots, and then refines those operators by minimising the
 time-stepped trajectory mismatch with Levenberg-Marquardt.
 """
 

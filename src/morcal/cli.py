@@ -21,7 +21,7 @@ from morcal import snapshots as snap_mod
 from morcal.calibrate import build_calibration_problem, calibrate
 from morcal.config import PipelineConfig, load_pipeline_config
 from morcal.errors import ConfigError, DataError, MorcalError, NumericError
-from morcal.fom import fom_integrate
+from morcal.fom import fom_integrate, fom_rhs
 from morcal.opinf import assemble_regression, solve_opinf
 from morcal.textio import FLOAT_FMT, fmt_float, write_csv
 
@@ -58,9 +58,15 @@ def _say(line: str, err: bool = False) -> None:
 
 
 def _write_snapshot_file(task) -> int:
-    """Worker task of ``generate``: write one case's snapshot file, return its size m."""
-    snapshots, path = task
-    snap_mod.save_snapshots(snapshots, path)  # looked up in the worker: a wrapper need not pickle
+    """Worker task of ``generate``: write one case's snapshot file, return its size m.
+
+    The file's derivative section holds the exact right-hand side at the
+    saved states, computed here from the model ``fom``; no command reads it.
+    """
+    snapshots, fom, path = task
+    rhs = fom_rhs(snapshots.data.T, snapshots.controls, fom).T
+    # looked up in the worker: a wrapper need not pickle
+    snap_mod.save_snapshots(snapshots, path, derivatives=rhs)
     return snapshots.m
 
 
@@ -75,9 +81,8 @@ def cmd_generate(cfg: PipelineConfig) -> int:
     from concurrent.futures import ProcessPoolExecutor
 
     sets = fom_integrate(cfg.fom, [case.signal for case in cfg.cases], cfg.save_every)
-    paths = [case.path for case in cfg.cases]
-    for path in paths:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
+    for case in cfg.cases:
+        os.makedirs(os.path.dirname(case.path), exist_ok=True)
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
@@ -85,19 +90,20 @@ def cmd_generate(cfg: PipelineConfig) -> int:
     # Text still buffered here would be written again by every forked worker.
     sys.stdout.flush()
     sys.stderr.flush()
+    tasks = [(snapshots, cfg.fom, case.path) for snapshots, case in zip(sets, cfg.cases)]
     with ProcessPoolExecutor(max_workers=min(len(cfg.cases), cpus)) as pool:
-        for case, m in zip(cfg.cases, pool.map(_write_snapshot_file, zip(sets, paths))):
+        for case, m in zip(cfg.cases, pool.map(_write_snapshot_file, tasks)):
             _say(f"generate: {case.name} -> {case.path} ({m} snapshots)")
     return EXIT_OK
 
 
-def _case_snapshots(cases, n, derivatives=True):
+def _case_snapshots(cases, n):
     """Yield each case with its snapshot set, refusing a case whose file is missing
     or holds another state size than the configured grid's ``n``."""
     for case in cases:
         if not os.path.exists(case.path):
             raise DataError(f"missing snapshot file {case.path}; run 'generate' first")
-        snapshots = snap_mod.load_snapshots(case.path, derivatives=derivatives)
+        snapshots = snap_mod.load_snapshots(case.path)
         if snapshots.n != n:
             raise DataError(f"{case.path}: the file has n={snapshots.n} states, the "
                             f"configured grid has n={n}")
@@ -105,22 +111,35 @@ def _case_snapshots(cases, n, derivatives=True):
 
 
 def _load_training_set(cfg: PipelineConfig):
+    """The training cases' snapshots, concatenated, and the exact right-hand side at
+    their states, the regression target.
+
+    The right-hand side is computed from ``cfg.fom`` one case at a time, so its
+    temporaries are one file's size.  A state it cannot use, a non-positive solid
+    temperature or one whose source overflows, is a data error naming the file.
+    """
     cases = [case for case in cfg.cases if case.role == "training"]
-    sets = []
+    sets, rhs = [], []
     for case, snapshots in _case_snapshots(cases, cfg.fom.n):
-        if snapshots.derivatives is None:
-            raise DataError(f"{case.path}: training snapshots carry no derivatives; regenerate them")
         if np.diff(snapshots.trajectory_offsets).min() < 2:
             raise DataError(f"{case.path}: a training trajectory of one snapshot has no "
                             "snapshot spacing to step by")
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                rhs.append(fom_rhs(snapshots.data.T, snapshots.controls, cfg.fom).T)
+            except NumericError as exc:
+                raise DataError(f"{case.path}: {exc}") from None
+        if not np.isfinite(rhs[-1]).all():
+            raise DataError(f"{case.path}: the right-hand side at the snapshot states is "
+                            "not finite")
         sets.append(snapshots)
-    return snap_mod.concat_snapshot_sets(sets, names=[case.path for case in cases])
+    return snap_mod.concat_snapshot_sets(sets, names=[case.path for case in cases]), np.hstack(rhs)
 
 
 def cmd_train(cfg: PipelineConfig) -> int:
     """Fit basis, sampling operators and reduced operators on training data, then calibrate
     them; at ``max_iterations = 0`` the calibrated model is the regression fit."""
-    raw = _load_training_set(cfg)
+    raw, rhs = _load_training_set(cfg)
     scaling = snap_mod.fit_scaling(raw)
     states = snap_mod.apply_scaling(raw, scaling)
     basis = pod_mod.compute_pod(states, cfg.pod_rank, scaling=scaling)
@@ -134,7 +153,7 @@ def cmd_train(cfg: PipelineConfig) -> int:
     _say(f"train: deim rank s={cfg.deim_rank}, sample rows {list(map(int, deim_ops.indices))}")
 
     reduced_states = pod_mod.project(basis, states)
-    reduced_derivs = pod_mod.project(basis, scaling.scale_derivative_array(raw.derivatives))
+    reduced_derivs = pod_mod.project(basis, scaling.scale_derivative_array(rhs))
     design, target = assemble_regression(reduced_states, reduced_derivs, raw.controls, deim_ops)
     operators = solve_opinf(design, target, cfg.tikhonov_lambda)
     oi_model = rom_mod.RomModel(operators=operators, deim=deim_ops, basis=basis, dt=raw.dt)
@@ -194,9 +213,9 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
     """Roll out both trained models against every case and write error CSVs.
 
     A missing model is refused, and every case is scored, before any file is
-    written, so a refused command changes no file.  The derivatives are not
-    read: from a mirror only the data and control blocks are, and a parsed
-    text's derivative section is checked for its marker and line count only.
+    written, so a refused command changes no file.  Only the states and
+    heat loads are read; a parsed text's derivative section is checked for
+    its marker and line count only.
     """
     paths = {name: os.path.join(cfg.output_dir, f"rom_{name}.txt")
              for name in ("opinf", "calibrated")}
@@ -211,7 +230,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
             raise DataError(f"{path}: the model has n={model.basis.n} states, the "
                             f"configured grid has n={cfg.fom.n}")
 
-    sets = [snapshots for _, snapshots in _case_snapshots(cfg.cases, cfg.fom.n, derivatives=False)]
+    sets = [snapshots for _, snapshots in _case_snapshots(cfg.cases, cfg.fom.n)]
     reports = {}
     for name, model in models.items():
         try:

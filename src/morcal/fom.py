@@ -15,8 +15,9 @@ One rates object states the discretisation: the rates at which each row
 draws on its neighbours and on the other field, applied to differences of
 states, plus the source on the solid rows.  It gives the right-hand side
 (``fom_rhs``) and, scaled by ``dt``, each Euler step's increment.  The
-integrator applies the unit-scale rates only at the saved states, which is
-where snapshots need the right-hand side.
+integrator applies the dt-scaled rates only: a snapshot set holds states
+and heat loads, and whoever needs the right-hand side at them computes it
+with ``fom_rhs``.
 
 The integrator holds its states state-major, ``(n, L)`` with one column per
 heat load.  A step is a fixed sequence of about fifteen NumPy calls on
@@ -186,9 +187,10 @@ class _Rates:
 
     States are state-major, ``(n, L)`` with one column per heat load (see
     the module docstring).  Each rate carries a trailing axis of ``width``
-    equal columns, the width of the stacks it is applied to, so that no
-    product broadcasts a column across them; the integrator builds its
-    rates once per integration.
+    equal columns.  The integrator builds its rates once, at the width of
+    its stack, so that no product of a step broadcasts a column across
+    them; ``fom_rhs``, called once on a whole snapshot set, builds them at
+    width 1 and lets them broadcast, which keeps them small.
     """
 
     def __init__(self, cfg: FomConfig, scale: float, width: int):
@@ -264,7 +266,7 @@ def fom_rhs(state, control, cfg: FomConfig):
     else:
         raise DataError(f"control must be a heat load or one per state row, got {control.shape}")
     columns = state.reshape(-1, cfg.n).T  # state-major (n, L) view
-    rates = _Rates(cfg, 1.0, columns.shape[1])
+    rates = _Rates(cfg, 1.0, 1)
     solid_t = columns[rates.solid]
     if (solid_t <= 0.0).any():
         raise NumericError(_NON_POSITIVE)
@@ -288,10 +290,10 @@ def fom_integrate(cfg: FomConfig, signals, save_every: int = 1):
     docstring); each step adds to the state the increment ``dt * f(x)``
     that the rates of ``fom_rhs``, scaled by ``dt``, give, and no column
     depends on the other loads in the stack.  Saves every
-    ``save_every``-th step starting at t=0, together with the exact
-    right-hand side at the saved state (``derivatives``, the unit-scale
-    rates applied at saved states only) and the heat load at the saved times
-    (``controls``); the sets' spacing is ``save_every * dt``.  Refuses to
+    ``save_every``-th step starting at t=0, together with the heat load at
+    the saved times (``controls``); the sets' spacing is
+    ``save_every * dt``.  The right-hand side at the saved states is
+    ``fom_rhs`` of the saved columns and their controls.  Refuses to
     run when dt exceeds the advection/diffusion stability bound, when t_end
     is shorter than one saved step, or when its step count cannot be
     allocated; a non-positive solid temperature or a non-finite state
@@ -324,12 +326,11 @@ def fom_integrate(cfg: FomConfig, signals, save_every: int = 1):
         saved = np.arange(0, n_steps + 1, save_every)
         k = saved.size
         states = np.empty((n_loads, cfg.n, k))
-        derivs = np.empty((n_loads, cfg.n, k))
     except (ValueError, MemoryError):  # NumPy's "Maximum allowed size exceeded" is a ValueError
         raise ConfigError(f"t_end={cfg.t_end:g} s / dt={cfg.dt:g} s is {n_steps:.3g} steps, "
                           f"more than can be allocated") from None
 
-    step, rhs = _Rates(cfg, cfg.dt, n_loads), _Rates(cfg, 1.0, n_loads)
+    step = _Rates(cfg, cfg.dt, n_loads)
     state = np.full((cfg.n, n_loads), cfg.initial_temperature, dtype=float)
     state[0] = cfg.inflow_temperature  # pinned inlet node
     with np.errstate(over="ignore", invalid="ignore"):
@@ -339,9 +340,7 @@ def fom_integrate(cfg: FomConfig, signals, save_every: int = 1):
                 raise _load_error(_NON_POSITIVE, j, cfg, (solid_t <= 0.0).any(axis=0),
                                   controls[j])
             if j % save_every == 0:
-                col = j // save_every
-                states[:, :, col] = state.T
-                derivs[:, :, col] = rhs.add_to(np.zeros(state.shape), state, solid_t, controls[j]).T
+                states[:, :, j // save_every] = state.T
             if j < n_steps:
                 state = step.add_to(state.copy(), state, solid_t, controls[j])
                 if not np.isfinite(state).all():
@@ -355,7 +354,6 @@ def fom_integrate(cfg: FomConfig, signals, save_every: int = 1):
             dt=save_every * cfg.dt,
             controls=controls[saved, i],
             fields=cfg.fields(),
-            derivatives=derivs[i],
         )
         for i in range(n_loads)
     ]

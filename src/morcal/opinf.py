@@ -59,11 +59,6 @@ def assemble_regression(
     target : (m, r).
     """
     s = np.asarray(reduced_states, dtype=float)
-    if reduced_derivatives is None:
-        raise DataError(
-            "reduced derivatives are missing; regenerate the snapshots so that "
-            "they carry exact derivative data"
-        )
     d = np.asarray(reduced_derivatives, dtype=float)
     controls = np.asarray(controls, dtype=float)
     if s.ndim != 2 or d.shape != s.shape:

@@ -53,12 +53,13 @@ SCALE_FLOOR = 1e-12
 logger = logging.getLogger(__name__)
 
 # The binary mirror of a snapshot file: the magic line; the text's byte size
-# and CRC-32, and the CRC-32 of each payload block; then the payload, the
-# blocks data (n x m), derivatives (n x m, absent in a file without them)
-# and controls (m) as little-endian float64 in C order.
+# and CRC-32, and one CRC-32 over the payload; then the payload, data
+# (n x m) and controls (m) as little-endian float64 in C order.  The text's
+# derivative section has no block, since no reader uses its numbers.  A
+# mirror of another layout (an older magic line) counts as damaged.
 _MIRROR_SUFFIX = ".bin"
-_MIRROR_MAGIC = b"morcal snapshot mirror 1\n"
-_MIRROR_HEAD = struct.Struct("<QIIII")
+_MIRROR_MAGIC = b"morcal snapshot mirror 2\n"
+_MIRROR_HEAD = struct.Struct("<QII")
 _MIRROR_DTYPE = np.dtype("<f8")
 
 
@@ -132,17 +133,17 @@ class ScalingSpec:
 
 @dataclass
 class SnapshotSet:
-    """Column-stacked trajectories with controls and optional derivatives."""
+    """Column-stacked trajectories with the heat load of each column."""
 
     data: np.ndarray  # (n, m)
     trajectory_offsets: np.ndarray  # (l+1,) column offsets, first 0, last m
     dt: float  # time between consecutive snapshots of every trajectory
     controls: np.ndarray  # (m,) heat load R per column
     fields: list  # (name, start, end)
-    derivatives: np.ndarray | None = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
+        self.controls = np.asarray(self.controls, dtype=float)
         self.trajectory_offsets = np.asarray(self.trajectory_offsets, dtype=int)
         n, m = self.data.shape
         _check_fields(self.fields, n)
@@ -153,10 +154,6 @@ class SnapshotSet:
             raise DataError("snapshot spacing dt must be positive")
         if self.controls.shape != (m,):
             raise DataError("controls must hold one heat load per column")
-        if self.derivatives is not None:
-            self.derivatives = np.asarray(self.derivatives, dtype=float)
-            if self.derivatives.shape != self.data.shape:
-                raise DataError("derivatives must match the snapshot matrix shape")
 
     @property
     def n(self) -> int:
@@ -186,8 +183,6 @@ def concat_snapshot_sets(sets, names=None) -> SnapshotSet:
         where = "" if names is None else f"{names[i]} and {names[0]}: "
         if s.fields != first.fields:
             raise DataError(f"{where}snapshot sets disagree on field layout")
-        if (s.derivatives is None) != (first.derivatives is None):
-            raise DataError(f"{where}cannot mix sets with and without derivatives")
         if not np.isclose(s.dt, first.dt, rtol=1e-9, atol=1e-12):
             raise DataError(f"{where}all trajectories must share one snapshot spacing")
     counts = np.concatenate([np.diff(s.trajectory_offsets) for s in sets])
@@ -198,9 +193,6 @@ def concat_snapshot_sets(sets, names=None) -> SnapshotSet:
         dt=first.dt,
         controls=np.concatenate([s.controls for s in sets]),
         fields=list(first.fields),
-        derivatives=None
-        if first.derivatives is None
-        else np.hstack([s.derivatives for s in sets]),
     )
 
 
@@ -240,16 +232,19 @@ class _ChecksumFile(io.FileIO):
         return written
 
 
-def save_snapshots(snapshots: SnapshotSet, path) -> None:
+def save_snapshots(snapshots: SnapshotSet, path, derivatives=None) -> None:
     """Write the set to a plain-text snapshot file (full precision) and its mirror.
 
-    The mirror (``path`` plus ``.bin``) records the text's byte size and
+    ``derivatives``, an (n, m) array, is written as the text's derivative
+    section; without it the file says ``has_derivatives=0``.  No reader
+    parses that section's numbers, and the mirror holds none of them.  The
+    mirror (``path`` plus ``.bin``) records the text's byte size and
     CRC-32, taken as the text is written, so a later change to the text
     makes the mirror stale.  A set holding a non-finite number gets no
     mirror: the text reader refuses such a file, so only its text may answer.
     """
     off = ",".join(str(int(v)) for v in snapshots.trajectory_offsets)
-    has_der = 1 if snapshots.derivatives is not None else 0
+    has_der = 0 if derivatives is None else 1
     raw = _ChecksumFile(path, "w")
     with io.TextIOWrapper(io.BufferedWriter(raw)) as fh:
         fh.write(f"n={snapshots.n}\n")
@@ -263,15 +258,15 @@ def save_snapshots(snapshots: SnapshotSet, path) -> None:
         write_rows(fh, snapshots.data.T)
         if has_der:
             fh.write("derivatives\n")
-            write_rows(fh, snapshots.derivatives.T)
+            write_rows(fh, np.asarray(derivatives).T)
         fh.write("controls\n")
         write_rows(fh, snapshots.controls[:, None])
-    derivs = snapshots.derivatives if has_der else np.empty(0)  # no bytes, CRC-32 0
     blocks = [np.ascontiguousarray(b, dtype=_MIRROR_DTYPE)
-              for b in (snapshots.data, derivs, snapshots.controls)]
+              for b in (snapshots.data, snapshots.controls)]
     if all(np.isfinite(b).all() for b in blocks):
+        payload_crc = zlib.crc32(blocks[1], zlib.crc32(blocks[0]))
         with open(str(path) + _MIRROR_SUFFIX, "wb") as fh:
-            fh.write(_MIRROR_MAGIC + _MIRROR_HEAD.pack(raw.size, raw.crc, *map(zlib.crc32, blocks)))
+            fh.write(_MIRROR_MAGIC + _MIRROR_HEAD.pack(raw.size, raw.crc, payload_crc))
             for b in blocks:
                 fh.write(memoryview(b).cast("B"))
 
@@ -285,42 +280,34 @@ def _file_crc(path) -> int:
     return crc
 
 
-def _mirror_blocks(fh, path, n, m, has_der, derivatives):
-    """The (data, derivatives, controls) in the open mirror ``fh`` of text file ``path``.
+def _mirror_blocks(fh, path, n, m):
+    """The (data, controls) in the open mirror ``fh`` of text file ``path``.
 
     Returns them and None, or None and what is wrong with the mirror: it
     was not written with the text as it is now (``"stale"``), or it is not
-    whole (``"damaged"``): its length is not the one the header's sizes
-    imply, or a block read does not match its CRC-32.  The derivative block
-    is read only if ``derivatives`` asks for it.
+    whole (``"damaged"``): its magic line is not this layout's, its length
+    is not the one the header's sizes imply, or its payload does not match
+    its CRC-32.
     """
     head = fh.read(len(_MIRROR_MAGIC) + _MIRROR_HEAD.size)
     if len(head) != len(_MIRROR_MAGIC) + _MIRROR_HEAD.size or not head.startswith(_MIRROR_MAGIC):
         return None, "damaged"
-    text_size, text_crc, *crcs = _MIRROR_HEAD.unpack_from(head, len(_MIRROR_MAGIC))
+    text_size, text_crc, payload_crc = _MIRROR_HEAD.unpack_from(head, len(_MIRROR_MAGIC))
     if os.path.getsize(path) != text_size:
         return None, "stale"
-    counts = [n * m, n * m * has_der, m]
-    if min(n, m) < 0 or os.fstat(fh.fileno()).st_size != len(head) + 8 * sum(counts):
+    if min(n, m) < 0 or os.fstat(fh.fileno()).st_size != len(head) + 8 * (n * m + m):
         return None, "damaged"
     if _file_crc(path) != text_crc:
         return None, "stale"
-    blocks = []
-    for count, crc, wanted in zip(counts, crcs, (True, derivatives and has_der, True)):
-        if not wanted:
-            fh.seek(8 * count, os.SEEK_CUR)
-            blocks.append(None)
-            continue
-        block = np.empty(count, dtype=_MIRROR_DTYPE)
-        if fh.readinto(block) != block.nbytes or zlib.crc32(block) != crc:
-            return None, "damaged"
-        blocks.append(block.astype(float, copy=False))
-    data, derivs, controls = blocks
-    return (data.reshape(n, m), None if derivs is None else derivs.reshape(n, m), controls), None
+    payload = np.empty(n * m + m, dtype=_MIRROR_DTYPE)
+    if fh.readinto(payload) != payload.nbytes or zlib.crc32(payload) != payload_crc:
+        return None, "damaged"
+    payload = payload.astype(float, copy=False)
+    return (payload[:n * m].reshape(n, m), payload[n * m:]), None
 
 
-def _read_mirror(path, n, m, has_der, derivatives):
-    """The (data, derivatives, controls) of snapshot file ``path`` from its mirror, or None.
+def _read_mirror(path, n, m):
+    """The (data, controls) of snapshot file ``path`` from its mirror, or None.
 
     None means that the text must be parsed: there is no mirror, or it is
     stale or damaged (see ``_mirror_blocks``).  One DEBUG record on this
@@ -328,7 +315,7 @@ def _read_mirror(path, n, m, has_der, derivatives):
     """
     try:
         with open(str(path) + _MIRROR_SUFFIX, "rb") as fh:
-            blocks, why = _mirror_blocks(fh, path, n, m, has_der, derivatives)
+            blocks, why = _mirror_blocks(fh, path, n, m)
     except FileNotFoundError:
         blocks, why = None, "no"
     except OSError:
@@ -340,17 +327,15 @@ def _read_mirror(path, n, m, has_der, derivatives):
     return blocks
 
 
-def load_snapshots(path, derivatives=True) -> SnapshotSet:
+def load_snapshots(path) -> SnapshotSet:
     """Read a snapshot file written by save_snapshots; every DataError names the file.
 
     The header is always parsed from the text.  The numbers come from the
     file's mirror when it matches the text (see ``save_snapshots``), else
     from the text; both give the same arrays, bit for bit.  A text without
     a mirror, from another writer say, is parsed as always, and nothing is
-    written.  With ``derivatives=False`` the returned set has no
-    derivatives and their numbers are not read; on the text path the
-    derivative section's marker and line count are still checked, and
-    everything else is read and checked as in a full load.
+    written.  A derivative section's numbers are never read: when the text
+    is parsed, only its marker and line count are checked.
     """
     with TextReader(path) as rd:
         n = parse_int(rd.expect_kv("n"), rd, "n")
@@ -368,11 +353,8 @@ def load_snapshots(path, derivatives=True) -> SnapshotSet:
         if dt <= 0.0:
             raise rd.error("dt must be positive")
 
-        mirrored = _read_mirror(path, n, m, has_der, derivatives)
-        if mirrored is not None:
-            data, derivs, controls = mirrored
-        else:
-            data, derivs, controls = _read_body(rd, n, m, has_der, derivatives)
+        mirrored = _read_mirror(path, n, m)
+        data, controls = mirrored if mirrored is not None else _read_body(rd, n, m, has_der)
 
     try:
         return SnapshotSet(
@@ -381,27 +363,22 @@ def load_snapshots(path, derivatives=True) -> SnapshotSet:
             dt=dt,
             controls=controls,
             fields=fields,
-            derivatives=derivs,
         )
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _read_body(rd, n, m, has_der, derivatives):
-    """The data, derivatives (or None) and controls sections of a snapshot text."""
+def _read_body(rd, n, m, has_der):
+    """The data and controls sections of a snapshot text; a derivative section is skipped."""
     if rd.next_line("'data' marker").strip() != "data":
         raise rd.error("expected 'data' section")
     # Rows on disk are snapshot columns; keep the (n, m) matrix C-contiguous.
     data = np.ascontiguousarray(rd.read_rows(m, n, "data row").T)
-    derivs = None
     if has_der:
         if rd.next_line("'derivatives' marker").strip() != "derivatives":
             raise rd.error("expected 'derivatives' section")
-        if derivatives:
-            derivs = np.ascontiguousarray(rd.read_rows(m, n, "derivative row").T)
-        else:
-            rd.skip_rows(m, "derivative row")
+        rd.skip_rows(m, "derivative row")
     if rd.next_line("'controls' marker").strip() != "controls":
         raise rd.error("expected 'controls' section")
     controls = rd.read_rows(m, 1, "control row")[:, 0]
-    return data, derivs, controls
+    return data, controls

@@ -454,8 +454,23 @@ def test_cli_generate_writes_loadable_snapshots(tmp_path):
     assert main(["--config", cfg, "--out", out, "generate"]) == 0
     snaps = load_snapshots(os.path.join(out, "snapshots", "snapshots_R0.5.txt"))
     assert snaps.n == 32
-    assert snaps.derivatives is not None
     assert snaps.controls[0] == 0.5
+
+
+def test_cli_generate_files_keep_the_layout_the_benchmark_counts(tmp_path):
+    """generate's files still carry the derivative section: ``check_snapshots`` in
+    perfbench/run.py counts exactly 10 + 3m lines, so the section can go only after
+    that check counts the layout a file's header declares (ROADMAP item 2)."""
+    cfg = _write_tiny(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "generate"]) == 0
+    texts = sorted((out / "snapshots").glob("snapshots_R*.txt"))
+    assert len(texts) == 3
+    for path in texts:
+        lines = path.read_text().splitlines()
+        m = load_snapshots(path).m
+        assert "has_derivatives=1" in lines and "derivatives" in lines, path
+        assert len(lines) == 10 + 3 * m, path
 
 
 def test_cli_full_tiny_pipeline(tmp_path):
@@ -984,17 +999,45 @@ def test_cli_generate_refuses_a_step_count_that_cannot_be_allocated(tmp_path, ca
     assert not list(out.rglob("snapshots_*"))
 
 
-def test_cli_train_refuses_a_derivative_free_file_naming_it(tmp_path, capsys):
+def test_cli_train_on_derivative_free_files_writes_the_same_models(tmp_path):
+    """train computes the right-hand side from the states, so training files without
+    the derivative section give the models that generate's files give, byte for byte."""
     cfg = _write_tiny(tmp_path)
-    out = str(tmp_path / "out")
-    assert main(["--config", cfg, "--out", out, "generate"]) == 0
-    path = tmp_path / "out" / "snapshots" / "snapshots_R1.txt"
-    save_snapshots(load_snapshots(path, derivatives=False), path)
-    assert "has_derivatives=0" in path.read_text()
-    capsys.readouterr()
-    assert main(["--config", cfg, "--out", out, "train"]) == 3
-    err = capsys.readouterr().err
-    assert f"error (data): {path}: training snapshots carry no derivatives" in err
+    out, bare = tmp_path / "out", tmp_path / "bare"
+    assert main(["--config", cfg, "--out", str(out), "generate"]) == 0
+    (bare / "snapshots").mkdir(parents=True)
+    for load in ("0.5", "1"):
+        name = f"snapshots/snapshots_R{load}.txt"
+        save_snapshots(load_snapshots(out / name), bare / name)
+        assert "has_derivatives=0" in (bare / name).read_text()
+    for folder in (out, bare):
+        assert main(["--config", cfg, "--out", str(folder), "train"]) == 0
+    for name in ("rom_opinf.txt", "rom_calibrated.txt", "convergence.csv"):
+        assert (bare / name).read_bytes() == (out / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("value", ["-1e308", "1e-320"])
+def test_cli_train_names_a_file_whose_solid_temperature_it_cannot_use(tmp_path, value):
+    """A solid temperature at which the source is undefined or overflows is a data error
+    naming the training file, raised before the POD: no warning, no LAPACK line."""
+    cfg = _write_tiny(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "generate"]) == 0
+    path = out / "snapshots" / "snapshots_R1.txt"
+    lines = path.read_text().splitlines()
+    row = lines.index("data") + 2
+    tokens = lines[row].split(" ")
+    tokens[load_pipeline_config(cfg).fom.solid_rows[0]] = value
+    lines[row] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n")
+    proc = subprocess.run([sys.executable, "-m", "morcal.cli", "--config", cfg, "--out",
+                           str(out), "train"], env=_cli_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error (data): {path}: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert not list(out.glob("rom_*.txt"))
 
 
 def _trained_tiny(tmp_path):
@@ -1032,19 +1075,36 @@ def test_cli_evaluate_checks_the_derivatives_marker(tmp_path, capsys):
     assert f"error (data): {path}, line {row + 1}: expected 'derivatives' section" in err
 
 
-def test_cli_only_train_parses_the_derivative_numbers(tmp_path, capsys):
-    """evaluate never uses the derivatives, so a bad number there stops train alone."""
+def test_cli_no_command_parses_the_derivative_numbers(tmp_path, capsys):
+    """No command uses the derivative section's numbers: a malformed one changes no
+    output of train or evaluate.  Its marker and line count are still checked."""
     cfg, out = _trained_tiny(tmp_path)
-    path = tmp_path / "out" / "snapshots" / "snapshots_R0.5.txt"
+    folder = tmp_path / "out"
+
+    def outputs():
+        assert _train_regression_only(cfg, out) == 0
+        assert main(["--config", cfg, "--out", out, "evaluate"]) == 0
+        return {p.name: p.read_bytes() for p in folder.iterdir() if p.is_file()}
+
+    want = outputs()
+    path = folder / "snapshots" / "snapshots_R0.5.txt"
     lines = path.read_text().splitlines()
     row = lines.index("derivatives") + 2
-    lines[row] = "x " + lines[row].split(" ", 1)[1]
-    path.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert main(["--config", cfg, "--out", out, "evaluate"]) == 0
-    assert _train_regression_only(cfg, out) == 3
-    err = capsys.readouterr().err
-    assert f"error (data): {path}, line {row + 1}: bad number in derivative row 1" in err
+    bad = list(lines)
+    bad[row] = "x " + bad[row].split(" ", 1)[1]
+    path.write_text("\n".join(bad) + "\n")
+    assert outputs() == want
+
+    marker = lines.index("derivatives")
+    short = lines[:marker + 1] + lines[marker + 2:]  # one derivative row fewer
+    refusals = [(lines[:marker] + ["derivative"] + lines[marker + 1:],
+                 f"line {marker + 1}: expected 'derivatives' section"),
+                (short, f"line {short.index('controls') + 2}: expected 'controls' section")]
+    for edited, message in refusals:
+        path.write_text("\n".join(edited) + "\n")
+        capsys.readouterr()
+        assert _train_regression_only(cfg, out) == 3
+        assert capsys.readouterr().err == f"error (data): {path}, {message}\n"
 
 
 def test_cli_evaluate_names_the_model_file_without_basis(tmp_path, capsys):

@@ -204,10 +204,11 @@ def test_integrate_saves_states_controls_and_exact_rhs(small_cfg, step_signal):
     assert traj.controls.shape == (traj.m,)
     assert np.all(traj.controls[times < 100.0] == 1.0)
     assert np.all(traj.controls[times >= 100.0] == 0.0)
-    # stored derivatives are the exact rhs at the stored states
+    # the exact rhs at the stored states and controls, from the set
+    exact = fom_rhs(traj.data.T, traj.controls, small_cfg).T
     for j in (0, 2, traj.m - 1):
-        want = fom_rhs(traj.data[:, j], traj.controls[j], small_cfg)
-        assert np.allclose(traj.derivatives[:, j], want, rtol=1e-14)
+        want = _dense_rhs_oracle(traj.data[:, j], traj.controls[j], small_cfg)
+        assert np.allclose(exact[:, j], want, rtol=1e-13, atol=1e-16)
 
 
 def test_integrate_first_column_is_initial_state(small_cfg, step_signal):
@@ -277,7 +278,6 @@ def test_batched_integrate_equals_one_load_at_a_time(small_cfg):
     for got, signal in zip(batched, signals):
         want = fom_integrate(small_cfg, [signal], save_every=7)[0]
         assert np.array_equal(got.data, want.data)
-        assert np.array_equal(got.derivatives, want.derivatives)
         assert np.array_equal(got.controls, want.controls)
         assert got.dt == want.dt
         assert got.fields == want.fields
@@ -419,31 +419,31 @@ def test_each_folded_step_is_one_exact_euler_step(changes):
         oracle = traj.data[:, j] + cfg.dt * _dense_rhs_oracle(traj.data[:, j],
                                                               traj.controls[j], cfg)
         assert np.allclose(traj.data[:, j + 1], oracle, rtol=1e-13, atol=0.0), j
-        assert np.array_equal(traj.derivatives[:, j],
-                              fom_rhs(traj.data[:, j], traj.controls[j], cfg))
+    # the rhs of the whole set is the rhs of each saved column, bit for bit
+    exact = fom_rhs(traj.data.T, traj.controls, cfg).T
+    for j in range(traj.m):
+        assert np.array_equal(exact[:, j], fom_rhs(traj.data[:, j], traj.controls[j], cfg)), j
     assert np.all(traj.data[0] == cfg.inflow_temperature)
 
 
-def test_exact_rhs_runs_once_per_saved_column(small_cfg, monkeypatch):
-    """The unit-scale rates are applied once per saved column, to the whole stack;
-    the dt-scaled ones once per step."""
+def test_only_the_step_rates_run_once_per_step(small_cfg, monkeypatch):
+    """The integrator applies only the dt-scaled rates, once per step, to the whole
+    stack; it never computes the right-hand side at the saved states."""
     import morcal.fom
 
-    unit_gain = small_cfg.arrhenius_prefactor / small_cfg.rho_cp_solid
+    step_gain = small_cfg.dt * small_cfg.arrhenius_prefactor / small_cfg.rho_cp_solid
     calls = []
     add_to = morcal.fom._Rates.add_to
 
     def counting(rates, out, state, solid_t, heat):
-        calls.append((rates.source_gain == unit_gain, state.shape))
+        calls.append((rates.source_gain, rates.left.shape[-1], state.shape))
         return add_to(rates, out, state, solid_t, heat)
 
     monkeypatch.setattr(morcal.fom._Rates, "add_to", counting)
     sets = fom_integrate(small_cfg, _two_schedule_signals(), save_every=7)
     n_steps = round(small_cfg.t_end / small_cfg.dt)
-    k = sets[0].data.shape[1]
-    assert k == n_steps // 7 + 1
-    assert [shape for unit, shape in calls if unit] == [(small_cfg.n, 3)] * k
-    assert [shape for unit, shape in calls if not unit] == [(small_cfg.n, 3)] * n_steps
+    assert sets[0].data.shape[1] == n_steps // 7 + 1
+    assert calls == [(step_gain, 3, (small_cfg.n, 3))] * n_steps
 
 
 def _row_major_add_to(rates, out, state, heat):
@@ -461,7 +461,7 @@ def _row_major_add_to(rates, out, state, heat):
 
 
 def _row_major_integrate(cfg, signals):
-    """States and exact derivatives at every step, from the row-major kernel."""
+    """States and exact right-hand sides at every step, from the row-major kernel."""
     step, exact = _Rates(cfg, cfg.dt, 1), _Rates(cfg, 1.0, 1)
     n_steps = int(round(cfg.t_end / cfg.dt))
     heat = np.column_stack([sig.heat_load(np.arange(n_steps + 1) * cfg.dt) for sig in signals])
@@ -488,4 +488,10 @@ def test_integrator_matches_the_row_major_kernel_bit_for_bit(case):
     states, derivs = _row_major_integrate(cfg, signals)
     for i, got in enumerate(fom_integrate(cfg, signals, save_every=1)):
         assert np.array_equal(got.data.view(np.int64), states[i].view(np.int64))
-        assert np.array_equal(got.derivatives.view(np.int64), derivs[i].view(np.int64))
+        # fom_rhs of a whole saved set, on width-1 rates, gives the kernel's bits
+        exact = fom_rhs(got.data.T, got.controls, cfg).T
+        assert np.array_equal(exact.view(np.int64), derivs[i].view(np.int64))
+        for j in (0, got.m // 2, got.m - 1):
+            # relative to the largest term: near equilibrium, rows cancel to round-off
+            oracle = _dense_rhs_oracle(got.data[:, j], got.controls[j], cfg)
+            assert np.max(np.abs(exact[:, j] - oracle)) <= 1e-13 * np.max(np.abs(oracle)), j

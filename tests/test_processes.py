@@ -200,11 +200,12 @@ def test_worker_tasks_survive_pickling(tmp_path):
     cfg = load_pipeline_config(config, output_override=str(out))
     case = cfg.cases[CASES.index("R0.75")]
     trajectory = fom_integrate(cfg.fom, [case.signal], cfg.save_every)[0]
-    copy_fn, (copy_traj, path) = pickle.loads(
-        pickle.dumps((cli._write_snapshot_file, (trajectory, str(tmp_path / "s.txt")))))
+    copy_fn, (copy_traj, copy_fom, path) = pickle.loads(
+        pickle.dumps((cli._write_snapshot_file, (trajectory, cfg.fom, str(tmp_path / "s.txt")))))
     assert copy_fn is cli._write_snapshot_file
     assert np.array_equal(copy_traj.data, trajectory.data)
-    assert copy_fn((copy_traj, path)) == trajectory.m
+    assert copy_fom == cfg.fom
+    assert copy_fn((copy_traj, copy_fom, path)) == trajectory.m
     assert Path(path).read_bytes() == Path(case.path).read_bytes()
 
 

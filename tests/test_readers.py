@@ -2,7 +2,9 @@
 
 Each example takes a valid file, corrupts one row (or cuts the file at
 one), and checks that loading raises DataError naming that line, and
-nothing else.
+nothing else.  A snapshot file's derivative rows are counted, never
+parsed, so its corruptions go to the data and control rows; a cut in the
+derivative section is tested in test_snapshots.
 """
 
 import shutil
@@ -33,11 +35,12 @@ def _snapshot_file(path):
         dt=2.0,
         controls=np.ones(M),
         fields=list(FIELDS),
-        derivatives=rng.standard_normal((N, M)),
-    ), path)
+    ), path, derivatives=rng.standard_normal((N, M)))
     lines = path.read_text().splitlines()
     markers = {"data", "derivatives", "controls"}
-    rows = [i for i in range(lines.index("data"), len(lines)) if lines[i] not in markers]
+    skipped = range(lines.index("derivatives"), lines.index("controls"))
+    rows = [i for i in range(lines.index("data"), len(lines))
+            if lines[i] not in markers and i not in skipped]
     return rows, rows
 
 

@@ -89,7 +89,6 @@ def test_error_report_zero_for_exact_reproduction():
     model, traj, _ = _trained_model()
     constant = traj
     constant.data = np.tile(traj.data[:, :1], (1, traj.data.shape[1]))
-    constant.derivatives = None
     [report] = rom_vs_projected_error(model, [constant])
     assert report.step_errors.shape == (traj.m,)
     assert np.all(report.step_errors < 1e-28)

@@ -2,6 +2,8 @@
 
 import logging
 import shutil
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -31,20 +33,23 @@ def _mirror(path):
 FIELDS = [("T_c", 0, 3), ("T_s", 3, 6)]
 
 
-def _toy_set(m=5, l=1, with_derivatives=True, seed=7, dt=2.0):
+def _toy_set(m=5, l=1, seed=7, dt=2.0):
     rng = np.random.default_rng(seed)
     data = 500.0 + 40.0 * rng.standard_normal((6, m * l))
     offsets = np.arange(l + 1) * m
     controls = np.ones(m * l)
-    derivatives = rng.standard_normal((6, m * l)) if with_derivatives else None
     return SnapshotSet(
         data=data,
         trajectory_offsets=offsets,
         dt=dt,
         controls=controls,
         fields=list(FIELDS),
-        derivatives=derivatives,
     )
+
+
+def _derivatives(s):
+    """Numbers for a derivative section of ``s``, which generate's files carry."""
+    return np.random.default_rng(11).standard_normal(s.data.shape)
 
 
 def test_assemble_from_fom_trajectories(small_cfg, step_signal):
@@ -55,18 +60,17 @@ def test_assemble_from_fom_trajectories(small_cfg, step_signal):
     assert combined.l == 2
     assert combined.m == 2 * traj.m
     assert np.array_equal(combined.data[:, : traj.m], traj.data)
-    assert combined.derivatives is not None
     back = combined.trajectory_slices()
     assert len(back) == 2
     assert np.array_equal(combined.data[:, back[1]], traj.data)
     assert np.array_equal(combined.controls[back[1]], traj.controls)
-
-
-def test_assemble_rejects_mixed_derivative_presence(small_cfg, step_signal):
-    traj, bare = fom_integrate(small_cfg, [step_signal, step_signal], save_every=40)
-    bare.derivatives = None
-    with pytest.raises(DataError):
-        concat_snapshot_sets([traj, bare])
+    # controls given as a list become a float array, as the data do
+    listed = SnapshotSet(data=traj.data[:, :3], trajectory_offsets=[0, 3], dt=traj.dt,
+                         controls=[1.0, 1.0, 1.0], fields=traj.fields)
+    assert listed.controls.dtype == float and np.array_equal(listed.controls, np.ones(3))
+    with pytest.raises(DataError, match="one heat load per column"):
+        SnapshotSet(data=traj.data[:, :3], trajectory_offsets=[0, 3], dt=traj.dt,
+                    controls=[1.0, 1.0], fields=traj.fields)
 
 
 def test_snapshot_set_refuses_a_spacing_that_is_not_positive():
@@ -92,7 +96,6 @@ def test_split_and_concat_round_trip(small_cfg, step_signal):
     assert np.array_equal(rebuilt.trajectory_offsets, np.arange(4) * parts[0].m)
     for part, sl in zip(parts, rebuilt.trajectory_slices()):
         assert np.array_equal(rebuilt.data[:, sl], part.data)
-        assert np.array_equal(rebuilt.derivatives[:, sl], part.derivatives)
         assert np.array_equal(rebuilt.controls[sl], part.controls)
         assert rebuilt.dt == part.dt
 
@@ -124,53 +127,58 @@ def test_apply_and_invert_scaling_round_trip():
         assert abs(block.mean()) < 1e-12
         assert np.isclose(block.std(), 1.0)
     # derivatives are divided by the scale only, never shifted
-    derivatives = spec.scale_derivative_array(s.derivatives)
-    assert np.allclose(derivatives, s.derivatives / spec.row_scale[:, None], rtol=1e-14)
+    raw = _derivatives(s)
+    derivatives = spec.scale_derivative_array(raw)
+    assert np.allclose(derivatives, raw / spec.row_scale[:, None], rtol=1e-14)
     assert np.allclose(spec.unscale_array(scaled), s.data, rtol=1e-13)
-    assert np.allclose(derivatives * spec.row_scale[:, None], s.derivatives, rtol=1e-13)
+    assert np.allclose(derivatives * spec.row_scale[:, None], raw, rtol=1e-13)
 
 
 def test_save_load_round_trip(tmp_path):
     s = _toy_set(m=7, l=2)
     path = tmp_path / "snaps.txt"
-    save_snapshots(s, path)
+    save_snapshots(s, path, derivatives=_derivatives(s))
     loaded = load_snapshots(path)
     assert loaded.n == s.n and loaded.m == s.m and loaded.l == s.l
     assert np.array_equal(loaded.data, s.data)
-    assert np.array_equal(loaded.derivatives, s.derivatives)
     assert np.array_equal(loaded.controls, s.controls)
     assert loaded.fields == s.fields
     assert loaded.dt == s.dt
     # a second save of the loaded set reproduces the file byte for byte
     path2 = tmp_path / "snaps2.txt"
-    save_snapshots(loaded, path2)
+    save_snapshots(loaded, path2, derivatives=_derivatives(s))
     assert path.read_bytes() == path2.read_bytes()
 
 
 def test_save_load_without_derivatives(tmp_path):
-    s = _toy_set(m=4, with_derivatives=False)
+    s = _toy_set(m=4)
     path = tmp_path / "bare.txt"
     save_snapshots(s, path)
-    loaded = load_snapshots(path)
-    assert loaded.derivatives is None
+    lines = path.read_text().splitlines()
+    assert "has_derivatives=0" in lines and "derivatives" not in lines
+    assert len(lines) == 9 + 2 * s.m  # header, data and controls sections
+    _assert_same_set(load_snapshots(path), s)
 
 
-@pytest.mark.parametrize("with_derivatives", [True, False])
-def test_load_without_derivatives_matches_the_full_load(tmp_path, with_derivatives):
-    path = tmp_path / "snaps.txt"
-    save_snapshots(_toy_set(m=7, l=2, with_derivatives=with_derivatives), path)
-    full = load_snapshots(path)
-    bare = load_snapshots(path, derivatives=False)
-    assert bare.derivatives is None
-    for name in ("data", "controls", "trajectory_offsets"):
-        a, b = getattr(full, name), getattr(bare, name)
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    assert bare.dt == full.dt and bare.fields == full.fields
+@pytest.mark.parametrize("mirrored", [True, False])
+def test_load_without_derivatives_matches_the_full_load(tmp_path, mirrored):
+    """A file without the derivative section loads to the same set as one with it,
+    from the mirror and from the text."""
+    s = _toy_set(m=7, l=2)
+    full, bare = tmp_path / "full.txt", tmp_path / "bare.txt"
+    save_snapshots(s, full, derivatives=_derivatives(s))
+    save_snapshots(s, bare)
+    assert "has_derivatives=1" in full.read_text() and "has_derivatives=0" in bare.read_text()
+    if not mirrored:
+        for path in (full, bare):
+            _mirror(path).unlink()
+    _assert_same_set(load_snapshots(full), load_snapshots(bare))
 
 
 def test_load_without_derivatives_still_counts_their_lines(tmp_path):
     path = tmp_path / "snaps.txt"
-    save_snapshots(_toy_set(m=4), path)
+    s = _toy_set(m=4)
+    save_snapshots(s, path, derivatives=_derivatives(s))
     lines = path.read_text().splitlines()
     marker = lines.index("derivatives")
     short = tmp_path / "short.txt"
@@ -178,22 +186,22 @@ def test_load_without_derivatives_still_counts_their_lines(tmp_path):
     shutil.copyfile(_mirror(path), _mirror(short))  # the mirror of the whole file is stale
     with pytest.raises(DataError, match=f"short.txt, line {marker + 4}: unexpected end of file "
                                         "while reading derivative row 2$"):
-        load_snapshots(short, derivatives=False)
+        load_snapshots(short)
 
 
 def test_load_rejects_truncated_file(tmp_path):
     s = _toy_set(m=4)
     path = tmp_path / "snaps.txt"
-    save_snapshots(s, path)
+    save_snapshots(s, path, derivatives=_derivatives(s))
     text = path.read_text().splitlines()
     path.write_text("\n".join(text[:-2]) + "\n")  # its mirror stays, stale
     with pytest.raises(DataError, match="unexpected end of file while reading control row 2$"):
         load_snapshots(path)
 
 
-def _awkward_set(with_derivatives):
+def _awkward_set():
     """A toy set holding values whose text is hard to round-trip: -0, subnormals, extremes."""
-    s = _toy_set(m=7, l=2, with_derivatives=with_derivatives)
+    s = _toy_set(m=7, l=2)
     s.data[0, :7] = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1,
                      1.0 / 3.0, -1e-300]
     s.controls[:] = np.linspace(0.0, 1.5, s.m)
@@ -208,11 +216,8 @@ def _served_by(caplog, path):
 
 
 def _assert_same_set(a, b):
-    for name in ("data", "derivatives", "controls", "trajectory_offsets"):
+    for name in ("data", "controls", "trajectory_offsets"):
         x, y = getattr(a, name), getattr(b, name)
-        if x is None or y is None:
-            assert x is None and y is None, name
-            continue
         assert x.dtype == y.dtype and x.shape == y.shape, name
         assert x.flags.c_contiguous and y.flags.c_contiguous, name
         assert x.tobytes() == y.tobytes(), name
@@ -220,21 +225,25 @@ def _assert_same_set(a, b):
 
 
 @pytest.mark.parametrize("with_derivatives", [True, False])
-@pytest.mark.parametrize("derivatives", [True, False])
+@pytest.mark.parametrize("fortran_order", [True, False])
 def test_mirror_and_text_give_the_same_set_bit_for_bit(tmp_path, caplog, with_derivatives,
-                                                       derivatives):
+                                                       fortran_order):
+    """The same set, whether the file has a derivative section or not, and whether
+    the saved data are stored row- or column-major."""
     caplog.set_level(logging.DEBUG, logger=MIRROR_LOG)
-    s = _awkward_set(with_derivatives)
+    s = _awkward_set()
+    if fortran_order:
+        s.data = np.asfortranarray(s.data)
     path, text_only = tmp_path / "snaps.txt", tmp_path / "text.txt"
-    save_snapshots(s, path)
+    save_snapshots(s, path, derivatives=_derivatives(s) if with_derivatives else None)
     shutil.copyfile(path, text_only)
-    served = load_snapshots(path, derivatives=derivatives)
+    served = load_snapshots(path)
     assert _served_by(caplog, path) == "read from the mirror"
-    parsed = load_snapshots(text_only, derivatives=derivatives)
+    parsed = load_snapshots(text_only)
     assert _served_by(caplog, text_only) == "read from the text, no mirror"
     _assert_same_set(served, parsed)
     assert np.array_equal(served.data, s.data) and np.signbit(served.data[0, 0])
-    assert (served.derivatives is not None) == (with_derivatives and derivatives)
+    assert np.array_equal(served.controls, s.controls)
 
 
 def test_a_same_length_edit_of_the_text_is_what_loads(tmp_path, caplog):
@@ -267,7 +276,7 @@ def _flip_byte(path, offset):
 
 
 def _flip_payload_byte(path, other):
-    _flip_byte(path, 60)  # in the data block, which starts after the 49-byte head
+    _flip_byte(path, 60)  # in the data block, which starts after the 41-byte head
 
 
 def _flip_magic_byte(path, other):
@@ -308,19 +317,22 @@ def test_a_spoiled_mirror_falls_back_to_the_text(tmp_path, caplog, spoil, why):
     _assert_same_set(loaded, expected)
 
 
-def test_a_load_without_derivatives_reads_no_derivative_byte(tmp_path, caplog):
-    """Damage to the derivative block stops the mirror serving a full load, not a bare one."""
+def test_a_mirror_of_the_earlier_layout_counts_as_damaged(tmp_path, caplog):
+    """A whole mirror of the layout with a derivative block, written with the text as
+    it is, is not read: the text is."""
     caplog.set_level(logging.DEBUG, logger=MIRROR_LOG)
     path = tmp_path / "snaps.txt"
     s = _toy_set(m=7)
-    save_snapshots(s, path)
-    _flip_byte(path, -8 * s.m - 4)  # in the last derivative value
-    bare = load_snapshots(path, derivatives=False)
-    assert _served_by(caplog, path) == "read from the mirror"
-    full = load_snapshots(path)
+    derivatives = _derivatives(s)
+    save_snapshots(s, path, derivatives=derivatives)
+    text = path.read_bytes()
+    blocks = [np.ascontiguousarray(b, dtype="<f8") for b in (s.data, derivatives, s.controls)]
+    _mirror(path).write_bytes(
+        b"morcal snapshot mirror 1\n"
+        + struct.pack("<QIIII", len(text), zlib.crc32(text), *map(zlib.crc32, blocks))
+        + b"".join(b.tobytes() for b in blocks))
+    _assert_same_set(load_snapshots(path), s)
     assert _served_by(caplog, path) == "read from the text, damaged mirror"
-    assert np.array_equal(full.derivatives, s.derivatives)
-    assert np.array_equal(bare.data, s.data) and np.array_equal(bare.controls, s.controls)
 
 
 def test_load_writes_no_file(tmp_path):
@@ -334,7 +346,7 @@ def test_load_writes_no_file(tmp_path):
 
     before = listing()
     load_snapshots(path)
-    load_snapshots(bare, derivatives=False)
+    load_snapshots(bare)
     assert listing() == before
     _flip_payload_byte(path, None)
     before = listing()
